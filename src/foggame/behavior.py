@@ -28,6 +28,7 @@ import numpy as np
 from scipy.optimize import root
 
 from .games import (
+    PROB_SUM_TOL,
     Belief,
     MixedStrategy,
     NormalFormGame,
@@ -35,8 +36,6 @@ from .games import (
     expected_utility,
     pure_nash,
 )
-
-PROB_SUM_TOL = 1e-9
 
 
 class NoEquilibriumError(ValueError):

@@ -25,13 +25,13 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .behavior import model_from_dict, predict
 from .estimation import (
+    _SEARCH_DEFAULTS,
     ModelFamily,
     cross_validate,
     epsilon_nash_family,
@@ -45,6 +45,7 @@ from .market import (
     PRICE_RULES,
     FogScenario,
     NegotiationTrace,
+    as_int,
     compute_metrics,
     default_scenario,
     run_negotiation,
@@ -87,7 +88,6 @@ _EXPERIMENT_KEYS = {
     "out_dir",
     "noise_sweep",
     "averaging_sweep",
-    "workers",
     "price_rule",
     "dataset",
     "game",
@@ -121,20 +121,44 @@ class ExperimentSpec:
     out_dir: str = "out"
     noise_sweep: tuple[float, ...] = ()
     averaging_sweep: tuple[bool, ...] = ()
-    workers: int = 1
     price_rule: str = "gradient_ascent"
     dataset: str | None = None
     game_path: str | None = None
     folds: int | None = None
     cv_seed: int = 0
     bounds: tuple[tuple[float, float], ...] | None = None
-    search: tuple[int, int] = (11, 40)
+    search: tuple[int, int] = (
+        _SEARCH_DEFAULTS["grid_points"],
+        _SEARCH_DEFAULTS["refine_iters"],
+    )
 
 
 def _require_mapping(block, key: str) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"{key}: expected a JSON object")
     return block
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a JSON list, got {value!r}")
+    return value
+
+
+def _integer(value, key: str, minimum: int) -> int:
+    try:
+        number = as_int(value, key)
+    except ValueError:
+        raise ConfigError(f"{key}: must be an integer, got {value!r}") from None
+    if number < minimum:
+        raise ConfigError(f"{key}: must be >= {minimum}")
+    return number
+
+
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: must be a number, got {value!r}")
+    return float(value)
 
 
 def _scenario_from_config(block: dict) -> FogScenario:
@@ -153,7 +177,7 @@ def _scenario_from_config(block: dict) -> FogScenario:
         if preset != "default":
             raise ConfigError(f"scenario.preset: unknown preset {preset!r}")
         return default_scenario(**block)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"scenario: {exc}") from exc
@@ -235,17 +259,26 @@ def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"lottery: {exc}") from exc
 
-    seeds = tuple(int(s) for s in experiment.get("seeds", ()))
+    seeds = tuple(
+        _integer(seed, "experiment.seeds", 0)
+        for seed in _list(experiment.get("seeds", []), "experiment.seeds")
+    )
     if mode == "simulate" and not seeds:
         raise ConfigError("experiment.seeds: must be nonempty for simulate")
 
-    out_dir = experiment.get("out_dir") or os.environ.get(OUT_DIR_ENV) or "out"
+    out_dir = experiment.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"experiment.out_dir: must be a string, got {out_dir!r}")
+    out_dir = out_dir or os.environ.get(OUT_DIR_ENV) or "out"
 
     noise_sweep = experiment.get("noise_sweep")
     if noise_sweep is None:
         noise_sweep = (scenario.noise_level,) if scenario else ()
     else:
-        noise_sweep = tuple(float(x) for x in noise_sweep)
+        noise_sweep = tuple(
+            _number(x, "experiment.noise_sweep")
+            for x in _list(noise_sweep, "experiment.noise_sweep")
+        )
         for rho in noise_sweep:
             if not 0.0 <= rho < 1.0:
                 raise ConfigError("experiment.noise_sweep: values must lie in [0, 1)")
@@ -253,13 +286,11 @@ def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
     if averaging_sweep is None:
         averaging_sweep = (scenario.averaging,) if scenario else ()
     else:
+        _list(averaging_sweep, "experiment.averaging_sweep")
         if not all(isinstance(b, bool) for b in averaging_sweep):
             raise ConfigError("experiment.averaging_sweep: values must be booleans")
         averaging_sweep = tuple(averaging_sweep)
 
-    workers = int(experiment.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("experiment.workers: must be >= 1")
     price_rule = experiment.get("price_rule", "gradient_ascent")
     if price_rule not in PRICE_RULES:
         raise ConfigError(f"experiment.price_rule: must be one of {PRICE_RULES}")
@@ -267,35 +298,37 @@ def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
     dataset = experiment.get("dataset")
     game_path = experiment.get("game")
     for key, value in (("dataset", dataset), ("game", game_path)):
-        if value is not None and not Path(value).exists():
+        if value is None:
+            continue
+        if not isinstance(value, str):
+            raise ConfigError(f"experiment.{key}: must be a path string, got {value!r}")
+        if not Path(value).exists():
             raise ConfigError(f"experiment.{key}: path {value!r} does not exist")
 
     folds = experiment.get("folds")
     if folds is not None:
-        folds = int(folds)
-        if folds < 2:
-            raise ConfigError("experiment.folds: must be >= 2")
-    cv_seed = int(experiment.get("cv_seed", 0))
+        folds = _integer(folds, "experiment.folds", 2)
+    cv_seed = _integer(experiment.get("cv_seed", 0), "experiment.cv_seed", 0)
 
     bounds = experiment.get("bounds")
     if bounds is not None:
-        try:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"experiment.bounds: {exc}") from exc
+        pairs = _list(bounds, "experiment.bounds")
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+            raise ConfigError("experiment.bounds: expected a list of [low, high] pairs")
+        bounds = tuple(
+            (_number(lo, "experiment.bounds"), _number(hi, "experiment.bounds"))
+            for lo, hi in pairs
+        )
     search_block = experiment.get("search", {})
     _require_mapping(search_block, "experiment.search")
     unknown = set(search_block) - {"grid_points", "refine_iters"}
     if unknown:
         raise ConfigError(f"experiment.search.{sorted(unknown)[0]}: unknown key")
+    options = {**_SEARCH_DEFAULTS, **search_block}
     search = (
-        int(search_block.get("grid_points", 11)),
-        int(search_block.get("refine_iters", 40)),
+        _integer(options["grid_points"], "experiment.search.grid_points", 3),
+        _integer(options["refine_iters"], "experiment.search.refine_iters", 0),
     )
-    if search[0] < 3:
-        raise ConfigError("experiment.search.grid_points: must be >= 3")
-    if search[1] < 0:
-        raise ConfigError("experiment.search.refine_iters: must be >= 0")
 
     # Mode-specific requirements.
     if mode == "simulate" and scenario is None:
@@ -336,7 +369,6 @@ def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
         out_dir=str(out_dir),
         noise_sweep=noise_sweep,
         averaging_sweep=averaging_sweep,
-        workers=workers,
         price_rule=price_rule,
         dataset=dataset,
         game_path=game_path,
@@ -374,7 +406,6 @@ def resolved_config(spec: ExperimentSpec) -> dict:
         "mode": spec.mode,
         "seeds": list(spec.seeds),
         "out_dir": spec.out_dir,
-        "workers": spec.workers,
         "price_rule": spec.price_rule,
         "cv_seed": spec.cv_seed,
         "search": {"grid_points": spec.search[0], "refine_iters": spec.search[1]},
@@ -461,7 +492,7 @@ def _family_from_model_block(model: dict) -> ModelFamily:
                 "model.params.num_levels: required to fit a level_k family"
             )
         return level_k_family(
-            int(params["num_levels"]),
+            _integer(params["num_levels"], "model.params.num_levels", 1),
             params.get("response", "exact_br"),
             params.get("precision"),
         )
@@ -489,60 +520,36 @@ def run_simulate(spec: ExperimentSpec) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(out / "resolved_config.json", _json_text(resolved_config(spec)))
 
-    cells = [
+    cells = {
         (rho, averaging, seed)
         for rho in spec.noise_sweep
         for averaging in spec.averaging_sweep
         for seed in spec.seeds
-    ]
-
-    def run_cell(cell: tuple[float, bool, int]):
-        rho, averaging, seed = cell
-        scenario = dataclasses.replace(
-            spec.scenario, noise_level=rho, averaging=averaging
-        )
-        trace = run_negotiation(scenario, spec.price_rule, seed)
-        name = f"trace_{rho}_{str(averaging).lower()}_{seed}.csv"
-        _atomic_write_trace(trace, out / name)
-        return trace, name
-
-    results: dict[tuple[float, bool, int], tuple] = {}
-    if spec.workers == 1 or len(cells) == 1:
-        for cell in cells:
-            try:
-                results[cell] = ("ok", run_cell(cell))
-            except Exception as exc:  # noqa: BLE001 — keep going, record fault
-                results[cell] = ("failed", str(exc))
-    else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            futures = {cell: pool.submit(run_cell, cell) for cell in cells}
-            for cell, future in futures.items():
-                try:
-                    results[cell] = ("ok", future.result())
-                except Exception as exc:  # noqa: BLE001
-                    results[cell] = ("failed", str(exc))
-
+    }
     manifest_cells = []
     traces: list[NegotiationTrace] = []
-    failures = 0
-    for cell in sorted(results):
-        rho, averaging, seed = cell
-        status, payload = results[cell]
-        entry = {"noise_level": rho, "averaging": averaging, "seed": seed,
-                 "status": status}
-        if status == "ok":
-            trace, name = payload
+    for rho, averaging, seed in sorted(cells):
+        entry = {"noise_level": rho, "averaging": averaging, "seed": seed}
+        try:
+            scenario = dataclasses.replace(
+                spec.scenario, noise_level=rho, averaging=averaging
+            )
+            trace = run_negotiation(scenario, spec.price_rule, seed)
+            name = f"trace_{rho}_{str(averaging).lower()}_{seed}.csv"
+            _atomic_write_trace(trace, out / name)
+        except Exception as exc:  # noqa: BLE001 — keep going, record fault
+            entry.update(status="failed", error=str(exc))
+        else:
             traces.append(trace)
             entry.update(
+                status="ok",
                 file=name,
                 rounds=len(trace.rounds),
                 converged=trace.converged,
                 convergence_round=trace.convergence_round,
             )
-        else:
-            failures += 1
-            entry["error"] = payload
         manifest_cells.append(entry)
+    failures = len(manifest_cells) - len(traces)
 
     if traces:
         summary = compute_metrics(traces)
@@ -629,7 +636,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("config", help="path to a JSON config file")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--workers", type=int, help="parallel sweep cells")
         p.add_argument(
             "--dump-resolved-config",
             action="store_true",
@@ -644,10 +650,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         spec = parse_config(args.config, mode=args.command)
         if args.out:
             spec = dataclasses.replace(spec, out_dir=args.out)
-        if args.workers:
-            if args.workers < 1:
-                raise ConfigError("--workers: must be >= 1")
-            spec = dataclasses.replace(spec, workers=args.workers)
         if args.dump_resolved_config:
             sys.stdout.write(_json_text(resolved_config(spec)))
             return 0

@@ -24,13 +24,13 @@ sees and pays — carries the perturbation and is projected back into
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 # Noisy demands are floored here so log-utility stays defined.
 DEMAND_FLOOR = 1e-9
@@ -39,13 +39,26 @@ PriceRule = Literal["gradient_ascent", "foc_root"]
 PRICE_RULES = ("gradient_ascent", "foc_root")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int; bools, non-numbers and fractional numbers raise."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if _is_real(value) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _broadcast(value, n: int, name: str) -> tuple[float, ...]:
-    if np.isscalar(value):
-        vec = (float(value),) * n
-    else:
-        vec = tuple(float(x) for x in value)
-        if len(vec) != n:
-            raise ValueError(f"{name} must have length {n}, got {len(vec)}")
+    vec = (value,) * n if np.isscalar(value) else tuple(value)
+    if len(vec) != n:
+        raise ValueError(f"{name} must have length {n}, got {len(vec)}")
+    if not all(_is_real(x) for x in vec):
+        raise ValueError(f"{name} must hold numbers, got {value!r}")
+    vec = tuple(float(x) for x in vec)
     if any(not np.isfinite(x) for x in vec):
         raise ValueError(f"{name} must be finite")
     return vec
@@ -81,10 +94,21 @@ class FogScenario:
     convergence_window: int = 20
 
     def __post_init__(self) -> None:
-        m = int(self.num_nodes)
+        integers = ["num_nodes", "max_rounds", "convergence_window"]
+        if self.averaging_window is not None:
+            integers.append("averaging_window")
+        for name in integers:
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        for name in ("budget", "utility_scale", "step_size", "noise_level",
+                     "convergence_tol"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.averaging, bool):
+            raise ValueError(f"averaging must be true or false, got {self.averaging!r}")
+        m = self.num_nodes
         if m < 1:
             raise ValueError("num_nodes must be >= 1")
-        object.__setattr__(self, "num_nodes", m)
         if not np.isfinite(self.budget) or self.budget <= 0:
             raise ValueError("budget must be positive")
         if not np.isfinite(self.utility_scale) or self.utility_scale <= 0:
@@ -161,13 +185,22 @@ def default_scenario(**overrides) -> FogScenario:
 
 
 def _check_prices(scenario: FogScenario, prices: Sequence[float]) -> np.ndarray:
-    c = np.asarray(list(prices), dtype=float)
+    c = np.asarray(prices, dtype=float)
     if c.shape != (scenario.num_nodes,):
         raise ValueError(f"expected {scenario.num_nodes} prices, got {c.shape}")
-    floors = np.asarray(scenario.price_floors)
-    if not np.all(np.isfinite(c)) or np.any(c < floors - 1e-12):
+    lowest = np.asarray(scenario.price_floors) - 1e-12
+    if not (np.isfinite(c) & (c >= lowest)).all():
         raise ValueError("prices must be finite and >= price_floors")
     return c
+
+
+def _check_demands(c: np.ndarray, demands: Sequence[float]) -> np.ndarray:
+    r = np.asarray(demands, dtype=float)
+    if r.shape != c.shape:
+        raise ValueError("demands and prices must have equal length")
+    if not np.isfinite(r).all():
+        raise ValueError("demands must be finite")
+    return r
 
 
 def user_utility(
@@ -175,10 +208,8 @@ def user_utility(
 ) -> float:
     """Log-quality benefit of the allocation minus its total cost."""
     c = _check_prices(scenario, prices)
-    r = np.asarray(list(demands), dtype=float)
-    if r.shape != c.shape:
-        raise ValueError("demands and prices must have equal length")
-    if not np.all(np.isfinite(r)) or np.any(r <= 0):
+    r = _check_demands(c, demands)
+    if (r <= 0).any():
         raise ValueError("demands must be positive")
     alpha = np.asarray(scenario.utility_weights)
     beta = np.asarray(scenario.quality_factors)
@@ -186,16 +217,16 @@ def user_utility(
     return benefit - float(np.sum(c * r))
 
 
-def fog_gain(scenario: FogScenario, node: int, price: float, demand: float) -> float:
-    """Node margin over its floor price, damped by the node's margin factor."""
-    if not 0 <= node < scenario.num_nodes:
-        raise ValueError(f"node {node} out of range")
-    if demand < 0 or not np.isfinite(demand):
-        raise ValueError("demand must be nonnegative")
-    floor = scenario.price_floors[node]
-    if not np.isfinite(price) or price < floor - 1e-12:
-        raise ValueError(f"price {price!r} below floor {floor} for node {node}")
-    return scenario.margin_factors[node] * (price - floor) * demand
+def fog_gain(
+    scenario: FogScenario, prices: Sequence[float], demands: Sequence[float]
+) -> np.ndarray:
+    """Each node's margin over its floor price, damped by its margin factor."""
+    c = _check_prices(scenario, prices)
+    r = _check_demands(c, demands)
+    if (r < 0).any():
+        raise ValueError("demands must be nonnegative")
+    kappa = np.asarray(scenario.margin_factors)
+    return kappa * (c - np.asarray(scenario.price_floors)) * r
 
 
 def optimal_demand(scenario: FogScenario, prices: Sequence[float]) -> np.ndarray:
@@ -210,92 +241,46 @@ def optimal_demand(scenario: FogScenario, prices: Sequence[float]) -> np.ndarray
     return scenario.budget * alpha / (c * scenario.total_weight)
 
 
-def _own_demand(scenario: FogScenario, node: int, price: float) -> float:
-    return (
-        scenario.budget
-        * scenario.utility_weights[node]
-        / (price * scenario.total_weight)
-    )
-
-
-def inject_noise(value: float, noise_level: float, rng: np.random.Generator) -> float:
-    """Multiply by ``1 + u`` with u drawn uniformly from ±noise_level."""
-    if not 0.0 <= noise_level < 1.0:
-        raise ValueError("noise_level must lie in [0, 1)")
-    if not np.isfinite(value) or value <= 0:
-        raise ValueError("value must be a positive real")
-    return float(value) * (1.0 + rng.uniform(-noise_level, noise_level))
-
-
-def signal_average(history: Sequence[float]) -> float:
-    """Cumulative mean of all responses so far."""
-    if len(history) == 0:
-        raise ValueError("history must be nonempty")
-    return fmean(history)
-
-
 def price_update(
     scenario: FogScenario,
-    node: int,
-    history: Sequence[tuple[float, float]],
+    history: Sequence[tuple[Sequence[float], Sequence[float]]],
     rule: PriceRule = "gradient_ascent",
-) -> float:
-    """Next price for ``node`` from its (price, observed demand) history.
+) -> np.ndarray:
+    """Next price of every node from the (prices, observed demands) history.
 
-    ``gradient_ascent`` climbs a finite-difference slope of the node's gain
-    between the last two history entries (a single entry probes upward by
-    ``step_size * price_floor``); the result is projected onto
-    ``[price_floor, price_cap]``.  ``foc_root`` searches the interval for a
-    stationary point of the gain under the closed-form demand and, when none
-    exists, returns the boundary price with the larger gain — for this
-    demand model, the cap.
+    ``history`` holds one entry per round so far, oldest first; only the
+    last two are read.  ``gradient_ascent`` climbs the finite-difference
+    slope of each node's gain between those two entries (a single entry
+    probes upward by ``step_size * price_floor``; a node whose price did
+    not move keeps it) and projects the result onto
+    ``[price_floor, price_cap]``.
+
+    ``foc_root`` solves each node's first-order condition under the
+    closed-form demand r(c) = B w / (c W), whose slope is r'(c) = -r/c.
+    The stationarity term r + kappa (c - f) r'(c) = r (1 - kappa (c - f) / c)
+    is at least r f / c > 0 for kappa in (0, 1], so the gain rises strictly
+    on ``[price_floor, price_cap]`` and the rule returns the caps.
     """
-    if not 0 <= node < scenario.num_nodes:
-        raise ValueError(f"node {node} out of range")
     if rule not in PRICE_RULES:
         raise ValueError(f"unknown price rule {rule!r}")
     if len(history) == 0:
-        raise ValueError("history must contain at least one (price, demand) entry")
-    floor = scenario.price_floors[node]
-    cap = scenario.price_caps[node]
-    kappa = scenario.margin_factors[node]
+        raise ValueError("history must contain at least one (prices, demands) entry")
+    floors = np.asarray(scenario.price_floors)
+    caps = np.asarray(scenario.price_caps)
+    if rule == "foc_root":
+        return caps.copy()
 
-    if rule == "gradient_ascent":
-        price, _ = history[-1]
-        if len(history) == 1:
-            candidate = price + scenario.step_size * floor
-        else:
-            (c_prev, r_prev), (c_last, r_last) = history[-2], history[-1]
-            delta_c = c_last - c_prev
-            if abs(delta_c) <= 1e-12 * max(1.0, abs(c_last)):
-                slope = 0.0
-            else:
-                g_prev = kappa * (c_prev - floor) * r_prev
-                g_last = kappa * (c_last - floor) * r_last
-                slope = (g_last - g_prev) / delta_c
-            candidate = c_last + scenario.step_size * slope
-        return float(min(max(candidate, floor), cap))
-
-    # foc_root: gain'(c) = 0 with r(c) the closed-form demand reduces to
-    # r(c) + kappa * (c - floor) * r'(c) = 0 where r'(c) = -r(c)/c.
-    def stationarity(c: float) -> float:
-        r = _own_demand(scenario, node, c)
-        return r + kappa * (c - floor) * (-r / c)
-
-    grid = np.linspace(floor, cap, 257)
-    values = [stationarity(c) for c in grid]
-    for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]):
-        if fa == 0.0:
-            return float(a)
-        if fa * fb < 0.0:
-            return float(brentq(stationarity, a, b, xtol=1e-12))
-    if values[-1] == 0.0:
-        return float(grid[-1])
-
-    def boundary_gain(c: float) -> float:
-        return kappa * (c - floor) * _own_demand(scenario, node, c)
-
-    return float(cap if boundary_gain(cap) >= boundary_gain(floor) else floor)
+    if len(history) == 1:
+        c_last = _check_prices(scenario, history[-1][0])
+        candidate = c_last + scenario.step_size * floors
+    else:
+        rise = fog_gain(scenario, *history[-1]) - fog_gain(scenario, *history[-2])
+        c_last = np.asarray(history[-1][0], dtype=float)
+        delta_c = c_last - np.asarray(history[-2][0], dtype=float)
+        moved = np.abs(delta_c) > 1e-12 * np.maximum(1.0, np.abs(c_last))
+        slope = np.divide(rise, delta_c, out=np.zeros_like(delta_c), where=moved)
+        candidate = c_last + scenario.step_size * slope
+    return np.minimum(np.maximum(candidate, floors), caps)
 
 
 @dataclass(frozen=True)
@@ -372,10 +357,12 @@ def run_negotiation(
 ) -> NegotiationTrace:
     """Run the negotiation loop until convergence or ``max_rounds``.
 
-    Round structure: the user best-responds to the prices in force (noise
-    applied per component when enabled), then every node computes its next
-    price (noise applied likewise).  With averaging on, each actor executes
-    the cumulative mean of its own noisy responses instead of the latest
+    Round structure: the user best-responds to the prices in force, then
+    every node computes its next price.  With noise on, each response is
+    multiplied by ``1 + u`` with u uniform on ``±noise_level``, one draw per
+    node: first a vector for the demands, then one for the prices.  With
+    averaging on, each actor executes the mean of its own noisy responses
+    (all of them, or the last ``averaging_window``) instead of the latest
     sample.  Executed prices are projected onto ``[floor, cap]``; executed
     demands are floored at ``DEMAND_FLOOR``.  Output is a pure function of
     ``(scenario, price_rule, seed)``.
@@ -388,82 +375,65 @@ def run_negotiation(
     floors = np.asarray(scenario.price_floors)
     caps = np.asarray(scenario.price_caps)
 
-    prices_in_force = np.asarray(scenario.initial_prices, dtype=float)
-    intended = prices_in_force.copy()  # node-side pre-noise adaptation state
-    node_history: list[list[tuple[float, float]]] = [[] for _ in range(m)]
-    demand_samples: list[np.ndarray] = []
-    price_samples: list[np.ndarray] = []
+    # One row per round: prices in force, executed demands, node gains, and
+    # each actor's noisy responses (the pool that averaging draws from).
+    shape = (scenario.max_rounds, m)
+    prices, demands, gains = np.empty(shape), np.empty(shape), np.empty(shape)
+    demand_samples, price_samples = np.empty(shape), np.empty(shape)
+    utilities: list[float] = []
 
+    def executed(samples: np.ndarray, count: int) -> np.ndarray:
+        if not scenario.averaging:
+            return samples[count - 1]
+        window = scenario.averaging_window
+        start = 0 if window is None else max(0, count - window)
+        # The mean of a row slice reduces exactly like the mean of a stacked
+        # list of rows, which keeps the bytes of every earlier run.
+        return np.mean(samples[start:count], axis=0)
+
+    def perturbed(values: np.ndarray) -> np.ndarray:
+        if rho > 0:
+            return values * (1.0 + rng.uniform(-rho, rho, size=m))
+        return values
+
+    prices[0] = scenario.initial_prices
+    intended = prices[0].copy()  # node-side pre-noise adaptation state
+    history: list[tuple[np.ndarray, np.ndarray]] = []  # the last two rounds
     monitor = _ConvergenceMonitor(scenario.convergence_tol, scenario.convergence_window)
-    rounds: list[RoundState] = []
     converged = False
-    convergence_round: int | None = None
 
-    for round_number in range(1, scenario.max_rounds + 1):
-        desired = optimal_demand(scenario, prices_in_force)
-        if rho > 0:
-            noisy_demand = np.array(
-                [inject_noise(x, rho, rng) for x in desired], dtype=float
-            )
-        else:
-            noisy_demand = desired
-        demand_samples.append(noisy_demand)
-        if scenario.averaging:
-            window = scenario.averaging_window
-            pool = demand_samples if window is None else demand_samples[-window:]
-            executed_demand = np.mean(pool, axis=0)
-        else:
-            executed_demand = noisy_demand
-        executed_demand = np.maximum(executed_demand, DEMAND_FLOOR)
+    for t in range(scenario.max_rounds):
+        c = prices[t]
+        demand_samples[t] = perturbed(optimal_demand(scenario, c))
+        r = demands[t] = np.maximum(executed(demand_samples, t + 1), DEMAND_FLOOR)
+        gains[t] = fog_gain(scenario, c, r)
+        utilities.append(user_utility(scenario, r, c))
 
-        gains = tuple(
-            fog_gain(scenario, i, prices_in_force[i], executed_demand[i])
-            for i in range(m)
-        )
-        rounds.append(
-            RoundState(
-                round=round_number,
-                prices=tuple(float(x) for x in prices_in_force),
-                demands=tuple(float(x) for x in executed_demand),
-                user_utility=user_utility(scenario, executed_demand, prices_in_force),
-                fog_gains=gains,
-            )
-        )
-
-        values = np.concatenate([prices_in_force, executed_demand])
-        if monitor.update(values, round_number):
-            converged = True
-            convergence_round = round_number
+        converged = monitor.update(np.concatenate([c, r]), t + 1)
+        if converged or t + 1 == scenario.max_rounds:
             break
+        history = history[-1:] + [(intended, r)]
+        intended = price_update(scenario, history, price_rule)
+        price_samples[t] = perturbed(intended)
+        prices[t + 1] = np.clip(executed(price_samples, t + 1), floors, caps)
 
-        for i in range(m):
-            node_history[i].append((float(intended[i]), float(executed_demand[i])))
-        intended = np.array(
-            [price_update(scenario, i, node_history[i], price_rule) for i in range(m)],
-            dtype=float,
+    rounds = tuple(
+        RoundState(
+            round=t + 1,
+            prices=tuple(prices[t].tolist()),
+            demands=tuple(demands[t].tolist()),
+            user_utility=utility,
+            fog_gains=tuple(gains[t]),  # NumPy scalars; see write_trace_csv
         )
-        if rho > 0:
-            noisy_price = np.array(
-                [inject_noise(x, rho, rng) for x in intended], dtype=float
-            )
-        else:
-            noisy_price = intended
-        price_samples.append(noisy_price)
-        if scenario.averaging:
-            window = scenario.averaging_window
-            pool = price_samples if window is None else price_samples[-window:]
-            next_prices = np.mean(pool, axis=0)
-        else:
-            next_prices = noisy_price
-        prices_in_force = np.clip(next_prices, floors, caps)
-
+        for t, utility in enumerate(utilities)
+    )
     return NegotiationTrace(
         scenario=scenario,
         price_rule=price_rule,
         seed=seed,
-        rounds=tuple(rounds),
+        rounds=rounds,
         converged=converged,
-        convergence_round=convergence_round,
+        convergence_round=len(rounds) if converged else None,
     )
 
 
@@ -550,7 +520,12 @@ TRACE_COLUMNS = ("round", "node_id", "price", "demand", "user_utility", "fog_gai
 
 
 def write_trace_csv(trace: NegotiationTrace, path: str | Path) -> None:
-    """One row per node per round; the user utility is repeated per round."""
+    """One row per node per round; the user utility is repeated per round.
+
+    ``fog_gain`` values are NumPy scalars, so under NumPy 2 that column reads
+    ``np.float64(x)``.  The spelling is kept on purpose: the trace bytes are
+    pinned, and changing it means re-recording every reference digest.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRACE_COLUMNS)

@@ -57,7 +57,6 @@ class TestParseConfig:
         assert spec.scenario.price_floors == (1.0, 1.0)
         assert spec.seeds == (0, 1)
         assert spec.out_dir == "out"
-        assert spec.workers == 1
         assert spec.price_rule == "gradient_ascent"
         assert spec.noise_sweep == (0.0,)
         assert spec.averaging_sweep == (False,)
@@ -188,7 +187,6 @@ class TestParseConfig:
                     "noise_sweep": [0.0, 0.05],
                     "averaging_sweep": [False, True],
                     "out_dir": str(tmp_path / "o"),
-                    "workers": 2,
                 },
             },
         )
@@ -247,16 +245,15 @@ class TestSimulate:
             out_b / "summary.json"
         ).read_bytes()
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        out_a, out_b = tmp_path / "serial", tmp_path / "parallel"
+    def test_cell_order_does_not_change_output(self, tmp_path):
+        out_a, out_b = tmp_path / "ascending", tmp_path / "shuffled"
         cfg = simulate_config(out_a, seeds=[0, 1, 2], noise_sweep=[0.0, 0.1])
-        path_a = write_config(tmp_path, cfg, name="serial.json")
-        cfg_b = json.loads(json.dumps(cfg))
-        cfg_b["experiment"]["out_dir"] = str(out_b)
-        path_b = write_config(tmp_path, cfg_b, name="parallel.json")
+        path_a = write_config(tmp_path, cfg, name="ascending.json")
+        cfg_b = simulate_config(out_b, seeds=[2, 0, 1, 0], noise_sweep=[0.1, 0.0])
+        path_b = write_config(tmp_path, cfg_b, name="shuffled.json")
 
         assert main(["simulate", path_a]) == 0
-        assert main(["simulate", path_b, "--workers", "3"]) == 0
+        assert main(["simulate", path_b]) == 0
         names = sorted(p.name for p in out_a.glob("*.csv"))
         assert names == sorted(p.name for p in out_b.glob("*.csv"))
         for name in names:
@@ -308,6 +305,78 @@ class TestSimulate:
         path = write_config(tmp_path, {"experiment": {"mode": "simulate"}})
         assert main(["simulate", path]) == 2
         assert main(["simulate", str(tmp_path / "missing.json")]) == 2
+
+    def test_workers_option_removed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, simulate_config(out, workers=2))
+        assert main(["simulate", path]) == 2
+        assert "experiment.workers" in capsys.readouterr().err
+        path = write_config(tmp_path, simulate_config(out), name="plain.json")
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", path, "--workers", "2"])
+        assert err.value.code == 2
+        assert not out.exists()
+
+
+class TestConfigTypes:
+    """A value of the wrong type exits 2 and names its key; nothing runs."""
+
+    def _rejected(self, tmp_path, capsys, config, key):
+        path = write_config(tmp_path, config)
+        assert main(["simulate", path]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_string_seed(self, tmp_path, capsys):
+        config = simulate_config(tmp_path / "out", seeds=["x"])
+        self._rejected(tmp_path, capsys, config, "experiment.seeds")
+
+    def test_bool_seed(self, tmp_path, capsys):
+        config = simulate_config(tmp_path / "out", seeds=[True])
+        self._rejected(tmp_path, capsys, config, "experiment.seeds")
+
+    def test_negative_seed(self, tmp_path, capsys):
+        config = simulate_config(tmp_path / "out", seeds=[-1])
+        self._rejected(tmp_path, capsys, config, "experiment.seeds")
+
+    def test_string_noise_level(self, tmp_path, capsys):
+        config = simulate_config(tmp_path / "out", noise_sweep=["a"])
+        self._rejected(tmp_path, capsys, config, "experiment.noise_sweep")
+
+    def test_fractional_max_rounds(self, tmp_path, capsys):
+        config = simulate_config(tmp_path / "out")
+        config["scenario"]["max_rounds"] = 10.5
+        self._rejected(tmp_path, capsys, config, "max_rounds")
+
+    def test_fractional_num_nodes(self, tmp_path, capsys):
+        config = simulate_config(tmp_path / "out")
+        config["scenario"]["num_nodes"] = 4.5
+        self._rejected(tmp_path, capsys, config, "num_nodes")
+
+    def test_bool_averaging_window(self, tmp_path, capsys):
+        config = simulate_config(tmp_path / "out")
+        config["scenario"]["averaging_window"] = True
+        self._rejected(tmp_path, capsys, config, "averaging_window")
+
+    def test_string_budget(self, tmp_path, capsys):
+        config = simulate_config(tmp_path / "out")
+        config["scenario"]["budget"] = "ten"
+        self._rejected(tmp_path, capsys, config, "budget")
+
+    def test_non_list_sweep(self, tmp_path, capsys):
+        config = simulate_config(tmp_path / "out", averaging_sweep=True)
+        self._rejected(tmp_path, capsys, config, "experiment.averaging_sweep")
+
+    def test_fractional_search_option(self, tmp_path, capsys):
+        config = simulate_config(tmp_path / "out", search={"grid_points": 7.5})
+        self._rejected(tmp_path, capsys, config, "experiment.search.grid_points")
+
+    def test_integral_float_accepted(self, tmp_path):
+        config = simulate_config(tmp_path / "out", seeds=[1.0])
+        config["scenario"]["max_rounds"] = 20.0
+        spec = parse_config(write_config(tmp_path, config))
+        assert spec.seeds == (1,)
+        assert spec.scenario.max_rounds == 20
 
 
 @pytest.fixture()
@@ -413,6 +482,20 @@ class TestFit:
             },
         )
         assert main(["fit", path]) == 2
+
+    def test_fractional_num_levels_rejected(self, tmp_path, observation_file, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "model": {"model": "level_k", "params": {"num_levels": 2.5}},
+                "experiment": {
+                    "mode": "fit",
+                    "dataset": str(observation_file),
+                },
+            },
+        )
+        assert main(["fit", path]) == 2
+        assert "model.params.num_levels" in capsys.readouterr().err
 
 
 class TestShippedArtifacts:

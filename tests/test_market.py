@@ -18,12 +18,10 @@ from foggame.market import (
     default_scenario,
     detect_convergence,
     fog_gain,
-    inject_noise,
     instability_index,
     optimal_demand,
     price_update,
     run_negotiation,
-    signal_average,
     user_utility,
     write_trace_csv,
 )
@@ -123,6 +121,24 @@ class TestFogScenario:
                 num_nodes=1, budget=5.0, price_floors=2.0, price_caps=1.0
             )
 
+    def test_integer_fields_reject_bools_and_fractions(self):
+        for field in ("num_nodes", "max_rounds", "convergence_window",
+                      "averaging_window"):
+            for bad in (True, 4.5, "4"):
+                with pytest.raises(ValueError, match=field):
+                    FogScenario(**{"num_nodes": 1, "budget": 5.0, field: bad})
+        scn = FogScenario(num_nodes=2.0, budget=5.0, max_rounds=np.int64(30))
+        assert scn.num_nodes == 2 and type(scn.num_nodes) is int
+        assert scn.max_rounds == 30 and type(scn.max_rounds) is int
+
+    def test_numeric_fields_reject_non_numbers(self):
+        with pytest.raises(ValueError, match="budget"):
+            FogScenario(num_nodes=1, budget="5")
+        with pytest.raises(ValueError, match="price_floors"):
+            FogScenario(num_nodes=2, budget=5.0, price_floors=(1.0, True))
+        with pytest.raises(ValueError, match="averaging"):
+            FogScenario(num_nodes=1, budget=5.0, averaging=1)
+
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
             FogScenario(num_nodes=0, budget=5.0)
@@ -185,25 +201,42 @@ class TestFogGain:
     def test_floor_price_zero_gain(self):
         scn = _one_node()
         for r in (0.0, 1.0, 7.3):
-            assert fog_gain(scn, 0, 1.0, r) == 0.0
+            assert fog_gain(scn, [1.0], [r]).tolist() == [0.0]
 
     def test_direct_arithmetic(self):
         scn = _one_node(margin_factors=0.5)
-        assert fog_gain(scn, 0, 3.0, 2.0) == pytest.approx(2.0, abs=1e-12)
+        assert fog_gain(scn, [3.0], [2.0])[0] == pytest.approx(2.0, abs=1e-12)
+
+    def test_nodes_match_per_node_formula(self):
+        scn = default_scenario()
+        prices = [2.0, 1.5, 3.0, 4.5]
+        demands = [1.0, 2.5, 0.5, 3.0]
+        got = fog_gain(scn, prices, demands)
+        for i in range(scn.num_nodes):
+            kappa, floor = scn.margin_factors[i], scn.price_floors[i]
+            assert got[i] == kappa * (prices[i] - floor) * demands[i]
 
     def test_zero_demand_zero_gain(self):
         scn = _one_node(margin_factors=0.9)
-        assert fog_gain(scn, 0, 5.0, 0.0) == 0.0
+        assert fog_gain(scn, [5.0], [0.0]).tolist() == [0.0]
 
     def test_below_floor_rejected(self):
         scn = _one_node()
         with pytest.raises(ValueError):
-            fog_gain(scn, 0, 0.5, 1.0)
+            fog_gain(scn, [0.5], [1.0])
 
     def test_bad_node_rejected(self):
+        # a price or demand for a node the scenario does not have
         scn = _one_node()
         with pytest.raises(ValueError):
-            fog_gain(scn, 1, 2.0, 1.0)
+            fog_gain(scn, [2.0, 2.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            fog_gain(scn, [2.0], [1.0, 1.0])
+
+    def test_negative_demand_rejected(self):
+        scn = _one_node()
+        with pytest.raises(ValueError):
+            fog_gain(scn, [2.0], [-1.0])
 
 
 class TestOptimalDemand:
@@ -295,13 +328,12 @@ class TestOptimalDemand:
 class TestPriceUpdate:
     def test_foc_rule_lands_on_cap(self):
         # gain is strictly increasing in price under the closed-form demand,
-        # so the stationarity search finds no interior root and the
-        # gain-maximizing boundary is the cap; cross-check that boundary
+        # so the first-order rule returns the cap; cross-check that boundary
         # against a dense grid argmax of the gain itself.
         for kappa in (0.1, 0.5, 1.0):
             scn = _one_node(margin_factors=kappa)
-            got = price_update(scn, 0, [(1.0, 10.0)], rule="foc_root")
-            assert got == scn.price_caps[0]
+            got = price_update(scn, [([1.0], [10.0])], rule="foc_root")
+            assert got.tolist() == list(scn.price_caps)
             grid = np.linspace(scn.price_floors[0], scn.price_caps[0], 4001)
             gains = [
                 kappa * (c - scn.price_floors[0]) * optimal_demand(scn, [c])[0]
@@ -309,94 +341,198 @@ class TestPriceUpdate:
             ]
             assert grid[int(np.argmax(gains))] == scn.price_caps[0]
 
+    def test_foc_rule_step_lands_on_cap_in_negotiation(self):
+        scn = default_scenario(max_rounds=10)
+        trace = run_negotiation(scn, price_rule="foc_root")
+        assert trace.rounds[0].prices == scn.initial_prices
+        assert trace.rounds[1].prices == scn.price_caps
+
     def test_gradient_clamped_at_cap(self):
         scn = _one_node(step_size=8.0)
         # rising gain between the two entries -> positive slope at the cap
-        history = [(18.0, 1.0), (20.0, 1.1)]
-        assert price_update(scn, 0, history) == 20.0
+        history = [([18.0], [1.0]), ([20.0], [1.1])]
+        assert price_update(scn, history).tolist() == [20.0]
 
     def test_gradient_zero_slope_keeps_price(self):
         scn = _one_node(margin_factors=0.5)
         # equal gains at both entries: 0.5*(2-1)*2 == 0.5*(3-1)*1
-        history = [(2.0, 2.0), (3.0, 1.0)]
-        assert price_update(scn, 0, history) == 3.0
+        history = [([2.0], [2.0]), ([3.0], [1.0])]
+        assert price_update(scn, history).tolist() == [3.0]
+
+    def test_unmoved_price_is_kept(self):
+        scn = _one_node()
+        history = [([4.0], [2.0]), ([4.0], [1.0])]
+        assert price_update(scn, history).tolist() == [4.0]
 
     def test_single_entry_probes_upward(self):
         scn = _one_node(step_size=2.0)
-        assert price_update(scn, 0, [(1.0, 5.0)]) == pytest.approx(3.0)
+        assert price_update(scn, [([1.0], [5.0])])[0] == pytest.approx(3.0)
 
     def test_probe_respects_cap(self):
         scn = _one_node(step_size=100.0)
-        assert price_update(scn, 0, [(1.0, 5.0)]) == 20.0
+        assert price_update(scn, [([1.0], [5.0])]).tolist() == [20.0]
+
+    def test_nodes_step_independently(self):
+        # every node follows the one-node rule on its own (price, demand) pair
+        scn = default_scenario()
+        history = [([2.0, 1.0, 3.0, 0.9], [1.0, 2.0, 0.5, 4.0]),
+                   ([2.5, 1.0, 2.0, 1.4], [0.9, 2.2, 0.8, 3.0])]
+        got = price_update(scn, history)
+        for i in range(scn.num_nodes):
+            node = FogScenario(
+                num_nodes=1,
+                budget=scn.budget,
+                price_floors=scn.price_floors[i],
+                price_caps=scn.price_caps[i],
+                margin_factors=scn.margin_factors[i],
+                step_size=scn.step_size,
+            )
+            alone = [([c[i]], [r[i]]) for c, r in history]
+            assert got[i] == price_update(node, alone)[0]
 
     def test_empty_history_rejected(self):
         scn = _one_node()
         with pytest.raises(ValueError):
-            price_update(scn, 0, [])
+            price_update(scn, [])
 
     def test_unknown_rule_rejected(self):
         scn = _one_node()
         with pytest.raises(ValueError):
-            price_update(scn, 0, [(1.0, 1.0)], rule="oracle")
+            price_update(scn, [([1.0], [1.0])], rule="oracle")
+
+
+def _pinned_price_node(**overrides) -> FogScenario:
+    """One node whose price cannot move, so its clean demand is constant (5)."""
+    base = dict(
+        num_nodes=1,
+        budget=10.0,
+        price_floors=2.0,
+        price_caps=2.0,
+        convergence_tol=1e-15,
+    )
+    base.update(overrides)
+    return FogScenario(**base)
 
 
 class TestInjectNoise:
+    """Execution noise as the negotiation loop applies it."""
+
     def test_zero_noise_identity(self):
-        rng = np.random.default_rng(0)
-        assert inject_noise(3.7, 0.0, rng) == 3.7
+        trace = run_negotiation(default_scenario(max_rounds=60))
+        for state in trace.rounds:
+            clean = optimal_demand(trace.scenario, state.prices)
+            assert state.demands == tuple(clean.tolist())
 
     def test_support_bound(self):
-        rng = np.random.default_rng(1)
-        for _ in range(500):
-            out = inject_noise(2.0, 0.1, rng)
-            assert 2.0 * 0.9 <= out <= 2.0 * 1.1
+        rho = 0.1
+        trace = run_negotiation(
+            default_scenario(noise_level=rho, max_rounds=500), seed=1
+        )
+        for state in trace.rounds:
+            clean = optimal_demand(trace.scenario, state.prices)
+            ratio = np.asarray(state.demands) / clean
+            assert np.all(ratio >= 1.0 - rho) and np.all(ratio <= 1.0 + rho)
 
     def test_seed_determinism(self):
-        a = [inject_noise(1.0, 0.1, np.random.default_rng(42)) for _ in range(1)]
-        b = [inject_noise(1.0, 0.1, np.random.default_rng(42)) for _ in range(1)]
-        assert a == b
-        stream_a = np.random.default_rng(42)
-        stream_b = np.random.default_rng(42)
-        seq_a = [inject_noise(5.0, 0.1, stream_a) for _ in range(20)]
-        seq_b = [inject_noise(5.0, 0.1, stream_b) for _ in range(20)]
-        assert seq_a == seq_b
+        scn = default_scenario(noise_level=0.1, averaging=True, max_rounds=100)
+        assert run_negotiation(scn, seed=42) == run_negotiation(scn, seed=42)
+
+    def test_demand_then_price_draw_order(self):
+        # round 1 spends one demand vector and one price vector of draws;
+        # round 2's demands use the third vector of the stream
+        rho = 0.05
+        scn = default_scenario(noise_level=rho, max_rounds=2)
+        trace = run_negotiation(scn, seed=9)
+        rng = np.random.default_rng(9)
+        first, _, second = (rng.uniform(-rho, rho, size=4) for _ in range(3))
+        for state, draw in zip(trace.rounds, (first, second)):
+            clean = optimal_demand(scn, state.prices)
+            assert state.demands == tuple((clean * (1.0 + draw)).tolist())
+
+    def test_vector_draw_matches_scalar_draws(self):
+        for m in (1, 4, 130):
+            vector = np.random.default_rng(m).uniform(-0.1, 0.1, size=m)
+            stream = np.random.default_rng(m)
+            scalars = [stream.uniform(-0.1, 0.1) for _ in range(m)]
+            assert vector.tolist() == scalars
 
     def test_rejects_bad_args(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            inject_noise(1.0, 1.0, rng)
+            default_scenario(noise_level=1.0)
         with pytest.raises(ValueError):
-            inject_noise(-1.0, 0.1, rng)
+            default_scenario(noise_level=-0.1)
 
 
 class TestSignalAverage:
+    """Averaging as the negotiation loop applies it to noisy responses."""
+
     def test_two_values(self):
-        assert signal_average([2.0, 4.0]) == 3.0
+        rho = 0.1
+        scn = _pinned_price_node(noise_level=rho, averaging=True, max_rounds=2)
+        trace = run_negotiation(scn, seed=4)
+        rng = np.random.default_rng(4)
+        first, _, second = (rng.uniform(-rho, rho, size=1) for _ in range(3))
+        samples = [5.0 * (1.0 + first[0]), 5.0 * (1.0 + second[0])]
+        assert trace.rounds[1].demands == (np.mean(samples),)
 
     def test_single_value(self):
-        assert signal_average([7.0]) == 7.0
+        raw = default_scenario(noise_level=0.1, max_rounds=1)
+        averaged = default_scenario(noise_level=0.1, max_rounds=1, averaging=True)
+        a = run_negotiation(raw, seed=6)
+        b = run_negotiation(averaged, seed=6)
+        assert a.rounds == b.rounds
 
     def test_constant(self):
-        assert signal_average([1.5] * 9) == 1.5
+        trace = run_negotiation(_pinned_price_node(averaging=True, max_rounds=50))
+        assert all(state.demands == (5.0,) for state in trace.rounds)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            signal_average([])
+            _pinned_price_node(averaging=True, averaging_window=0)
+
+    def test_slice_mean_matches_stacked_mean(self):
+        # the loop averages row slices of one preallocated array; earlier
+        # releases averaged a stacked list of rows, and the bytes must agree
+        for m in (1, 4):
+            rng = np.random.default_rng(m)
+            samples = np.empty((2000, m))
+            rows = []
+            for t in range(2000):
+                samples[t] = rng.uniform(0.5, 2.0, size=m)
+                rows.append(samples[t].copy())
+                assert np.array_equal(
+                    np.mean(samples[: t + 1], axis=0), np.mean(rows, axis=0)
+                )
+                start = max(0, t + 1 - 7)
+                assert np.array_equal(
+                    np.mean(samples[start : t + 1], axis=0),
+                    np.mean(rows[-7:], axis=0),
+                )
 
     def test_averaging_variance_decay(self):
-        # mean of t i.i.d. multiplicative-noise samples drifts from the clean
-        # value like O(1/sqrt(t)); fit the log-log slope across three decades
+        # the mean of t i.i.d. multiplicative-noise samples drifts from the
+        # clean value like O(1/sqrt(t)); with prices pinned every node is an
+        # independent sample, so fit the log-log slope across three decades
         checkpoints = (10, 100, 1000)
-        reps = 200
-        rms = {t: 0.0 for t in checkpoints}
-        for rep in range(reps):
-            rng = np.random.default_rng(1000 + rep)
-            draws = [inject_noise(1.0, 0.1, rng) for _ in range(1000)]
+        scn = FogScenario(
+            num_nodes=25,
+            budget=10.0,
+            price_floors=2.0,
+            price_caps=2.0,
+            noise_level=0.1,
+            averaging=True,
+            max_rounds=1000,
+            convergence_tol=1e-15,
+        )
+        clean = optimal_demand(scn, scn.price_floors)
+        squares = {t: [] for t in checkpoints}
+        for seed in range(8):
+            trace = run_negotiation(scn, seed=1000 + seed)
             for t in checkpoints:
-                dev = signal_average(draws[:t]) - 1.0
-                rms[t] += dev * dev
+                dev = np.asarray(trace.rounds[t - 1].demands) / clean - 1.0
+                squares[t].extend(dev * dev)
         log_t = np.log([float(t) for t in checkpoints])
-        log_rms = np.log([math.sqrt(rms[t] / reps) for t in checkpoints])
+        log_rms = np.log([math.sqrt(np.mean(squares[t])) for t in checkpoints])
         slope = np.polyfit(log_t, log_rms, 1)[0]
         assert -0.65 <= slope <= -0.35
 
