@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -63,24 +64,7 @@ OUT_DIR_ENV = "FOGGAME_OUT"
 
 _MODES = ("simulate", "fit", "predict")
 
-_SCENARIO_KEYS = {
-    "num_nodes",
-    "budget",
-    "utility_scale",
-    "utility_weights",
-    "quality_factors",
-    "price_floors",
-    "margin_factors",
-    "initial_prices",
-    "price_caps",
-    "step_size",
-    "noise_level",
-    "averaging",
-    "averaging_window",
-    "max_rounds",
-    "convergence_tol",
-    "convergence_window",
-}
+_SCENARIO_KEYS = {field.name for field in dataclasses.fields(FogScenario)}
 
 _EXPERIMENT_KEYS = {
     "mode",
@@ -319,6 +303,11 @@ def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
             (_number(lo, "experiment.bounds"), _number(hi, "experiment.bounds"))
             for lo, hi in pairs
         )
+        for lo, hi in bounds:
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ConfigError(
+                    f"experiment.bounds: [{lo}, {hi}] must be finite with low <= high"
+                )
     search_block = experiment.get("search", {})
     _require_mapping(search_block, "experiment.search")
     unknown = set(search_block) - {"grid_points", "refine_iters"}
@@ -381,22 +370,8 @@ def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
 
 def _scenario_to_config(scenario: FogScenario) -> dict:
     return {
-        "num_nodes": scenario.num_nodes,
-        "budget": scenario.budget,
-        "utility_scale": scenario.utility_scale,
-        "utility_weights": list(scenario.utility_weights),
-        "quality_factors": list(scenario.quality_factors),
-        "price_floors": list(scenario.price_floors),
-        "margin_factors": list(scenario.margin_factors),
-        "initial_prices": list(scenario.initial_prices),
-        "price_caps": list(scenario.price_caps),
-        "step_size": scenario.step_size,
-        "noise_level": scenario.noise_level,
-        "averaging": scenario.averaging,
-        "averaging_window": scenario.averaging_window,
-        "max_rounds": scenario.max_rounds,
-        "convergence_tol": scenario.convergence_tol,
-        "convergence_window": scenario.convergence_window,
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in dataclasses.asdict(scenario).items()
     }
 
 
@@ -485,16 +460,32 @@ def _family_from_model_block(model: dict) -> ModelFamily:
     if tag == "logit_qbr":
         return qbr_family()
     if tag == "epsilon_nash":
-        return epsilon_nash_family(params.get("no_nash_fallback", "uniform"))
+        fallback = params.get("no_nash_fallback", "uniform")
+        if fallback not in ("error", "uniform"):
+            raise ConfigError(
+                f"model.params.no_nash_fallback: must be 'error' or 'uniform', "
+                f"got {fallback!r}"
+            )
+        return epsilon_nash_family(fallback)
     if tag == "level_k":
         if "num_levels" not in params:
             raise ConfigError(
                 "model.params.num_levels: required to fit a level_k family"
             )
+        response = params.get("response", "exact_br")
+        if response not in ("exact_br", "qbr"):
+            raise ConfigError(
+                f"model.params.response: must be 'exact_br' or 'qbr', got {response!r}"
+            )
+        precision = params.get("precision")
+        if precision is not None:
+            precision = _number(precision, "model.params.precision")
+            if not (math.isfinite(precision) and precision >= 0):
+                raise ConfigError("model.params.precision: must be finite and >= 0")
         return level_k_family(
             _integer(params["num_levels"], "model.params.num_levels", 1),
-            params.get("response", "exact_br"),
-            params.get("precision"),
+            response,
+            precision,
         )
     raise ConfigError(f"model.model: {tag!r} is not a fittable family")
 

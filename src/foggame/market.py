@@ -23,12 +23,12 @@ sees and pays — carries the perturbation and is projected back into
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -203,6 +203,41 @@ def _check_demands(c: np.ndarray, demands: Sequence[float]) -> np.ndarray:
     return r
 
 
+class _Market:
+    """A validated scenario's constants as arrays, and the market formulas.
+
+    The formulas are unchecked and take per-node vectors or (rounds x nodes)
+    arrays; the public functions below validate, then call them.
+    """
+
+    def __init__(self, s: FogScenario):
+        self.floors, self.caps = np.asarray(s.price_floors), np.asarray(s.price_caps)
+        self.alpha = np.asarray(s.utility_weights)
+        self.beta = np.asarray(s.quality_factors)
+        self.kappa, self.scale = np.asarray(s.margin_factors), s.utility_scale
+        self.budget_alpha, self.total_weight = s.budget * self.alpha, s.total_weight
+        self.step_size, self.probe = s.step_size, s.step_size * self.floors
+
+    def demand(self, c: np.ndarray) -> np.ndarray:
+        return self.budget_alpha / (c * self.total_weight)
+
+    def gain(self, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return self.kappa * (c - self.floors) * r
+
+    def utility(self, c: np.ndarray, r: np.ndarray):
+        benefit = self.scale * np.sum(self.alpha * np.log(r * self.beta), axis=-1)
+        return benefit - np.sum(c * r, axis=-1)
+
+    def project(self, prices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.minimum(np.maximum(prices, self.floors), self.caps, out=out)
+
+    def gradient_step(self, c_last, c_prev, rise) -> np.ndarray:
+        delta_c = c_last - c_prev
+        moved = np.abs(delta_c) > 1e-12 * np.maximum(1.0, np.abs(c_last))
+        slope = np.divide(rise, delta_c, out=np.zeros(delta_c.shape), where=moved)
+        return self.project(c_last + self.step_size * slope)
+
+
 def user_utility(
     scenario: FogScenario, demands: Sequence[float], prices: Sequence[float]
 ) -> float:
@@ -211,10 +246,7 @@ def user_utility(
     r = _check_demands(c, demands)
     if (r <= 0).any():
         raise ValueError("demands must be positive")
-    alpha = np.asarray(scenario.utility_weights)
-    beta = np.asarray(scenario.quality_factors)
-    benefit = scenario.utility_scale * float(np.sum(alpha * np.log(r * beta)))
-    return benefit - float(np.sum(c * r))
+    return float(_Market(scenario).utility(c, r))
 
 
 def fog_gain(
@@ -225,8 +257,7 @@ def fog_gain(
     r = _check_demands(c, demands)
     if (r < 0).any():
         raise ValueError("demands must be nonnegative")
-    kappa = np.asarray(scenario.margin_factors)
-    return kappa * (c - np.asarray(scenario.price_floors)) * r
+    return _Market(scenario).gain(c, r)
 
 
 def optimal_demand(scenario: FogScenario, prices: Sequence[float]) -> np.ndarray:
@@ -236,9 +267,7 @@ def optimal_demand(scenario: FogScenario, prices: Sequence[float]) -> np.ndarray
     unique maximizer of the log-benefit among allocations spending the
     budget exactly.
     """
-    c = _check_prices(scenario, prices)
-    alpha = np.asarray(scenario.utility_weights)
-    return scenario.budget * alpha / (c * scenario.total_weight)
+    return _Market(scenario).demand(_check_prices(scenario, prices))
 
 
 def price_update(
@@ -265,89 +294,76 @@ def price_update(
         raise ValueError(f"unknown price rule {rule!r}")
     if len(history) == 0:
         raise ValueError("history must contain at least one (prices, demands) entry")
-    floors = np.asarray(scenario.price_floors)
-    caps = np.asarray(scenario.price_caps)
+    k = _Market(scenario)
     if rule == "foc_root":
-        return caps.copy()
-
+        return k.caps.copy()
     if len(history) == 1:
-        c_last = _check_prices(scenario, history[-1][0])
-        candidate = c_last + scenario.step_size * floors
-    else:
-        rise = fog_gain(scenario, *history[-1]) - fog_gain(scenario, *history[-2])
-        c_last = np.asarray(history[-1][0], dtype=float)
-        delta_c = c_last - np.asarray(history[-2][0], dtype=float)
-        moved = np.abs(delta_c) > 1e-12 * np.maximum(1.0, np.abs(c_last))
-        slope = np.divide(rise, delta_c, out=np.zeros_like(delta_c), where=moved)
-        candidate = c_last + scenario.step_size * slope
-    return np.minimum(np.maximum(candidate, floors), caps)
+        return k.project(_check_prices(scenario, history[-1][0]) + k.probe)
+    rise = fog_gain(scenario, *history[-1]) - fog_gain(scenario, *history[-2])
+    c_last = np.asarray(history[-1][0], dtype=float)
+    return k.gradient_step(c_last, np.asarray(history[-2][0], dtype=float), rise)
 
 
-@dataclass(frozen=True)
-class RoundState:
-    """Executed market state of one round (1-based round numbering)."""
-
-    round: int
-    prices: tuple[float, ...]
-    demands: tuple[float, ...]
-    user_utility: float
-    fog_gains: tuple[float, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegotiationTrace:
-    """Complete record of one negotiation run."""
+    """Complete record of one negotiation run, one row per round.
+
+    ``prices`` (in force), ``demands`` (executed) and ``gains`` are read-only
+    (rounds x nodes) arrays and ``utilities`` holds the user's utility per
+    round.  ``rounds`` numbers the rows from 1.
+    """
 
     scenario: FogScenario
     price_rule: PriceRule
     seed: int
-    rounds: tuple[RoundState, ...]
+    prices: np.ndarray
+    demands: np.ndarray
+    gains: np.ndarray
+    utilities: np.ndarray
     converged: bool
     convergence_round: int | None
 
+    def __post_init__(self) -> None:
+        for name in ("prices", "demands", "gains", "utilities"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        shape = (len(self.utilities), self.scenario.num_nodes)
+        if not self.prices.shape == self.demands.shape == self.gains.shape == shape:
+            raise ValueError("prices, demands and gains must be (rounds x nodes)")
 
-class _ConvergenceMonitor:
-    """Tracks consecutive rounds whose per-series relative change stays small.
+    @property
+    def rounds(self) -> range:
+        return range(1, len(self.utilities) + 1)
 
-    Convergence at round t means every price and demand series changed by
-    less than ``tol`` (relative) between consecutive rounds across the whole
-    trailing window ``[t - window + 1, t]``.
+
+def _averager(scenario: FogScenario) -> Callable[[np.ndarray, int], np.ndarray]:
+    """What an actor executes in round ``count``: its sample, or a mean.
+
+    With two or more nodes a running sum over the count equals NumPy's mean
+    of the stacked samples bit for bit (NumPy adds them row by row); one
+    node's (t x 1) stack is summed pairwise, so it, like a window, takes the
+    mean of a row slice.
     """
+    if not scenario.averaging:
+        return lambda sample, count: sample
+    window = scenario.averaging_window
+    if window is None and scenario.num_nodes >= 2:
+        total = np.zeros(scenario.num_nodes)
 
-    def __init__(self, tol: float, window: int):
-        self.tol = tol
-        self.window = window
-        self.prev: np.ndarray | None = None
-        self.quiet_pairs = 0
+        def running_mean(sample: np.ndarray, count: int) -> np.ndarray:
+            np.add(total, sample, out=total)
+            return total / count
 
-    def update(self, values: np.ndarray, round_number: int) -> bool:
-        if self.prev is not None:
-            denom = np.maximum(np.abs(self.prev), 1e-12)
-            change = np.abs(values - self.prev) / denom
-            if float(change.max()) < self.tol:
-                self.quiet_pairs += 1
-            else:
-                self.quiet_pairs = 0
-        self.prev = values.copy()
-        return (
-            round_number >= self.window and self.quiet_pairs >= self.window - 1
-        )
+        return running_mean
+    samples = np.empty((scenario.max_rounds, scenario.num_nodes))
 
+    def slice_mean(sample: np.ndarray, count: int) -> np.ndarray:
+        samples[count - 1] = sample
+        start = 0 if window is None else max(0, count - window)
+        return np.mean(samples[start:count], axis=0)
 
-def detect_convergence(
-    trace: NegotiationTrace, conv_tol: float, conv_window: int
-) -> tuple[bool, int | None]:
-    """First round at which the trace satisfies the windowed quiet criterion."""
-    if conv_tol <= 0:
-        raise ValueError("conv_tol must be positive")
-    if conv_window < 2:
-        raise ValueError("conv_window must be >= 2")
-    monitor = _ConvergenceMonitor(conv_tol, conv_window)
-    for state in trace.rounds:
-        values = np.asarray(state.prices + state.demands, dtype=float)
-        if monitor.update(values, state.round):
-            return True, state.round
-    return False, None
+    return slice_mean
 
 
 def run_negotiation(
@@ -364,76 +380,76 @@ def run_negotiation(
     averaging on, each actor executes the mean of its own noisy responses
     (all of them, or the last ``averaging_window``) instead of the latest
     sample.  Executed prices are projected onto ``[floor, cap]``; executed
-    demands are floored at ``DEMAND_FLOOR``.  Output is a pure function of
-    ``(scenario, price_rule, seed)``.
+    demands are floored at ``DEMAND_FLOOR``.
+
+    Convergence at round t means every price and demand changed by less
+    than ``convergence_tol`` (relative) between consecutive rounds across
+    the whole trailing window ``[t - convergence_window + 1, t]``.
+
+    ``FogScenario`` has validated the inputs and projection keeps prices in
+    range, so each round checks only for overflow.  Output is a pure
+    function of ``(scenario, price_rule, seed)``.
     """
     if price_rule not in PRICE_RULES:
         raise ValueError(f"unknown price rule {price_rule!r}")
+    k = _Market(scenario)
+    m, rho = scenario.num_nodes, scenario.noise_level
+    tol, window = scenario.convergence_tol, scenario.convergence_window
+    gradient = price_rule == "gradient_ascent"
+    executed_demand, executed_price = _averager(scenario), _averager(scenario)
+    # Noise factors of round t + 1: row 0 for the demands, row 1 for the
+    # prices.  One block draw consumes the stream like per-round vector draws,
+    # and without noise every factor is exactly 1.
     rng = np.random.default_rng(seed)
-    m = scenario.num_nodes
-    rho = scenario.noise_level
-    floors = np.asarray(scenario.price_floors)
-    caps = np.asarray(scenario.price_caps)
+    noise = 1.0 + rng.uniform(-rho, rho, size=(scenario.max_rounds, 2, m))
 
-    # One row per round: prices in force, executed demands, node gains, and
-    # each actor's noisy responses (the pool that averaging draws from).
-    shape = (scenario.max_rounds, m)
-    prices, demands, gains = np.empty(shape), np.empty(shape), np.empty(shape)
-    demand_samples, price_samples = np.empty(shape), np.empty(shape)
-    utilities: list[float] = []
-
-    def executed(samples: np.ndarray, count: int) -> np.ndarray:
-        if not scenario.averaging:
-            return samples[count - 1]
-        window = scenario.averaging_window
-        start = 0 if window is None else max(0, count - window)
-        # The mean of a row slice reduces exactly like the mean of a stacked
-        # list of rows, which keeps the bytes of every earlier run.
-        return np.mean(samples[start:count], axis=0)
-
-    def perturbed(values: np.ndarray) -> np.ndarray:
-        if rho > 0:
-            return values * (1.0 + rng.uniform(-rho, rho, size=m))
-        return values
-
-    prices[0] = scenario.initial_prices
-    intended = prices[0].copy()  # node-side pre-noise adaptation state
-    history: list[tuple[np.ndarray, np.ndarray]] = []  # the last two rounds
-    monitor = _ConvergenceMonitor(scenario.convergence_tol, scenario.convergence_window)
-    converged = False
+    # Row t holds the prices in force and the executed demands of round t + 1.
+    state = np.empty((scenario.max_rounds, 2, m))
+    state[0, 0] = scenario.initial_prices
+    intended = state[0, 0].copy()  # node-side pre-noise adaptation state
+    previous = intended_gain = None
+    quiet, converged = 0, False
 
     for t in range(scenario.max_rounds):
-        c = prices[t]
-        demand_samples[t] = perturbed(optimal_demand(scenario, c))
-        r = demands[t] = np.maximum(executed(demand_samples, t + 1), DEMAND_FLOOR)
-        gains[t] = fog_gain(scenario, c, r)
-        utilities.append(user_utility(scenario, r, c))
+        c, r = state[t]
+        sample = k.demand(c) * noise[t, 0]
+        np.maximum(executed_demand(sample, t + 1), DEMAND_FLOOR, out=r)
+        if not np.isfinite(r).all():
+            # a price that is not finite makes its demand not finite too
+            if not np.isfinite(c).all():
+                raise ValueError("prices must be finite and >= price_floors")
+            raise ValueError("demands must be finite")
 
-        converged = monitor.update(np.concatenate([c, r]), t + 1)
+        if t:
+            last = state[t - 1]
+            change = np.abs(state[t] - last) / np.maximum(np.abs(last), 1e-12)
+            quiet = quiet + 1 if change.max() < tol else 0
+        converged = t + 1 >= window and quiet >= window - 1
         if converged or t + 1 == scenario.max_rounds:
             break
-        history = history[-1:] + [(intended, r)]
-        intended = price_update(scenario, history, price_rule)
-        price_samples[t] = perturbed(intended)
-        prices[t + 1] = np.clip(executed(price_samples, t + 1), floors, caps)
 
-    rounds = tuple(
-        RoundState(
-            round=t + 1,
-            prices=tuple(prices[t].tolist()),
-            demands=tuple(demands[t].tolist()),
-            user_utility=utility,
-            fog_gains=tuple(gains[t]),  # NumPy scalars; see write_trace_csv
-        )
-        for t, utility in enumerate(utilities)
-    )
+        if not gradient:
+            intended = k.caps
+        else:
+            gain = k.gain(intended, r)
+            if intended_gain is None:
+                following = k.project(intended + k.probe)
+            else:
+                following = k.gradient_step(intended, previous, gain - intended_gain)
+            previous, intended, intended_gain = intended, following, gain
+        k.project(executed_price(intended * noise[t, 1], t + 1), out=state[t + 1, 0])
+
+    prices, demands = state[: t + 1, 0], state[: t + 1, 1]
     return NegotiationTrace(
         scenario=scenario,
         price_rule=price_rule,
         seed=seed,
-        rounds=rounds,
+        prices=prices,
+        demands=demands,
+        gains=k.gain(prices, demands),
+        utilities=k.utility(prices, demands),
         converged=converged,
-        convergence_round=len(rounds) if converged else None,
+        convergence_round=t + 1 if converged else None,
     )
 
 
@@ -451,16 +467,7 @@ class ConfigMetrics:
     mean_instability_index: float
 
     def to_dict(self) -> dict:
-        return {
-            "noise_level": self.noise_level,
-            "averaging": self.averaging,
-            "num_traces": self.num_traces,
-            "convergence_rate": self.convergence_rate,
-            "mean_convergence_round": self.mean_convergence_round,
-            "mean_final_user_utility": self.mean_final_user_utility,
-            "mean_final_fog_gain_total": self.mean_final_fog_gain_total,
-            "mean_instability_index": self.mean_instability_index,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -475,9 +482,7 @@ class MarketSummary:
 
 def instability_index(trace: NegotiationTrace) -> float:
     """Mean over nodes of std/mean of price over the trailing window."""
-    window = trace.scenario.convergence_window
-    tail = trace.rounds[-window:]
-    prices = np.asarray([state.prices for state in tail], dtype=float)
+    prices = trace.prices[-trace.scenario.convergence_window :]
     ratio = prices.std(axis=0, ddof=0) / prices.mean(axis=0)
     return float(ratio.mean())
 
@@ -495,10 +500,7 @@ def compute_metrics(traces: Iterable[NegotiationTrace]) -> MarketSummary:
     configs = []
     for (rho, averaging) in sorted(groups, key=lambda k: (k[0], k[1])):
         members = groups[(rho, averaging)]
-        finals = [t.rounds[-1] for t in members]
-        rounds_converged = [
-            t.convergence_round for t in members if t.converged
-        ]
+        rounds_converged = [t.convergence_round for t in members if t.converged]
         configs.append(
             ConfigMetrics(
                 noise_level=rho,
@@ -508,8 +510,12 @@ def compute_metrics(traces: Iterable[NegotiationTrace]) -> MarketSummary:
                 mean_convergence_round=(
                     fmean(rounds_converged) if rounds_converged else None
                 ),
-                mean_final_user_utility=fmean(s.user_utility for s in finals),
-                mean_final_fog_gain_total=fmean(sum(s.fog_gains) for s in finals),
+                mean_final_user_utility=fmean(
+                    float(t.utilities[-1]) for t in members
+                ),
+                mean_final_fog_gain_total=fmean(
+                    sum(t.gains[-1].tolist()) for t in members
+                ),
                 mean_instability_index=fmean(instability_index(t) for t in members),
             )
         )
@@ -522,22 +528,27 @@ TRACE_COLUMNS = ("round", "node_id", "price", "demand", "user_utility", "fog_gai
 def write_trace_csv(trace: NegotiationTrace, path: str | Path) -> None:
     """One row per node per round; the user utility is repeated per round.
 
-    ``fog_gain`` values are NumPy scalars, so under NumPy 2 that column reads
-    ``np.float64(x)``.  The spelling is kept on purpose: the trace bytes are
-    pinned, and changing it means re-recording every reference digest.
+    The ``fog_gain`` column reads ``np.float64(x)``, the repr of a NumPy
+    scalar under NumPy 2, which earlier releases wrote.  It is spelled from
+    plain floats on purpose: ``f"np.float64({x!r})"`` equals
+    ``repr(np.float64(x))`` for every float64, and the trace bytes are
+    pinned, so the spelling stays until the reference digests are
+    re-recorded.
     """
+    lines = [",".join(TRACE_COLUMNS)]
+    nodes = range(trace.scenario.num_nodes)
+    for t, prices, demands, utility, gains in zip(
+        trace.rounds,
+        trace.prices.tolist(),
+        trace.demands.tolist(),
+        trace.utilities.tolist(),
+        trace.gains.tolist(),
+    ):
+        utility = repr(utility)
+        lines.extend(
+            f"{t},{i},{prices[i]!r},{demands[i]!r},{utility},np.float64({gains[i]!r})"
+            for i in nodes
+        )
+    lines.append("")
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_COLUMNS)
-        for state in trace.rounds:
-            for node in range(trace.scenario.num_nodes):
-                writer.writerow(
-                    [
-                        state.round,
-                        node,
-                        repr(state.prices[node]),
-                        repr(state.demands[node]),
-                        repr(state.user_utility),
-                        repr(state.fog_gains[node]),
-                    ]
-                )
+        handle.write("\r\n".join(lines))

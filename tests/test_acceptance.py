@@ -141,13 +141,12 @@ def test_rational_negotiation_converges_to_demand_optimum(rational_trace):
     assert trace.converged and trace.convergence_round is not None
     assert trace.convergence_round <= 2000
 
-    final = trace.rounds[-1]
-    expected = optimal_demand(scenario, final.prices)
-    rel = np.abs(np.asarray(final.demands) - expected) / expected
+    expected = optimal_demand(scenario, trace.prices[-1])
+    rel = np.abs(trace.demands[-1] - expected) / expected
     assert float(rel.max()) < 1e-6
 
-    for state in trace.rounds:
-        spend = float(np.dot(state.prices, state.demands))
+    for prices, demands in zip(trace.prices, trace.demands):
+        spend = float(np.dot(prices, demands))
         assert abs(spend - scenario.budget) <= 1e-9 * scenario.budget
 
 
@@ -190,14 +189,11 @@ def test_signal_averaging_restores_convergence(rational_trace, avg10_batch):
     converged = sum(t.converged for t in avg10_batch)
     assert converged >= 95
 
-    target_prices = np.asarray(rational_trace.rounds[-1].prices)
-    target_demands = np.asarray(rational_trace.rounds[-1].demands)
+    target_prices = rational_trace.prices[-1]
+    target_demands = rational_trace.demands[-1]
     for trace in avg10_batch:
-        final = trace.rounds[-1]
-        price_dev = np.abs(np.asarray(final.prices) - target_prices) / target_prices
-        demand_dev = (
-            np.abs(np.asarray(final.demands) - target_demands) / target_demands
-        )
+        price_dev = np.abs(trace.prices[-1] - target_prices) / target_prices
+        demand_dev = np.abs(trace.demands[-1] - target_demands) / target_demands
         assert float(price_dev.max()) < 0.05
         assert float(demand_dev.max()) < 0.05
 
@@ -206,8 +202,8 @@ def test_efficiency_ordering_across_noise_treatments(
     rational_trace, raw10_batch, avg10_batch
 ):
     def finals(traces):
-        uu = [t.rounds[-1].user_utility for t in traces]
-        fg = [sum(t.rounds[-1].fog_gains) for t in traces]
+        uu = [float(t.utilities[-1]) for t in traces]
+        fg = [sum(t.gains[-1].tolist()) for t in traces]
         return uu, fg
 
     rational_uu, rational_fg = finals([rational_trace])

@@ -293,6 +293,24 @@ class TestSimulate:
         assert not (out / "trace_0.0_false_1.csv").exists()
         assert (out / "summary.json").exists()
 
+    def test_overflowing_scenario_fails_its_cells(self, tmp_path):
+        # demands overflow in the first round; each cell records the same
+        # error the public demand check gives, and the run exits 3
+        out = tmp_path / "out"
+        config = simulate_config(out, seeds=[0, 1])
+        config["scenario"] = {"num_nodes": 2, "budget": 1e300, "price_floors": 1e-10}
+        for rule in ("gradient_ascent", "foc_root"):
+            config["experiment"]["price_rule"] = rule
+            path = write_config(tmp_path, config, name=f"{rule}.json")
+            with np.errstate(over="ignore"):
+                assert main(["simulate", path]) == 3
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["num_failed"] == 2
+            for cell in manifest["cells"]:
+                assert cell["status"] == "failed"
+                assert cell["error"] == "demands must be finite"
+            assert not (out / "summary.json").exists()
+
     def test_dump_resolved_config_runs_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = write_config(tmp_path, simulate_config(out))
@@ -496,6 +514,49 @@ class TestFit:
         )
         assert main(["fit", path]) == 2
         assert "model.params.num_levels" in capsys.readouterr().err
+
+
+class TestFitConfigValues:
+    """A bad fit-mode value exits 2 and names its key before any fitting."""
+
+    def _rejected(self, tmp_path, capsys, observation_file, model, key, **experiment):
+        path = write_config(
+            tmp_path,
+            {
+                "model": model,
+                "experiment": {
+                    "mode": "fit",
+                    "dataset": str(observation_file),
+                    "out_dir": str(tmp_path / "out"),
+                    **experiment,
+                },
+            },
+        )
+        assert main(["fit", path]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_reversed_bounds(self, tmp_path, capsys, observation_file):
+        self._rejected(tmp_path, capsys, observation_file,
+                       {"model": "logit_qbr", "params": {}},
+                       "experiment.bounds", bounds=[[5.0, 1.0]])
+
+    def test_unknown_level_k_response(self, tmp_path, capsys, observation_file):
+        self._rejected(tmp_path, capsys, observation_file,
+                       {"model": "level_k",
+                        "params": {"num_levels": 2, "response": "bogus"}},
+                       "model.params.response")
+
+    def test_unknown_no_nash_fallback(self, tmp_path, capsys, observation_file):
+        self._rejected(tmp_path, capsys, observation_file,
+                       {"model": "epsilon_nash", "params": {"no_nash_fallback": 7}},
+                       "model.params.no_nash_fallback")
+
+    def test_negative_level_k_precision(self, tmp_path, capsys, observation_file):
+        self._rejected(tmp_path, capsys, observation_file,
+                       {"model": "level_k", "params": {
+                           "num_levels": 2, "response": "qbr", "precision": -1.0}},
+                       "model.params.precision")
 
 
 class TestShippedArtifacts:

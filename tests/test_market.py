@@ -13,10 +13,8 @@ from foggame.market import (
     TRACE_COLUMNS,
     FogScenario,
     NegotiationTrace,
-    RoundState,
     compute_metrics,
     default_scenario,
-    detect_convergence,
     fog_gain,
     instability_index,
     optimal_demand,
@@ -36,24 +34,26 @@ def _one_node(**overrides) -> FogScenario:
 def _synthetic_trace(
     scenario: FogScenario, price_rows, demand_rows
 ) -> NegotiationTrace:
-    rounds = tuple(
-        RoundState(
-            round=t + 1,
-            prices=tuple(p),
-            demands=tuple(d),
-            user_utility=0.0,
-            fog_gains=(0.0,) * scenario.num_nodes,
-        )
-        for t, (p, d) in enumerate(zip(price_rows, demand_rows))
-    )
     return NegotiationTrace(
         scenario=scenario,
         price_rule="gradient_ascent",
         seed=0,
-        rounds=rounds,
+        prices=price_rows,
+        demands=demand_rows,
+        gains=np.zeros((len(price_rows), scenario.num_nodes)),
+        utilities=np.zeros(len(price_rows)),
         converged=False,
         convergence_round=None,
     )
+
+
+TRACE_ARRAYS = ("prices", "demands", "gains", "utilities")
+
+
+def _same_trace(a: NegotiationTrace, b: NegotiationTrace) -> bool:
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in TRACE_ARRAYS
+    ) and (a.converged, a.convergence_round) == (b.converged, b.convergence_round)
 
 
 def _constrained_optimum(scenario: FogScenario, prices) -> np.ndarray:
@@ -344,8 +344,8 @@ class TestPriceUpdate:
     def test_foc_rule_step_lands_on_cap_in_negotiation(self):
         scn = default_scenario(max_rounds=10)
         trace = run_negotiation(scn, price_rule="foc_root")
-        assert trace.rounds[0].prices == scn.initial_prices
-        assert trace.rounds[1].prices == scn.price_caps
+        assert tuple(trace.prices[0].tolist()) == scn.initial_prices
+        assert tuple(trace.prices[1].tolist()) == scn.price_caps
 
     def test_gradient_clamped_at_cap(self):
         scn = _one_node(step_size=8.0)
@@ -419,23 +419,22 @@ class TestInjectNoise:
 
     def test_zero_noise_identity(self):
         trace = run_negotiation(default_scenario(max_rounds=60))
-        for state in trace.rounds:
-            clean = optimal_demand(trace.scenario, state.prices)
-            assert state.demands == tuple(clean.tolist())
+        for prices, demands in zip(trace.prices, trace.demands):
+            clean = optimal_demand(trace.scenario, prices)
+            assert np.array_equal(demands, clean)
 
     def test_support_bound(self):
         rho = 0.1
         trace = run_negotiation(
             default_scenario(noise_level=rho, max_rounds=500), seed=1
         )
-        for state in trace.rounds:
-            clean = optimal_demand(trace.scenario, state.prices)
-            ratio = np.asarray(state.demands) / clean
+        for prices, demands in zip(trace.prices, trace.demands):
+            ratio = demands / optimal_demand(trace.scenario, prices)
             assert np.all(ratio >= 1.0 - rho) and np.all(ratio <= 1.0 + rho)
 
     def test_seed_determinism(self):
         scn = default_scenario(noise_level=0.1, averaging=True, max_rounds=100)
-        assert run_negotiation(scn, seed=42) == run_negotiation(scn, seed=42)
+        assert _same_trace(run_negotiation(scn, seed=42), run_negotiation(scn, seed=42))
 
     def test_demand_then_price_draw_order(self):
         # round 1 spends one demand vector and one price vector of draws;
@@ -445,9 +444,9 @@ class TestInjectNoise:
         trace = run_negotiation(scn, seed=9)
         rng = np.random.default_rng(9)
         first, _, second = (rng.uniform(-rho, rho, size=4) for _ in range(3))
-        for state, draw in zip(trace.rounds, (first, second)):
-            clean = optimal_demand(scn, state.prices)
-            assert state.demands == tuple((clean * (1.0 + draw)).tolist())
+        for prices, demands, draw in zip(trace.prices, trace.demands, (first, second)):
+            clean = optimal_demand(scn, prices)
+            assert np.array_equal(demands, clean * (1.0 + draw))
 
     def test_vector_draw_matches_scalar_draws(self):
         for m in (1, 4, 130):
@@ -455,6 +454,15 @@ class TestInjectNoise:
             stream = np.random.default_rng(m)
             scalars = [stream.uniform(-0.1, 0.1) for _ in range(m)]
             assert vector.tolist() == scalars
+
+    def test_block_draw_matches_per_round_draws(self):
+        # the loop draws all rounds' noise at once, demand then price per round
+        for m in (1, 4, 130):
+            block = np.random.default_rng(m).uniform(-0.1, 0.1, size=(50, 2, m))
+            stream = np.random.default_rng(m)
+            rounds = [[stream.uniform(-0.1, 0.1, size=m) for _ in range(2)]
+                      for _ in range(50)]
+            assert np.array_equal(block, np.asarray(rounds))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -473,18 +481,18 @@ class TestSignalAverage:
         rng = np.random.default_rng(4)
         first, _, second = (rng.uniform(-rho, rho, size=1) for _ in range(3))
         samples = [5.0 * (1.0 + first[0]), 5.0 * (1.0 + second[0])]
-        assert trace.rounds[1].demands == (np.mean(samples),)
+        assert trace.demands[1].tolist() == [np.mean(samples)]
 
     def test_single_value(self):
         raw = default_scenario(noise_level=0.1, max_rounds=1)
         averaged = default_scenario(noise_level=0.1, max_rounds=1, averaging=True)
         a = run_negotiation(raw, seed=6)
         b = run_negotiation(averaged, seed=6)
-        assert a.rounds == b.rounds
+        assert _same_trace(a, b)
 
     def test_constant(self):
         trace = run_negotiation(_pinned_price_node(averaging=True, max_rounds=50))
-        assert all(state.demands == (5.0,) for state in trace.rounds)
+        assert np.all(trace.demands == 5.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -509,6 +517,35 @@ class TestSignalAverage:
                     np.mean(rows[-7:], axis=0),
                 )
 
+    def test_running_sum_matches_stacked_mean_from_two_nodes(self):
+        # cumulative averaging keeps a running sum when there are two or more
+        # nodes: NumPy's mean over axis 0 then adds the rows in order, so the
+        # running sum divided by the count is the same float
+        for m in (2, 3, 4, 8, 33, 130):
+            rng = np.random.default_rng(m)
+            samples = 5.0 * (1.0 + rng.uniform(-0.1, 0.1, size=(2000, m)))
+            total = np.zeros(m)
+            for t in range(1, 2001):
+                np.add(total, samples[t - 1], out=total)
+                assert np.array_equal(total / t, np.mean(samples[:t], axis=0)), (m, t)
+
+    def test_one_node_keeps_slice_mean(self):
+        # a (t x 1) stack is summed pairwise, so a running sum drifts from the
+        # pinned mean; the kernel must take the slice mean for one node
+        rho, rounds = 0.1, 2000
+        scn = _pinned_price_node(noise_level=rho, averaging=True, max_rounds=rounds)
+        trace = run_negotiation(scn, seed=8)
+        rng = np.random.default_rng(8)
+        samples = np.empty((rounds, 1))
+        for t in range(rounds):
+            samples[t] = 5.0 * (1.0 + rng.uniform(-rho, rho, size=1))
+            if t + 1 < rounds:
+                rng.uniform(-rho, rho, size=1)  # the price draw
+        slice_means = [np.mean(samples[: t + 1], axis=0)[0] for t in range(rounds)]
+        running = np.cumsum(samples[:, 0]) / np.arange(1, rounds + 1)
+        assert trace.demands[:, 0].tolist() == slice_means
+        assert np.count_nonzero(running != trace.demands[:, 0]) > 0
+
     def test_averaging_variance_decay(self):
         # the mean of t i.i.d. multiplicative-noise samples drifts from the
         # clean value like O(1/sqrt(t)); with prices pinned every node is an
@@ -529,7 +566,7 @@ class TestSignalAverage:
         for seed in range(8):
             trace = run_negotiation(scn, seed=1000 + seed)
             for t in checkpoints:
-                dev = np.asarray(trace.rounds[t - 1].demands) / clean - 1.0
+                dev = trace.demands[t - 1] / clean - 1.0
                 squares[t].extend(dev * dev)
         log_t = np.log([float(t) for t in checkpoints])
         log_rms = np.log([math.sqrt(np.mean(squares[t])) for t in checkpoints])
@@ -537,30 +574,64 @@ class TestSignalAverage:
         assert -0.65 <= slope <= -0.35
 
 
+def _first_quiet_round(trace: NegotiationTrace) -> int | None:
+    """First round whose trailing window changed by less than the tolerance.
+
+    Every price and demand must move by less than ``convergence_tol``
+    (relative to its previous value) between each pair of consecutive
+    rounds in ``[t - convergence_window + 1, t]``.
+    """
+    tol = trace.scenario.convergence_tol
+    window = trace.scenario.convergence_window
+    values = np.concatenate([trace.prices, trace.demands], axis=1)
+    change = np.abs(np.diff(values, axis=0)) / np.maximum(np.abs(values[:-1]), 1e-12)
+    run = 0
+    for pair, quiet in enumerate(change.max(axis=1) < tol):
+        run = run + 1 if quiet else 0
+        round_number = pair + 2
+        if round_number >= window and run >= window - 1:
+            return round_number
+    return None
+
+
 class TestDetectConvergence:
+    """The windowed quiet criterion as ``run_negotiation`` applies it."""
+
     def test_constant_trace_converges_at_window(self):
-        scn = _one_node(convergence_window=5)
-        trace = _synthetic_trace(scn, [[2.0]] * 12, [[1.0]] * 12)
-        converged, at_round = detect_convergence(trace, 1e-4, 5)
-        assert converged and at_round == 5
+        scn = _pinned_price_node(convergence_tol=1e-4, convergence_window=5)
+        trace = run_negotiation(scn)
+        assert trace.converged and trace.convergence_round == 5
+        assert len(trace.rounds) == 5
 
     def test_two_cycle_never_converges(self):
-        scn = _one_node(convergence_window=4)
-        prices = [[2.0] if t % 2 == 0 else [2.1] for t in range(40)]
-        trace = _synthetic_trace(scn, prices, [[1.0]] * 40)
-        converged, at_round = detect_convergence(trace, 1e-4, 4)
-        assert not converged and at_round is None
+        # raw noise moves a pinned-price node's demand by far more than the
+        # tolerance every round, so no trailing window is ever quiet
+        scn = _pinned_price_node(
+            noise_level=0.1, convergence_tol=1e-4, convergence_window=4, max_rounds=40
+        )
+        trace = run_negotiation(scn, seed=0)
+        assert not trace.converged and trace.convergence_round is None
+        assert len(trace.rounds) == scn.max_rounds
+        assert _first_quiet_round(trace) is None
 
     def test_geometric_decay_first_quiet_window(self):
-        scn = _one_node(convergence_window=6)
-        n, tol, window = 60, 1e-3, 6
-        series = [1.0 + 0.5**t for t in range(1, n + 1)]
-        trace = _synthetic_trace(scn, [[p] for p in series], [[1.0]] * n)
+        # cumulative averaging of a pinned-price node's noisy demand: the
+        # executed demand's round-to-round change decays with the round
+        n, tol, window, rho, seed = 400, 1e-3, 6, 0.1, 3
+        scn = _pinned_price_node(
+            noise_level=rho,
+            averaging=True,
+            convergence_tol=tol,
+            convergence_window=window,
+            max_rounds=n,
+        )
+        trace = run_negotiation(scn, seed=seed)
 
-        # direct computation on the synthetic sequence
-        quiet = [
-            abs(b - a) / abs(a) < tol for a, b in zip(series, series[1:])
-        ]
+        # direct computation from the seeded noise stream (demand 5 at price 2)
+        draws = np.random.default_rng(seed).uniform(-rho, rho, size=(n, 2, 1))
+        samples = 5.0 * (1.0 + draws[:, 0])
+        series = [float(np.mean(samples[:t], axis=0)[0]) for t in range(1, n + 1)]
+        quiet = [abs(b - a) / abs(a) < tol for a, b in zip(series, series[1:])]
         expected = None
         run = 0
         for idx, ok in enumerate(quiet):
@@ -569,18 +640,82 @@ class TestDetectConvergence:
             if round_number >= window and run >= window - 1:
                 expected = round_number
                 break
-        assert expected is not None
+        assert expected is not None and expected > window
 
-        converged, at_round = detect_convergence(trace, tol, window)
-        assert converged and at_round == expected
+        assert trace.converged and trace.convergence_round == expected
+        assert trace.demands[:, 0].tolist() == series[:expected]
+
+    def test_matches_windowed_oracle(self):
+        outcomes = []
+        for rule in ("gradient_ascent", "foc_root"):
+            for rho in (0.0, 0.05, 0.1):
+                for averaging, window in ((False, None), (True, None), (True, 5)):
+                    for seed in range(3):
+                        scn = default_scenario(
+                            noise_level=rho,
+                            averaging=averaging,
+                            averaging_window=window,
+                            max_rounds=400,
+                            convergence_tol=1e-3,
+                            convergence_window=10,
+                        )
+                        trace = run_negotiation(scn, rule, seed)
+                        assert trace.convergence_round == _first_quiet_round(trace)
+                        assert trace.converged == (trace.convergence_round is not None)
+                        if not trace.converged:
+                            assert len(trace.rounds) == scn.max_rounds
+                        outcomes.append(trace.converged)
+        assert len(outcomes) >= 50
+        assert any(outcomes) and not all(outcomes)
 
     def test_parameter_validation(self):
-        scn = _one_node()
-        trace = _synthetic_trace(scn, [[2.0]] * 3, [[1.0]] * 3)
+        for tol in (0.0, -1e-4, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="convergence_tol"):
+                _one_node(convergence_tol=tol)
+        for window in (1, 0, -3):
+            with pytest.raises(ValueError, match="convergence_window"):
+                _one_node(convergence_window=window)
+
+
+class TestNegotiationTrace:
+    def test_arrays_are_read_only(self):
+        trace = run_negotiation(default_scenario(noise_level=0.05, max_rounds=30))
+        n = len(trace.rounds)
+        assert trace.rounds == range(1, n + 1)
+        assert trace.utilities.shape == (n,)
+        for name in TRACE_ARRAYS[:3]:
+            array = getattr(trace, name)
+            assert array.shape == (n, 4)
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
         with pytest.raises(ValueError):
-            detect_convergence(trace, 0.0, 5)
-        with pytest.raises(ValueError):
-            detect_convergence(trace, 1e-4, 1)
+            trace.utilities[0] = 1.0
+
+    def test_gains_and_utilities_follow_public_formulas(self):
+        # the kernel computes gains and utilities for all rounds at once;
+        # each row must equal the per-round public formula bit for bit
+        rng = np.random.default_rng(5)
+        for m in (1, 4, 33, 130):
+            scn = FogScenario(
+                num_nodes=m,
+                budget=10.0,
+                utility_scale=1.3,
+                utility_weights=tuple(rng.uniform(0.2, 3.0, size=m)),
+                quality_factors=tuple(rng.uniform(0.2, 3.0, size=m)),
+                price_floors=tuple(rng.uniform(0.5, 2.0, size=m)),
+                noise_level=0.1,
+                averaging=True,
+                max_rounds=40,
+            )
+            trace = run_negotiation(scn, seed=m)
+            for t in range(len(trace.rounds)):
+                prices, demands = trace.prices[t], trace.demands[t]
+                assert np.array_equal(trace.gains[t], fog_gain(scn, prices, demands))
+                assert trace.utilities[t] == user_utility(scn, demands, prices)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"\(rounds x nodes\)"):
+            _synthetic_trace(_one_node(), [[1.0, 2.0]], [[1.0]])
 
 
 class TestRunNegotiation:
@@ -589,28 +724,25 @@ class TestRunNegotiation:
         assert trace.converged
         assert trace.convergence_round is not None
         assert trace.convergence_round <= trace.scenario.max_rounds
-        final = trace.rounds[-1]
-        assert final.prices == trace.scenario.price_caps
-        expected = optimal_demand(trace.scenario, final.prices)
-        assert np.allclose(final.demands, expected, rtol=1e-9)
+        assert tuple(trace.prices[-1].tolist()) == trace.scenario.price_caps
+        expected = optimal_demand(trace.scenario, trace.prices[-1])
+        assert np.allclose(trace.demands[-1], expected, rtol=1e-9)
 
     def test_noise_free_budget_identity_every_round(self):
         trace = run_negotiation(default_scenario())
         budget = trace.scenario.budget
-        for state in trace.rounds:
-            spend = float(np.dot(state.prices, state.demands))
+        for prices, demands in zip(trace.prices, trace.demands):
+            spend = float(np.dot(prices, demands))
             assert abs(spend - budget) <= 1e-9 * budget
 
     def test_round_states_well_formed(self):
         trace = run_negotiation(default_scenario(noise_level=0.1), seed=3)
         floors = np.asarray(trace.scenario.price_floors)
         caps = np.asarray(trace.scenario.price_caps)
-        assert trace.rounds[0].round == 1
-        for state in trace.rounds:
-            prices = np.asarray(state.prices)
-            assert np.all(prices >= floors - 1e-12)
-            assert np.all(prices <= caps + 1e-12)
-            assert all(d >= DEMAND_FLOOR for d in state.demands)
+        assert trace.rounds == range(1, len(trace.utilities) + 1)
+        assert np.all(trace.prices >= floors - 1e-12)
+        assert np.all(trace.prices <= caps + 1e-12)
+        assert np.all(trace.demands >= DEMAND_FLOOR)
 
     def test_raw_noise_fails_to_converge(self):
         trace = run_negotiation(default_scenario(noise_level=0.1), seed=0)
@@ -623,21 +755,21 @@ class TestRunNegotiation:
         trace = run_negotiation(scn, seed=0)
         assert trace.converged
         clean = run_negotiation(default_scenario())
-        final = np.asarray(trace.rounds[-1].prices)
-        target = np.asarray(clean.rounds[-1].prices)
+        final = trace.prices[-1]
+        target = clean.prices[-1]
         assert np.all(np.abs(final - target) / target < 0.05)
 
     def test_bit_identical_reruns(self):
         scn = default_scenario(noise_level=0.1, max_rounds=200)
         a = run_negotiation(scn, seed=7)
         b = run_negotiation(scn, seed=7)
-        assert a == b
+        assert _same_trace(a, b)
 
     def test_seed_changes_noisy_path(self):
         scn = default_scenario(noise_level=0.1, max_rounds=50)
         a = run_negotiation(scn, seed=1)
         b = run_negotiation(scn, seed=2)
-        assert a.rounds != b.rounds
+        assert not _same_trace(a, b)
 
     def test_window_one_averaging_equals_raw(self):
         raw = default_scenario(noise_level=0.1, max_rounds=300)
@@ -646,11 +778,23 @@ class TestRunNegotiation:
         )
         a = run_negotiation(raw, seed=5)
         b = run_negotiation(windowed, seed=5)
-        assert a.rounds == b.rounds
+        assert _same_trace(a, b)
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
             run_negotiation(default_scenario(), price_rule="psychic")
+
+    def test_overflowing_demand_fails_like_the_public_check(self):
+        # the loop checks only for overflow; it raises the message that
+        # fog_gain's validation gives for the same demands
+        scn = FogScenario(num_nodes=2, budget=1e300, price_floors=1e-10)
+        with np.errstate(over="ignore"):
+            demands = optimal_demand(scn, scn.initial_prices)
+            with pytest.raises(ValueError, match="^demands must be finite$"):
+                fog_gain(scn, scn.initial_prices, demands)
+            for rule in ("gradient_ascent", "foc_root"):
+                with pytest.raises(ValueError, match="^demands must be finite$"):
+                    run_negotiation(scn, rule)
 
 
 class TestMetrics:
@@ -716,9 +860,33 @@ class TestTraceCsv:
 
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "0"
-        assert float(first[2]) == trace.rounds[0].prices[0]
-        assert float(first[4]) == trace.rounds[0].user_utility
+        assert float(first[2]) == trace.prices[0, 0]
+        assert float(first[4]) == trace.utilities[0]
+
+        # prices, demands and utilities are float reprs; gains keep the
+        # NumPy-scalar spelling of earlier releases
+        rows = [line.split(",") for line in lines[1:]]
+        prices = trace.prices.ravel().tolist()
+        assert [row[2] for row in rows] == [repr(x) for x in prices]
+        assert [row[5] for row in rows] == [repr(x) for x in trace.gains.ravel()]
+        assert path.read_bytes().count(b"\r\n") == len(lines)
 
         # user utility repeats across the nodes of one round
         round_one = [line.split(",") for line in lines[1 : 1 + scn.num_nodes]]
         assert len({row[4] for row in round_one}) == 1
+
+    def test_gain_spelling_matches_numpy_scalar_repr(self):
+        # the writer spells fog_gain as f"np.float64({x!r})" from plain
+        # floats; that must equal repr(np.float64(x)) for every float64
+        bits = np.random.default_rng(2024).integers(
+            0, 2**64, size=1_000_000, dtype=np.uint64, endpoint=False
+        )
+        tiny = np.finfo(float).smallest_subnormal
+        edges = [0.0, -0.0, math.inf, -math.inf, math.nan, tiny, -tiny, 1.0, -1.0,
+                 np.finfo(float).smallest_normal, np.finfo(float).max]
+        for switch in (1e-4, 1e16):
+            for x in (switch, np.nextafter(switch, 0), np.nextafter(switch, math.inf)):
+                edges += [float(x), -float(x)]
+        values = np.concatenate([bits.view(np.float64), np.asarray(edges)])
+        spelled = [f"np.float64({x!r})" for x in values.tolist()]
+        assert spelled == [repr(x) for x in values]
