@@ -1,4 +1,4 @@
-"""Golden pins: SHA-256 digests of the bytes a small simulate sweep writes.
+"""Golden pins: SHA-256 digests of the bytes the CLI writes.
 
 Outputs are a pure function of (config, seed), so any change to a pinned
 byte is a behaviour change that has to be explained.  The sweep covers noise
@@ -7,11 +7,18 @@ price rules, 300 rounds at most, run through ``cli.main`` like a user would.
 One more run pins a single-node market under cumulative averaging, where
 NumPy sums the (rounds x 1) sample stack pairwise rather than row by row.
 
+The predict pins cover every model tag (level-k and cognitive hierarchy with
+both responses) on the shipped 2x2 example game and on one 3-player game,
+each with and without a ``social`` block, plus one lottery valuation.  The
+fit pins cover ``fit_result.json`` of a reduced logit-QRE search with
+cross-validation and of a two-level level-k qbr search on the shipped data.
+
 ``resolved_config.json`` is left out on purpose: it echoes the experiment
 options, so it changes whenever an option is added or removed even though no
 simulated number moves.
 
-To re-record after a deliberate change, print ``_digests(...)`` for each run.
+To re-record after a deliberate change, print ``_digests(...)`` for each
+sweep run and ``_sha(...)`` of each predict stdout or fit result.
 """
 
 from __future__ import annotations
@@ -22,7 +29,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from foggame.cli import main
+from foggame.games import NormalFormGame, save_game
+
+REPO = Path(__file__).resolve().parent.parent
 
 SEEDS = [0, 1, 2, 3]
 NOISE = [0.0, 0.05, 0.1]
@@ -274,3 +286,180 @@ def _digests(out: Path) -> dict[str, str]:
 def test_sweep_outputs_match_golden_digests(tmp_path, run):
     out = _run(tmp_path, *RUNS[run])
     assert _digests(out) == GOLDEN[run]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_config(tmp_path: Path, config: dict) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def _three_player_game(path: Path) -> str:
+    """A 2x3x2 game with two pure equilibria, payoffs rounded to 1e-3."""
+    rng = np.random.default_rng(2027)
+    payoffs = np.round(rng.uniform(-5.0, 5.0, size=(3, 2, 3, 2)), 3)
+    save_game(NormalFormGame((2, 3, 2), payoffs), path)
+    return str(path)
+
+
+PREDICT_MODELS = {
+    "best_response": {"model": "best_response"},
+    "epsilon_nash": {"model": "epsilon_nash", "params": {
+        "epsilon": 0.1, "no_nash_fallback": "uniform"}},
+    "logit_qbr": {"model": "logit_qbr", "params": {"precision": 1.5}},
+    "level_k_exact_br": {"model": "level_k", "params": {
+        "level_weights": [0.25, 0.5, 0.25]}},
+    "level_k_qbr": {"model": "level_k", "params": {
+        "level_weights": [0.2, 0.3, 0.5], "response": "qbr", "precision": 1.5}},
+    "cognitive_hierarchy_exact_br": {"model": "cognitive_hierarchy", "params": {
+        "poisson_mean": 1.5, "max_level": 3}},
+    "cognitive_hierarchy_qbr": {"model": "cognitive_hierarchy", "params": {
+        "poisson_mean": 1.5, "max_level": 3, "response": "qbr", "precision": 2.0}},
+    "noisy_introspection": {"model": "noisy_introspection", "params": {
+        "precision": 2.0, "decay": 0.5, "max_depth": 4}},
+}
+
+SOCIAL = {"selfish_weight": 1.0, "altruism_weight": 0.3,
+          "inequity_weight": 0.2, "envy_weight": 0.1}
+
+# "<game>/<model>/<plain|social>" -> digest of the predict stdout
+PREDICT_GOLDEN: dict[str, str] = {
+    "example/best_response/plain":
+        "59015267f67225e777bebddcfb32dad7cdbb452b2fd8fc0eb3f4d6dd6d6ed4be",
+    "example/best_response/social":
+        "59015267f67225e777bebddcfb32dad7cdbb452b2fd8fc0eb3f4d6dd6d6ed4be",
+    "example/cognitive_hierarchy_exact_br/plain":
+        "59015267f67225e777bebddcfb32dad7cdbb452b2fd8fc0eb3f4d6dd6d6ed4be",
+    "example/cognitive_hierarchy_exact_br/social":
+        "59015267f67225e777bebddcfb32dad7cdbb452b2fd8fc0eb3f4d6dd6d6ed4be",
+    "example/cognitive_hierarchy_qbr/plain":
+        "d6c5a4d4c0cb6680d83394bbf1e45aa3b3be8809e3f41d07f12d42c2c6b1cdc2",
+    "example/cognitive_hierarchy_qbr/social":
+        "9dd9ccb6b4cf45e5bc0ef83d0fef3d76a676b6257709f04c674c9b459d1b0b68",
+    "example/epsilon_nash/plain":
+        "4632e7f299faa8c23abd7884e2c395bd621b69934d46141fc6e37345991d7820",
+    "example/epsilon_nash/social":
+        "4632e7f299faa8c23abd7884e2c395bd621b69934d46141fc6e37345991d7820",
+    "example/level_k_exact_br/plain":
+        "f7af031d8dc31693bf46e56bfefe3e4d4080deb2f90bce23de2c61bbca14e03f",
+    "example/level_k_exact_br/social":
+        "f7af031d8dc31693bf46e56bfefe3e4d4080deb2f90bce23de2c61bbca14e03f",
+    "example/level_k_qbr/plain":
+        "429865eb88162672442a97aef20620c26f98133a0ff21c9e2c1c1a22187b76ce",
+    "example/level_k_qbr/social":
+        "925dad9be6c14363031f1783963bb4e87d834917fbc385badb153658faf44003",
+    "example/logit_qbr/plain":
+        "5f99ce977a1dcac248c9b3eddb35c645a8493467e4b4de7bcfc5449e29b5b5e6",
+    "example/logit_qbr/social":
+        "192fbb7a27bc23c4147edd26dcb796219b7a088e3f285270ba533dffa30c022b",
+    "example/noisy_introspection/plain":
+        "76c075a4ad160f6fb36b996135a81c9df82044218082b15ed3baeee77ef1f916",
+    "example/noisy_introspection/social":
+        "cb3ad0ef211957267571aa5140f7ea465b363241a40f81d49fa6a3ec451aaa4d",
+    "three_player/best_response/plain":
+        "9b47cd1476a912a5d6bffbc55cd6d236f54ceffd427df02211086a51d1decbd1",
+    "three_player/best_response/social":
+        "9b47cd1476a912a5d6bffbc55cd6d236f54ceffd427df02211086a51d1decbd1",
+    "three_player/cognitive_hierarchy_exact_br/plain":
+        "dac76310a9d772da595daf9058c0804b866b776756132a952fbff7d070f9bcd4",
+    "three_player/cognitive_hierarchy_exact_br/social":
+        "dac76310a9d772da595daf9058c0804b866b776756132a952fbff7d070f9bcd4",
+    "three_player/cognitive_hierarchy_qbr/plain":
+        "d451439ce8f354cc7e21cc708cabd89a587ce85eb1cc55a78f20c71689092b79",
+    "three_player/cognitive_hierarchy_qbr/social":
+        "afdba6a97015711e1f8b882e40a900c97288e6edb54498c415f50ceb93a7fd9b",
+    "three_player/epsilon_nash/plain":
+        "5766f952f2c5aff356ae996fd320ae196b0a7c7c900b522985a496449d4cfd7b",
+    "three_player/epsilon_nash/social":
+        "5766f952f2c5aff356ae996fd320ae196b0a7c7c900b522985a496449d4cfd7b",
+    "three_player/level_k_exact_br/plain":
+        "827fef136277ed2f78534dd6088308e59de5cfc17e2c62e44081ab5cf7cb6a25",
+    "three_player/level_k_exact_br/social":
+        "21c12935fcdbcadc6958ccc741a10db1dddbab048939e3fdca6b2c151a214738",
+    "three_player/level_k_qbr/plain":
+        "e21f4f84503dc9f7a413270c0279ed28d1ca02fcc1d1d0b478fcc4dfa478ea55",
+    "three_player/level_k_qbr/social":
+        "94b958da0032fbe203800e5b1cabdfa82f5c940c51776cb036db6df3906b4aaf",
+    "three_player/logit_qbr/plain":
+        "c92a3370030d35696095acaf00509289916839e11f596306c4b337c50a27e944",
+    "three_player/logit_qbr/social":
+        "4ddfdf8bed84015f36ea91c0da15234cf32c8142241ea95f60fdd69c9cc319f7",
+    "three_player/noisy_introspection/plain":
+        "7eb6d4596640b29d7f4afd3958bdb26e74c5501943de95a6ac89c979c5545a34",
+    "three_player/noisy_introspection/social":
+        "7d1ba8d16d3116a5d366a2f2a791af50bf608df55960315db298d7682da50bea",
+}
+
+LOTTERY_GOLDEN = (
+    "eeb4c28e155b84f9d1d8dcf0ee134e9eeb915ccbc5d558dffa311c72f12baa2c"
+)
+
+# fit name -> (model block, experiment options, digest of fit_result.json)
+FIT_RUNS = {
+    "logit_qbr_folds": (
+        {"model": "logit_qbr", "params": {}},
+        {"search": {"grid_points": 6, "refine_iters": 2}, "folds": 2},
+        "d7a573ad1987470b06e3d91b25ddef46b37d4fc4283558e5edfc4df351bb1df6",
+    ),
+    "level_k_qbr": (
+        {"model": "level_k", "params": {"num_levels": 2, "response": "qbr"}},
+        {"search": {"grid_points": 4, "refine_iters": 2}},
+        "5c9fcfd92de1d8f1067e49ee0684179fb9485f60418d811513e17033c726adfa",
+    ),
+}
+
+
+def _predict_stdout(tmp_path, capsys, game: str, model: str, social: bool) -> str:
+    if game == "example":
+        game_path = str(REPO / "data" / "example_game.json")
+    else:
+        game_path = _three_player_game(tmp_path / "game.json")
+    config = {
+        "model": PREDICT_MODELS[model],
+        "experiment": {"mode": "predict", "game": game_path},
+    }
+    if social:
+        config["social"] = SOCIAL
+    capsys.readouterr()
+    assert main(["predict", _write_config(tmp_path, config)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("social", ["plain", "social"])
+@pytest.mark.parametrize("model", sorted(PREDICT_MODELS))
+@pytest.mark.parametrize("game", ["example", "three_player"])
+def test_predict_output_matches_golden_digest(tmp_path, capsys, game, model, social):
+    out = _predict_stdout(tmp_path, capsys, game, model, social == "social")
+    assert _sha(out.encode()) == PREDICT_GOLDEN[f"{game}/{model}/{social}"]
+
+
+def test_lottery_output_matches_golden_digest(tmp_path, capsys):
+    config = {
+        "prospect": {"gain_curvature": 0.8, "loss_aversion": 2.0},
+        "lottery": {"outcomes": [-3.0, 1.5, 10.0], "probs": [0.3, 0.5, 0.2]},
+        "experiment": {"mode": "predict"},
+    }
+    capsys.readouterr()
+    assert main(["predict", _write_config(tmp_path, config)]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == LOTTERY_GOLDEN
+
+
+@pytest.mark.parametrize("run", sorted(FIT_RUNS))
+def test_fit_result_matches_golden_digest(tmp_path, capsys, run):
+    model, options, digest = FIT_RUNS[run]
+    out = tmp_path / "out"
+    config = {
+        "model": model,
+        "experiment": {
+            "mode": "fit",
+            "dataset": str(REPO / "data" / "qbr_lambda2.jsonl"),
+            "out_dir": str(out),
+            **options,
+        },
+    }
+    assert main(["fit", _write_config(tmp_path, config)]) == 0
+    assert _sha((out / "fit_result.json").read_bytes()) == digest
