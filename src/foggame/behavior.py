@@ -15,11 +15,19 @@ Every model maps ``(game, player)`` to a mixed strategy.  The family covers:
 * ``NoisyIntrospection`` — iterated logit response whose precision decays
   geometrically with reasoning depth, truncated at a uniform anchor.
 
+Every model takes its expected utilities from the one contraction kernel in
+:mod:`foggame.games`.  Inside this module a strategy profile is a list of
+float arrays, one per player; inputs are validated where they enter (model
+constructors, a user-supplied ``level0``, the player index of ``predict``)
+and a :class:`~foggame.games.MixedStrategy` is built only where a prediction
+is returned.
+
 All predictions are deterministic; sampling lives in :mod:`foggame.estimation`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence, Union
@@ -29,11 +37,11 @@ from scipy.optimize import root
 
 from .games import (
     PROB_SUM_TOL,
-    Belief,
+    TIE_TOL,
     MixedStrategy,
     NormalFormGame,
-    best_response_set,
-    expected_utility,
+    _check_player,
+    _eu_vector,
     pure_nash,
 )
 
@@ -71,41 +79,17 @@ def logit_qbr(utilities: Sequence[float], precision: float) -> MixedStrategy:
     lam = float(precision)
     if not np.isfinite(lam) or lam < 0.0:
         raise ValueError("precision must be a finite nonnegative real")
-    z = lam * u
-    z -= z.max()
-    w = np.exp(z)
-    w /= w.sum()
-    return MixedStrategy(tuple(float(x) for x in w))
-
-
-def _uniform_profile(game: NormalFormGame) -> list[MixedStrategy]:
-    return [MixedStrategy.uniform(n) for n in game.action_counts]
-
-
-def _eu_vector(
-    game: NormalFormGame, player: int, profile: Sequence[MixedStrategy]
-) -> list[float]:
-    belief = Belief.from_profile(profile, player)
-    return [
-        expected_utility(game, player, a, belief)
-        for a in range(game.action_counts[player])
-    ]
-
-
-def _br_uniform(game: NormalFormGame, player: int, profile: Sequence[MixedStrategy]) -> MixedStrategy:
-    """Uniform distribution over exact best responses to ``profile``."""
-    belief = Belief.from_profile(profile, player)
-    support = best_response_set(game, player, belief)
-    n = game.action_counts[player]
-    w = [0.0] * n
-    for a in support:
-        w[a] = 1.0 / len(support)
-    return MixedStrategy(tuple(w))
+    return MixedStrategy(_softmax(lam * u))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
+    """Logit weights of ``z``, shifted by its maximum so they cannot overflow."""
     w = np.exp(z - z.max())
     return w / w.sum()
+
+
+def _uniform_profile(game: NormalFormGame) -> list[np.ndarray]:
+    return [np.full(n, 1.0 / n) for n in game.action_counts]
 
 
 def _profile_slices(counts: Sequence[int]) -> list[slice]:
@@ -122,20 +106,6 @@ def _project_profile(x: np.ndarray, slices: Sequence[slice]) -> np.ndarray | Non
             return None
         out[block] /= total
     return out
-
-
-def _raw_eu(game: NormalFormGame, player: int, arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Expected-utility vector without distribution validation.
-
-    Accepts arbitrary real weight vectors (root-finding probes may step
-    slightly off the simplex); contracts opponent axes highest-first so
-    remaining axis indices stay put.
-    """
-    t = game.payoffs[player]
-    for j in range(game.num_players - 1, -1, -1):
-        if j != player:
-            t = np.tensordot(t, arrays[j], axes=(j, 0))
-    return t
 
 
 def qbr_equilibrium(
@@ -175,16 +145,13 @@ def qbr_equilibrium(
     def response(x: np.ndarray) -> np.ndarray:
         arrays = [x[b] for b in slices]
         return np.concatenate(
-            [
-                _softmax(lam * _raw_eu(game, p, arrays))
-                for p in range(game.num_players)
-            ]
+            [_respond(game, p, arrays, "qbr", lam) for p in range(game.num_players)]
         )
 
     def as_profile(x: np.ndarray) -> list[MixedStrategy]:
-        return [MixedStrategy(tuple(float(v) for v in x[b])) for b in slices]
+        return [MixedStrategy(x[b]) for b in slices]
 
-    x = np.concatenate([np.full(n, 1.0 / n) for n in counts])
+    x = np.concatenate(_uniform_profile(game))
     step = damping
     min_step = 1e-3
     stall_limit = 30
@@ -236,7 +203,8 @@ Level0 = Union[tuple[MixedStrategy, ...], None]
 ResponseKind = Literal["exact_br", "qbr"]
 
 
-def _check_level0(game: NormalFormGame, level0: Level0) -> list[MixedStrategy]:
+def _level0_profile(game: NormalFormGame, level0: Level0) -> list[np.ndarray]:
+    """The level-0 profile as arrays, after checking it fits ``game``."""
     if level0 is None:
         return _uniform_profile(game)
     if len(level0) != game.num_players:
@@ -247,19 +215,31 @@ def _check_level0(game: NormalFormGame, level0: Level0) -> list[MixedStrategy]:
     for i, strat in enumerate(level0):
         if strat.num_actions != game.action_counts[i]:
             raise ValueError(f"level-0 strategy for player {i} has the wrong length")
-    return list(level0)
+    return [strat.as_array() for strat in level0]
 
 
 def _respond(
     game: NormalFormGame,
     player: int,
-    profile: Sequence[MixedStrategy],
+    profile: Sequence[np.ndarray],
     response: ResponseKind,
     precision: float | None,
-) -> MixedStrategy:
+) -> np.ndarray:
+    """``player``'s response to ``profile``: uniform over the actions within
+    ``TIE_TOL`` of the best (exact_br), or logit weights at ``precision``."""
+    eu = _eu_vector(game.payoffs, player, profile)
     if response == "exact_br":
-        return _br_uniform(game, player, profile)
-    return logit_qbr(_eu_vector(game, player, profile), float(precision))
+        support = eu >= eu.max() - TIE_TOL
+        return support / support.sum()
+    return _softmax(precision * eu)
+
+
+def _mix(weights: Sequence[float], strategies: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum(weights[k] * strategies[k])``, added level by level from zero."""
+    acc = np.zeros_like(strategies[0])
+    for w, strat in zip(weights, strategies):
+        acc += w * strat
+    return acc
 
 
 def _check_response(response: str, precision: float | None) -> None:
@@ -277,7 +257,10 @@ class BestResponse:
     """Exact best response to uniform opponent play; ties broken uniformly."""
 
     def predict(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        return _br_uniform(game, player, _uniform_profile(game))
+        _check_player(game, player)
+        return MixedStrategy(
+            _respond(game, player, _uniform_profile(game), "exact_br", None)
+        )
 
 
 @dataclass(frozen=True)
@@ -300,8 +283,7 @@ class EpsilonNash:
             raise ValueError(f"unknown fallback {self.no_nash_fallback!r}")
 
     def predict(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        if not 0 <= player < game.num_players:
-            raise ValueError(f"player {player} out of range")
+        _check_player(game, player)
         equilibria = pure_nash(game)
         n = game.action_counts[player]
         if not equilibria:
@@ -313,7 +295,7 @@ class EpsilonNash:
             return MixedStrategy.point_mass(0, 1)
         w = [self.epsilon / (n - 1)] * n
         w[target] = 1.0 - self.epsilon
-        return MixedStrategy(tuple(w))
+        return MixedStrategy(w)
 
 
 @dataclass(frozen=True)
@@ -327,32 +309,8 @@ class LogitQBR:
             raise ValueError("precision must be a finite nonnegative real")
 
     def predict(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        if not 0 <= player < game.num_players:
-            raise ValueError(f"player {player} out of range")
+        _check_player(game, player)
         return qbr_equilibrium(game, self.precision)[player]
-
-
-def _level_profiles(
-    game: NormalFormGame,
-    top_level: int,
-    level0: Level0,
-    response: ResponseKind,
-    precision: float | None,
-) -> list[list[MixedStrategy]]:
-    """Strategy profile for every level 0..top_level.
-
-    Level k players respond to opponents playing their level k-1 strategies.
-    """
-    levels = [_check_level0(game, level0)]
-    for _ in range(top_level):
-        prev = levels[-1]
-        levels.append(
-            [
-                _respond(game, p, prev, response, precision)
-                for p in range(game.num_players)
-            ]
-        )
-    return levels
 
 
 @dataclass(frozen=True)
@@ -361,7 +319,8 @@ class LevelK:
 
     ``level_weights[k]`` is the share of level-k reasoners; the prediction is
     the weight-mixed strategy of the requested player across levels
-    ``0..len(level_weights) - 1``.
+    ``0..len(level_weights) - 1``, where level k players respond to
+    opponents playing their level k-1 strategies.
     """
 
     level_weights: tuple[float, ...]
@@ -383,14 +342,16 @@ class LevelK:
             object.__setattr__(self, "level0", tuple(self.level0))
 
     def predict(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        if not 0 <= player < game.num_players:
-            raise ValueError(f"player {player} out of range")
-        top = len(self.level_weights) - 1
-        levels = _level_profiles(game, top, self.level0, self.response, self.precision)
-        mixed = np.zeros(game.action_counts[player])
-        for w, profile in zip(self.level_weights, levels):
-            mixed += w * profile[player].as_array()
-        return MixedStrategy(tuple(float(x) for x in mixed))
+        _check_player(game, player)
+        levels = [_level0_profile(game, self.level0)]
+        for _ in range(len(self.level_weights) - 1):
+            levels.append(
+                [
+                    _respond(game, p, levels[-1], self.response, self.precision)
+                    for p in range(game.num_players)
+                ]
+            )
+        return MixedStrategy(_mix(self.level_weights, [lv[player] for lv in levels]))
 
 
 def _truncated_poisson(mean: float, count: int) -> np.ndarray:
@@ -426,17 +387,14 @@ class CognitiveHierarchy:
         if self.level0 is not None:
             object.__setattr__(self, "level0", tuple(self.level0))
 
-    def _levels(self, game: NormalFormGame) -> list[list[MixedStrategy]]:
-        levels = [_check_level0(game, self.level0)]
+    def _levels(self, game: NormalFormGame) -> list[list[np.ndarray]]:
+        levels = [_level0_profile(game, self.level0)]
         pmf = _truncated_poisson(self.poisson_mean, self.max_level + 1)
         for k in range(1, self.max_level + 1):
             share = pmf[:k] / pmf[:k].sum()
-            opponent_mix: list[MixedStrategy] = []
-            for p in range(game.num_players):
-                acc = np.zeros(game.action_counts[p])
-                for weight, profile in zip(share, levels):
-                    acc += weight * profile[p].as_array()
-                opponent_mix.append(MixedStrategy(tuple(float(x) for x in acc)))
+            opponent_mix = [
+                _mix(share, [lv[p] for lv in levels]) for p in range(game.num_players)
+            ]
             levels.append(
                 [
                     _respond(game, p, opponent_mix, self.response, self.precision)
@@ -446,20 +404,15 @@ class CognitiveHierarchy:
         return levels
 
     def predict(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        if not 0 <= player < game.num_players:
-            raise ValueError(f"player {player} out of range")
-        return self._levels(game)[self.max_level][player]
+        _check_player(game, player)
+        return MixedStrategy(self._levels(game)[self.max_level][player])
 
     def predict_population(self, game: NormalFormGame, player: int) -> MixedStrategy:
         """Mixture of all levels 0..max_level under the truncated Poisson."""
-        if not 0 <= player < game.num_players:
-            raise ValueError(f"player {player} out of range")
+        _check_player(game, player)
         levels = self._levels(game)
         pmf = _truncated_poisson(self.poisson_mean, self.max_level + 1)
-        acc = np.zeros(game.action_counts[player])
-        for weight, profile in zip(pmf, levels):
-            acc += weight * profile[player].as_array()
-        return MixedStrategy(tuple(float(x) for x in acc))
+        return MixedStrategy(_mix(pmf, [lv[player] for lv in levels]))
 
 
 @dataclass(frozen=True)
@@ -485,16 +438,15 @@ class NoisyIntrospection:
             raise ValueError("max_depth must be >= 1")
 
     def predict(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        if not 0 <= player < game.num_players:
-            raise ValueError(f"player {player} out of range")
+        _check_player(game, player)
         profile = _uniform_profile(game)
         for depth in range(self.max_depth - 1, -1, -1):
             lam = self.precision * self.decay**depth
             profile = [
-                logit_qbr(_eu_vector(game, p, profile), lam)
+                _respond(game, p, profile, "qbr", lam)
                 for p in range(game.num_players)
             ]
-        return profile[player]
+        return MixedStrategy(profile[player])
 
 
 BehavioralModel = Union[
@@ -534,85 +486,78 @@ def _level0_from_json(data) -> Level0:
     return tuple(MixedStrategy(tuple(row)) for row in data)
 
 
+_TAG_MODELS = {tag: cls for cls, tag in _MODEL_TAGS.items()}
+
+# Parameter name -> decoder from its JSON value; other parameters (the string
+# choices ``response`` and ``no_nash_fallback``) pass through unchanged.
+_DECODERS = {
+    "epsilon": float,
+    "precision": float,
+    "poisson_mean": float,
+    "decay": float,
+    "max_level": int,
+    "max_depth": int,
+    "level_weights": lambda data: tuple(float(w) for w in data),
+    "level0": _level0_from_json,
+}
+
+
 def model_to_dict(model: BehavioralModel) -> dict:
-    """Tagged JSON-friendly form: ``{"model": tag, "params": {...}}``."""
+    """Tagged JSON-friendly form: ``{"model": tag, "params": {...}}``.
+
+    ``params`` holds every field of the model in declaration order; an
+    unset ``precision`` (exact best response) is left out.
+    """
     tag = _MODEL_TAGS.get(type(model))
     if tag is None:
         raise ValueError(f"unknown model type {type(model).__name__}")
     params: dict = {}
-    if isinstance(model, EpsilonNash):
-        params = {"epsilon": model.epsilon, "no_nash_fallback": model.no_nash_fallback}
-    elif isinstance(model, LogitQBR):
-        params = {"precision": model.precision}
-    elif isinstance(model, LevelK):
-        params = {
-            "level_weights": list(model.level_weights),
-            "level0": _level0_to_json(model.level0),
-            "response": model.response,
-        }
-        if model.precision is not None:
-            params["precision"] = model.precision
-    elif isinstance(model, CognitiveHierarchy):
-        params = {
-            "poisson_mean": model.poisson_mean,
-            "max_level": model.max_level,
-            "level0": _level0_to_json(model.level0),
-            "response": model.response,
-        }
-        if model.precision is not None:
-            params["precision"] = model.precision
-    elif isinstance(model, NoisyIntrospection):
-        params = {
-            "precision": model.precision,
-            "decay": model.decay,
-            "max_depth": model.max_depth,
-        }
+    for field in dataclasses.fields(model):
+        value = getattr(model, field.name)
+        if field.name == "level0":
+            value = _level0_to_json(value)
+        elif value is None:
+            continue
+        params[field.name] = list(value) if isinstance(value, tuple) else value
     return {"model": tag, "params": params}
 
 
 def model_from_dict(data: dict) -> BehavioralModel:
-    """Inverse of :func:`model_to_dict`; raises ``ValueError`` on bad input."""
+    """Inverse of :func:`model_to_dict`; raises ``ValueError`` on bad input.
+
+    Each message starts with the part of the record at fault: ``model``,
+    ``params`` or ``params.<name>``.  Unknown parameters are rejected, and
+    so is a ``precision`` given with the exact best response.
+    """
     if not isinstance(data, dict) or "model" not in data:
-        raise ValueError("model record needs a 'model' tag")
+        raise ValueError("model: the record needs a model tag")
     tag = data["model"]
+    cls = _TAG_MODELS.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ValueError(f"model: unknown model tag {tag!r}")
     params = data.get("params", {})
     if not isinstance(params, dict):
-        raise ValueError("'params' must be an object")
+        raise ValueError("params: must be an object")
+    fields = dataclasses.fields(cls)
+    names = {field.name for field in fields}
+    for key in params:
+        if key not in names:
+            raise ValueError(f"params.{key}: unknown parameter for model {tag!r}")
+    if "response" in names and "precision" in params and (
+        params.get("response", "exact_br") == "exact_br"
+    ):
+        raise ValueError("params.precision: only meaningful for the qbr response")
+    kwargs = {}
+    for field in fields:
+        if field.name in params:
+            decode = _DECODERS.get(field.name, lambda value: value)
+            try:
+                kwargs[field.name] = decode(params[field.name])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"params.{field.name}: {exc}") from exc
+        elif field.default is dataclasses.MISSING:
+            raise ValueError(f"params.{field.name}: missing for model {tag!r}")
     try:
-        if tag == "best_response":
-            return BestResponse()
-        if tag == "epsilon_nash":
-            return EpsilonNash(
-                epsilon=float(params["epsilon"]),
-                no_nash_fallback=params.get("no_nash_fallback", "error"),
-            )
-        if tag == "logit_qbr":
-            return LogitQBR(precision=float(params["precision"]))
-        if tag == "level_k":
-            return LevelK(
-                level_weights=tuple(float(w) for w in params["level_weights"]),
-                level0=_level0_from_json(params.get("level0")),
-                response=params.get("response", "exact_br"),
-                precision=(
-                    float(params["precision"]) if "precision" in params else None
-                ),
-            )
-        if tag == "cognitive_hierarchy":
-            return CognitiveHierarchy(
-                poisson_mean=float(params["poisson_mean"]),
-                max_level=int(params["max_level"]),
-                level0=_level0_from_json(params.get("level0")),
-                response=params.get("response", "exact_br"),
-                precision=(
-                    float(params["precision"]) if "precision" in params else None
-                ),
-            )
-        if tag == "noisy_introspection":
-            return NoisyIntrospection(
-                precision=float(params["precision"]),
-                decay=float(params["decay"]),
-                max_depth=int(params["max_depth"]),
-            )
-    except KeyError as exc:
-        raise ValueError(f"model {tag!r} missing parameter {exc}") from exc
-    raise ValueError(f"unknown model tag {tag!r}")
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"params: {exc}") from exc

@@ -81,6 +81,13 @@ _EXPERIMENT_KEYS = {
     "search",
 }
 
+# Fittable model tag -> the params keys that fix its family's structure.
+_FIT_PARAMS = {
+    "logit_qbr": (),
+    "epsilon_nash": ("no_nash_fallback",),
+    "level_k": ("num_levels", "response", "precision"),
+}
+
 _DEFAULT_BOUNDS_BY_PARAM = {
     "precision": (0.0, 10.0),
     "epsilon": (0.0, 1.0),
@@ -368,10 +375,11 @@ def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
     )
 
 
-def _scenario_to_config(scenario: FogScenario) -> dict:
+def _as_config(record) -> dict:
+    """A dataclass's fields as a config block, tuples written as lists."""
     return {
         name: list(value) if isinstance(value, tuple) else value
-        for name, value in dataclasses.asdict(scenario).items()
+        for name, value in dataclasses.asdict(record).items()
     }
 
 
@@ -400,34 +408,15 @@ def resolved_config(spec: ExperimentSpec) -> dict:
 
     config: dict = {"experiment": experiment}
     if spec.scenario is not None:
-        config["scenario"] = _scenario_to_config(spec.scenario)
+        config["scenario"] = _as_config(spec.scenario)
     if spec.model is not None:
         config["model"] = spec.model
     if spec.prospect is not None:
-        p = spec.prospect
-        config["prospect"] = {
-            "gain_curvature": p.gain_curvature,
-            "loss_curvature": p.loss_curvature,
-            "loss_aversion": p.loss_aversion,
-            "weight_curvature": p.weight_curvature,
-            "reference": p.reference,
-        }
+        config["prospect"] = _as_config(spec.prospect)
     if spec.social is not None:
-        config["social"] = [
-            {
-                "selfish_weight": s.selfish_weight,
-                "altruism_weight": s.altruism_weight,
-                "inequity_weight": s.inequity_weight,
-                "envy_weight": s.envy_weight,
-                "inequity_metric": s.inequity_metric,
-            }
-            for s in spec.social
-        ]
+        config["social"] = [_as_config(s) for s in spec.social]
     if spec.lottery is not None:
-        config["lottery"] = {
-            "outcomes": list(spec.lottery.outcomes),
-            "probs": list(spec.lottery.probs),
-        }
+        config["lottery"] = _as_config(spec.lottery)
     return config
 
 
@@ -451,12 +440,20 @@ def _family_from_model_block(model: dict) -> ModelFamily:
     """Family to fit, from a tagged model block.
 
     For fitting, ``params`` carries the family's fixed structure (e.g.
-    ``num_levels``), not fitted values.
+    ``num_levels``), not fitted values; any other key is an error.
     """
     tag = model["model"]
     params = model.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("model.params: expected a JSON object")
+    allowed = _FIT_PARAMS.get(tag) if isinstance(tag, str) else None
+    if allowed is None:
+        raise ConfigError(f"model.model: {tag!r} is not a fittable family")
+    unknown = set(params) - set(allowed)
+    if unknown:
+        raise ConfigError(
+            f"model.params.{sorted(unknown)[0]}: unknown key for fitting {tag!r}"
+        )
     if tag == "logit_qbr":
         return qbr_family()
     if tag == "epsilon_nash":
@@ -467,27 +464,25 @@ def _family_from_model_block(model: dict) -> ModelFamily:
                 f"got {fallback!r}"
             )
         return epsilon_nash_family(fallback)
-    if tag == "level_k":
-        if "num_levels" not in params:
-            raise ConfigError(
-                "model.params.num_levels: required to fit a level_k family"
-            )
-        response = params.get("response", "exact_br")
-        if response not in ("exact_br", "qbr"):
-            raise ConfigError(
-                f"model.params.response: must be 'exact_br' or 'qbr', got {response!r}"
-            )
-        precision = params.get("precision")
-        if precision is not None:
-            precision = _number(precision, "model.params.precision")
-            if not (math.isfinite(precision) and precision >= 0):
-                raise ConfigError("model.params.precision: must be finite and >= 0")
-        return level_k_family(
-            _integer(params["num_levels"], "model.params.num_levels", 1),
-            response,
-            precision,
+    if "num_levels" not in params:
+        raise ConfigError("model.params.num_levels: required to fit a level_k family")
+    response = params.get("response", "exact_br")
+    if response not in ("exact_br", "qbr"):
+        raise ConfigError(
+            f"model.params.response: must be 'exact_br' or 'qbr', got {response!r}"
         )
-    raise ConfigError(f"model.model: {tag!r} is not a fittable family")
+    if response == "exact_br" and "precision" in params:
+        raise ConfigError("model.params.precision: only meaningful for the qbr response")
+    precision = params.get("precision")
+    if precision is not None:
+        precision = _number(precision, "model.params.precision")
+        if not (math.isfinite(precision) and precision >= 0):
+            raise ConfigError("model.params.precision: must be finite and >= 0")
+    return level_k_family(
+        _integer(params["num_levels"], "model.params.num_levels", 1),
+        response,
+        precision,
+    )
 
 
 def _default_bounds(family: ModelFamily) -> tuple[tuple[float, float], ...]:
@@ -599,8 +594,8 @@ def run_predict(spec: ExperimentSpec) -> int:
         raise ConfigError(f"experiment.game: {exc}") from exc
     try:
         model = model_from_dict(spec.model)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"model.{exc}") from exc
     if spec.social is not None:
         params = spec.social
         if len(params) == 1 and game.num_players > 1:

@@ -7,7 +7,6 @@ utility contracts the owner's payoff tensor against those marginals.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,6 +225,30 @@ def _check_belief(game: NormalFormGame, player: int, belief: Belief) -> None:
             )
 
 
+def _eu_vector(
+    payoffs: np.ndarray, player: int, arrays: Sequence[np.ndarray | None]
+) -> np.ndarray:
+    """Expected utility of each of ``player``'s actions, unchecked.
+
+    ``arrays[j]`` is player j's weight vector; the owner's entry is not read,
+    and root-finding probes may step off the simplex.  Opponent axes are
+    contracted highest-first so the remaining axis indices stay put.
+    """
+    t = payoffs[player]
+    for j in range(len(arrays) - 1, -1, -1):
+        if j != player:
+            t = np.tensordot(t, arrays[j], axes=(j, 0))
+    return t
+
+
+def _belief_eu(game: NormalFormGame, player: int, belief: Belief) -> np.ndarray:
+    """The kernel's expected-utility vector under a checked ``belief``."""
+    _check_belief(game, player, belief)
+    arrays: list[np.ndarray | None] = [s.as_array() for s in belief.opponents]
+    arrays.insert(player, None)
+    return _eu_vector(game.payoffs, player, arrays)
+
+
 def expected_utility(
     game: NormalFormGame, player: int, action: int, belief: Belief
 ) -> float:
@@ -233,24 +256,14 @@ def expected_utility(
     _check_player(game, player)
     if not 0 <= action < game.action_counts[player]:
         raise ValueError(f"action {action} out of range for player {player}")
-    _check_belief(game, player, belief)
-    # Fix the player's own axis, then contract the remaining axes (ordered by
-    # opponent player index) against the per-opponent marginals.
-    sub = np.take(game.payoffs[player], action, axis=player)
-    for strat in belief.opponents:
-        sub = np.tensordot(strat.as_array(), sub, axes=([0], [0]))
-    return float(sub)
+    return float(_belief_eu(game, player, belief)[action])
 
 
 def best_response_set(game: NormalFormGame, player: int, belief: Belief) -> list[int]:
     """Actions within ``TIE_TOL`` of the maximal expected utility, ascending."""
     _check_player(game, player)
-    values = [
-        expected_utility(game, player, a, belief)
-        for a in range(game.action_counts[player])
-    ]
-    top = max(values)
-    return [a for a, v in enumerate(values) if v >= top - TIE_TOL]
+    values = _belief_eu(game, player, belief)
+    return np.flatnonzero(values >= values.max() - TIE_TOL).tolist()
 
 
 def pure_nash(game: NormalFormGame) -> list[tuple[int, ...]]:
@@ -259,21 +272,7 @@ def pure_nash(game: NormalFormGame) -> list[tuple[int, ...]]:
     A profile qualifies when no player has a unilateral deviation that
     improves their payoff by more than ``TIE_TOL``.
     """
-    equilibria: list[tuple[int, ...]] = []
-    ranges = [range(n) for n in game.action_counts]
-    for profile in itertools.product(*ranges):
-        stable = True
-        for player in range(game.num_players):
-            here = game.payoffs[(player,) + profile]
-            best = here
-            for dev in range(game.action_counts[player]):
-                alt = profile[:player] + (dev,) + profile[player + 1 :]
-                val = game.payoffs[(player,) + alt]
-                if val > best:
-                    best = val
-            if best > here + TIE_TOL:
-                stable = False
-                break
-        if stable:
-            equilibria.append(profile)
-    return equilibria
+    stable = np.ones(game.action_counts, dtype=bool)
+    for player, u in enumerate(game.payoffs):
+        stable &= u.max(axis=player, keepdims=True) <= u + TIE_TOL
+    return [tuple(profile) for profile in np.argwhere(stable).tolist()]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,6 +444,16 @@ class TestSerialization:
                 precision=1.1,
             ),
             CognitiveHierarchy(poisson_mean=1.5, max_level=3),
+            pytest.param(
+                CognitiveHierarchy(
+                    poisson_mean=0.8,
+                    max_level=2,
+                    level0=(MixedStrategy((0.2, 0.8)), MixedStrategy((0.5, 0.5))),
+                    response="qbr",
+                    precision=0.7,
+                ),
+                id="CognitiveHierarchy-all-fields",
+            ),
             NoisyIntrospection(precision=2.0, decay=0.6, max_depth=3),
         ],
         ids=lambda m: type(m).__name__,
@@ -455,6 +467,13 @@ class TestSerialization:
         assert predict(again, asym_game, 0).weights == predict(
             model, asym_game, 0
         ).weights
+
+    def test_logit_qbr_record_matches_shipped_generator(self):
+        meta = json.loads(
+            (Path(__file__).resolve().parent.parent / "data" / "qbr_lambda2.meta.json")
+            .read_text()
+        )
+        assert model_to_dict(LogitQBR(2.0)) == meta["generator"]
 
     def test_rejects_unknown_tag(self):
         with pytest.raises(ValueError):

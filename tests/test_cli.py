@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -558,6 +559,17 @@ class TestFitConfigValues:
                            "num_levels": 2, "response": "qbr", "precision": -1.0}},
                        "model.params.precision")
 
+    def test_unknown_param_key(self, tmp_path, capsys, observation_file):
+        self._rejected(tmp_path, capsys, observation_file,
+                       {"model": "level_k", "params": {"num_levels": 2, "levels": 9}},
+                       "model.params.levels")
+
+    def test_precision_with_exact_br(self, tmp_path, capsys, observation_file):
+        self._rejected(tmp_path, capsys, observation_file,
+                       {"model": "level_k", "params": {
+                           "num_levels": 2, "response": "exact_br", "precision": 5.0}},
+                       "model.params.precision")
+
 
 class TestShippedArtifacts:
     """The configs/ and data/ files in the repo stay mutually consistent."""
@@ -600,6 +612,12 @@ class TestShippedArtifacts:
         import sys
 
         script = self.repo_root / "scripts" / "make_shipped_data.py"
+        # The script imports foggame, which an uninstalled checkout only
+        # finds through src/ on the path.
+        src = str(self.repo_root / "src")
+        monkeypatch.setenv(
+            "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        )
         subprocess.run(
             [sys.executable, str(script), "--out-dir", str(tmp_path)],
             check=True,
@@ -720,6 +738,30 @@ class TestPredict:
     def test_predict_needs_some_target(self, tmp_path):
         path = write_config(tmp_path, {"experiment": {"mode": "predict"}})
         assert main(["predict", path]) == 2
+
+    def _rejected(self, tmp_path, capsys, game, params, key):
+        path = write_config(
+            tmp_path,
+            {
+                "model": {"model": "level_k", "params": params},
+                "experiment": {
+                    "mode": "predict",
+                    "game": self._game_file(tmp_path, game),
+                },
+            },
+        )
+        assert main(["predict", path]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_unknown_param_key(self, tmp_path, pd_game, capsys):
+        self._rejected(tmp_path, capsys, pd_game,
+                       {"level_weights": [0.5, 0.5], "levels": 9},
+                       "model.params.levels")
+
+    def test_precision_with_exact_br(self, tmp_path, pd_game, capsys):
+        self._rejected(tmp_path, capsys, pd_game,
+                       {"level_weights": [0.5, 0.5], "precision": 5.0},
+                       "model.params.precision")
 
     def test_invalid_model_params(self, tmp_path, pd_game):
         path = write_config(

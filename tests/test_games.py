@@ -19,6 +19,7 @@ from foggame.games import (
     pure_nash,
     save_game,
 )
+from foggame.games import _eu_vector
 
 from conftest import random_game
 
@@ -337,6 +338,65 @@ class TestPureNash:
             ),
         )
         assert pure_nash(shifted) == pure_nash(coord_game)
+
+    def test_tie_heavy_integer_games_match_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            counts = tuple(int(n) for n in rng.integers(2, 4, size=3))
+            payoffs = rng.integers(-1, 2, size=(3, *counts)).astype(float)
+            game = NormalFormGame(counts, payoffs)
+            assert pure_nash(game) == _deviation_check_nash(game)
+
+    @staticmethod
+    def _one_deviation(gain: float) -> NormalFormGame:
+        """2x2 game where only row's switch from (0, 0) to (1, 0) pays ``gain``."""
+        row = np.array([[0.0, 0.0], [gain, -1.0]])
+        col = np.array([[0.0, -1.0], [0.0, -1.0]])
+        return NormalFormGame.two_player(row, col)
+
+    def test_deviation_gaining_exactly_tie_tol_is_not_improving(self):
+        game = self._one_deviation(TIE_TOL)
+        assert (0, 0) in pure_nash(game)
+        assert pure_nash(game) == _deviation_check_nash(game)
+
+    def test_deviation_gaining_one_ulp_over_tie_tol_breaks_equilibrium(self):
+        game = self._one_deviation(np.nextafter(TIE_TOL, 1.0))
+        assert (0, 0) not in pure_nash(game)
+        assert pure_nash(game) == _deviation_check_nash(game)
+
+
+def _per_action_eu(game: NormalFormGame, player: int, arrays) -> list[float]:
+    """Oracle: sum over every joint profile of probability times payoff."""
+    values = []
+    for action in range(game.action_counts[player]):
+        total = 0.0
+        ranges = [
+            [action] if j == player else range(n)
+            for j, n in enumerate(game.action_counts)
+        ]
+        for profile in itertools.product(*ranges):
+            prob = math.prod(
+                arrays[j][a] for j, a in enumerate(profile) if j != player
+            )
+            total += prob * game.payoffs[player][profile]
+        values.append(total)
+    return values
+
+
+def test_eu_kernel_matches_per_action_loop():
+    rng = np.random.default_rng(43)
+    for _ in range(80):
+        num_players = int(rng.integers(2, 4))
+        counts = tuple(int(n) for n in rng.integers(2, 6, size=num_players))
+        game = random_game(rng, counts=counts)
+        arrays = [rng.dirichlet(np.ones(n)) for n in counts]
+        for player in range(num_players):
+            np.testing.assert_allclose(
+                _eu_vector(game.payoffs, player, arrays),
+                _per_action_eu(game, player, arrays),
+                rtol=0.0,
+                atol=1e-12,
+            )
 
 
 @settings(max_examples=200, deadline=None)

@@ -357,7 +357,7 @@ PREDICT_GOLDEN: dict[str, str] = {
     "example/logit_qbr/social":
         "192fbb7a27bc23c4147edd26dcb796219b7a088e3f285270ba533dffa30c022b",
     "example/noisy_introspection/plain":
-        "76c075a4ad160f6fb36b996135a81c9df82044218082b15ed3baeee77ef1f916",
+        "721844e8ade1195118f38f864ea73a0babd89c9feeacb6a683ca343230c6e568",
     "example/noisy_introspection/social":
         "cb3ad0ef211957267571aa5140f7ea465b363241a40f81d49fa6a3ec451aaa4d",
     "three_player/best_response/plain":
@@ -369,9 +369,9 @@ PREDICT_GOLDEN: dict[str, str] = {
     "three_player/cognitive_hierarchy_exact_br/social":
         "dac76310a9d772da595daf9058c0804b866b776756132a952fbff7d070f9bcd4",
     "three_player/cognitive_hierarchy_qbr/plain":
-        "d451439ce8f354cc7e21cc708cabd89a587ce85eb1cc55a78f20c71689092b79",
+        "7b20526836a1527118b6a99388ef38df52aafe84c8f3ddd7568b6ebb18d5ac1f",
     "three_player/cognitive_hierarchy_qbr/social":
-        "afdba6a97015711e1f8b882e40a900c97288e6edb54498c415f50ceb93a7fd9b",
+        "74539d994fbe0b77c0665f0371e7da4b5b2ba241ad5ae07e13b1c3bcdd1e4f32",
     "three_player/epsilon_nash/plain":
         "5766f952f2c5aff356ae996fd320ae196b0a7c7c900b522985a496449d4cfd7b",
     "three_player/epsilon_nash/social":
@@ -381,17 +381,17 @@ PREDICT_GOLDEN: dict[str, str] = {
     "three_player/level_k_exact_br/social":
         "21c12935fcdbcadc6958ccc741a10db1dddbab048939e3fdca6b2c151a214738",
     "three_player/level_k_qbr/plain":
-        "e21f4f84503dc9f7a413270c0279ed28d1ca02fcc1d1d0b478fcc4dfa478ea55",
+        "7bc8c4048041265a33625b61154d8bc1a2366c945482193317eb3cd781cd06bc",
     "three_player/level_k_qbr/social":
-        "94b958da0032fbe203800e5b1cabdfa82f5c940c51776cb036db6df3906b4aaf",
+        "29f9d95daaa4dbe3c4ae790e68d862b4eed2eb5461a4edd0011c932126aeb5e7",
     "three_player/logit_qbr/plain":
         "c92a3370030d35696095acaf00509289916839e11f596306c4b337c50a27e944",
     "three_player/logit_qbr/social":
         "4ddfdf8bed84015f36ea91c0da15234cf32c8142241ea95f60fdd69c9cc319f7",
     "three_player/noisy_introspection/plain":
-        "7eb6d4596640b29d7f4afd3958bdb26e74c5501943de95a6ac89c979c5545a34",
+        "c9cebf546a1df8312712ed74232c28abb781debdcabc66d423ad674db20da803",
     "three_player/noisy_introspection/social":
-        "7d1ba8d16d3116a5d366a2f2a791af50bf608df55960315db298d7682da50bea",
+        "df8b89f9fa773c09f13b5fde590414bcfea56ccc790217300bb0871b87f7089b",
 }
 
 LOTTERY_GOLDEN = (
