@@ -27,6 +27,57 @@ from foggame.preferences import (
 )
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+# Configs whose resolved form must parse back to the same spec: the shipped
+# ones plus one of each optional block and every fit option.
+ROUND_TRIP_CONFIGS = {
+    "shipped_fit_qbr": "configs/fit_qbr.json",
+    "shipped_predict_levelk": "configs/predict_levelk.json",
+    "shipped_simulate_default": "configs/simulate_default.json",
+    "shipped_simulate_sweep": "configs/simulate_sweep.json",
+    "simulate_sweeps": {
+        "scenario": {"preset": "default", "noise_level": 0.05},
+        "experiment": {
+            "mode": "simulate",
+            "seeds": [3, 4],
+            "noise_sweep": [0.0, 0.05],
+            "averaging_sweep": [False, True],
+            "out_dir": "o",
+        },
+    },
+    "predict_prospect_lottery": {
+        "prospect": {"gain_curvature": 0.8, "loss_aversion": 2.0},
+        "lottery": {"outcomes": [-3.0, 1.5, 10.0], "probs": [0.3, 0.5, 0.2]},
+        "experiment": {"mode": "predict"},
+    },
+    "predict_social_list": {
+        "model": {"model": "cognitive_hierarchy",
+                  "params": {"poisson_mean": 1.5, "max_level": 3,
+                             "response": "qbr", "precision": 2.0}},
+        "social": [
+            {"altruism_weight": 0.5},
+            {"inequity_weight": 0.25, "envy_weight": 0.1,
+             "inequity_metric": "mean_deviation"},
+        ],
+        "experiment": {"mode": "predict", "game": "data/example_game.json"},
+    },
+    "fit_bounds_folds_search": {
+        "model": {"model": "level_k",
+                  "params": {"num_levels": 2, "response": "qbr"}},
+        "experiment": {
+            "mode": "fit",
+            "dataset": "data/qbr_lambda2.jsonl",
+            "bounds": [[0, 1], [0.0, 1.0], [0.5, 4]],
+            "folds": 3,
+            "cv_seed": 5,
+            "search": {"grid_points": 5},
+            "out_dir": "o",
+        },
+    },
+}
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=2))
@@ -177,23 +228,20 @@ class TestParseConfig:
         )
         assert parse_config(path).out_dir == str(tmp_path / "explicit")
 
-    def test_resolved_round_trip(self, tmp_path):
-        original = write_config(
-            tmp_path,
-            {
-                "scenario": {"preset": "default", "noise_level": 0.05},
-                "experiment": {
-                    "mode": "simulate",
-                    "seeds": [3, 4],
-                    "noise_sweep": [0.0, 0.05],
-                    "averaging_sweep": [False, True],
-                    "out_dir": str(tmp_path / "o"),
-                },
-            },
-        )
-        spec = parse_config(original)
-        dumped = write_config(tmp_path, resolved_config(spec), name="resolved.json")
+    @pytest.mark.parametrize("config", sorted(ROUND_TRIP_CONFIGS))
+    def test_resolved_round_trip(self, tmp_path, monkeypatch, config):
+        # Relative dataset and game paths resolve against the repo root,
+        # as they do for the shipped configs.
+        monkeypatch.chdir(REPO)
+        monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+        payload = ROUND_TRIP_CONFIGS[config]
+        if isinstance(payload, str):
+            payload = json.loads((REPO / payload).read_text())
+        spec = parse_config(write_config(tmp_path, payload))
+        resolved = resolved_config(spec)
+        dumped = write_config(tmp_path, resolved, name="resolved.json")
         assert parse_config(dumped) == spec
+        assert resolved_config(parse_config(dumped)) == resolved
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
