@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence, Union
 
 import numpy as np
-from scipy.optimize import root
 
 from .games import (
     PROB_SUM_TOL,
@@ -44,6 +43,7 @@ from .games import (
     _eu_vector,
     pure_nash,
 )
+from .schema import read
 
 
 class NoEquilibriumError(ValueError):
@@ -178,6 +178,8 @@ def qbr_equilibrium(
             stall = 0
             continue
         if stall >= stall_limit:
+            # SciPy loads only here, so runs that never polish never import it.
+            from scipy.optimize import root
             polished = _project_profile(
                 root(lambda y: response(y) - y, best_x, method="hybr").x, slices
             )
@@ -201,6 +203,7 @@ def qbr_equilibrium(
 
 Level0 = Union[tuple[MixedStrategy, ...], None]
 ResponseKind = Literal["exact_br", "qbr"]
+NoNashFallback = Literal["error", "uniform"]
 
 
 def _level0_profile(game: NormalFormGame, level0: Level0) -> list[np.ndarray]:
@@ -247,9 +250,9 @@ def _check_response(response: str, precision: float | None) -> None:
         raise ValueError(f"unknown response kind {response!r}")
     if response == "qbr":
         if precision is None or not np.isfinite(precision) or precision < 0:
-            raise ValueError("qbr response requires a nonnegative precision")
+            raise ValueError("precision must be finite and >= 0 for the qbr response")
     elif precision is not None:
-        raise ValueError("precision is only meaningful for the qbr response")
+        raise ValueError("precision applies only to the qbr response")
 
 
 @dataclass(frozen=True)
@@ -274,7 +277,7 @@ class EpsilonNash:
     """
 
     epsilon: float
-    no_nash_fallback: Literal["error", "uniform"] = "error"
+    no_nash_fallback: NoNashFallback = "error"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
@@ -488,19 +491,6 @@ def _level0_from_json(data) -> Level0:
 
 _TAG_MODELS = {tag: cls for cls, tag in _MODEL_TAGS.items()}
 
-# Parameter name -> decoder from its JSON value; other parameters (the string
-# choices ``response`` and ``no_nash_fallback``) pass through unchanged.
-_DECODERS = {
-    "epsilon": float,
-    "precision": float,
-    "poisson_mean": float,
-    "decay": float,
-    "max_level": int,
-    "max_depth": int,
-    "level_weights": lambda data: tuple(float(w) for w in data),
-    "level0": _level0_from_json,
-}
-
 
 def model_to_dict(model: BehavioralModel) -> dict:
     """Tagged JSON-friendly form: ``{"model": tag, "params": {...}}``.
@@ -526,8 +516,10 @@ def model_from_dict(data: dict) -> BehavioralModel:
     """Inverse of :func:`model_to_dict`; raises ``ValueError`` on bad input.
 
     Each message starts with the part of the record at fault: ``model``,
-    ``params`` or ``params.<name>``.  Unknown parameters are rejected, and
-    so is a ``precision`` given with the exact best response.
+    ``params`` or ``params.<name>``.  ``params`` is read through the model
+    class's fields (see :mod:`foggame.schema`), so an unknown parameter or
+    a value of the wrong type is rejected before the constructor checks the
+    ranges; only ``level0`` has a JSON form of its own.
     """
     if not isinstance(data, dict) or "model" not in data:
         raise ValueError("model: the record needs a model tag")
@@ -535,29 +527,4 @@ def model_from_dict(data: dict) -> BehavioralModel:
     cls = _TAG_MODELS.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise ValueError(f"model: unknown model tag {tag!r}")
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("params: must be an object")
-    fields = dataclasses.fields(cls)
-    names = {field.name for field in fields}
-    for key in params:
-        if key not in names:
-            raise ValueError(f"params.{key}: unknown parameter for model {tag!r}")
-    if "response" in names and "precision" in params and (
-        params.get("response", "exact_br") == "exact_br"
-    ):
-        raise ValueError("params.precision: only meaningful for the qbr response")
-    kwargs = {}
-    for field in fields:
-        if field.name in params:
-            decode = _DECODERS.get(field.name, lambda value: value)
-            try:
-                kwargs[field.name] = decode(params[field.name])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"params.{field.name}: {exc}") from exc
-        elif field.default is dataclasses.MISSING:
-            raise ValueError(f"params.{field.name}: missing for model {tag!r}")
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"params: {exc}") from exc
+    return read(cls, data.get("params", {}), "params", {"level0": _level0_from_json})

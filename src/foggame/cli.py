@@ -2,13 +2,21 @@
 
 One JSON config drives each run.  Top-level keys:
 
-* ``scenario``   — market constants (see ``FogScenario``); optional
-  ``"preset": "default"`` starts from the stock four-node market.
+* ``scenario``   — market constants (the fields of ``FogScenario``); an
+  optional ``"preset": "default"`` starts from the stock four-node market.
 * ``model``      — behavioral model block (``{"model": "<tag>", "params": {...}}``).
-* ``experiment`` — mode-specific plumbing: seeds, sweeps, paths, output
-  directory, search options.
+  For predict, ``params`` are the model class's fields; for fit, the
+  family's fixed structure (the parameters of its factory, e.g. ``num_levels``).
+* ``experiment`` — mode-specific plumbing (the ``ExperimentSpec`` fields that
+  are not blocks): seeds, sweeps, paths, output directory, search options.
 * ``prospect`` / ``social`` / ``lottery`` — optional utility-transform
-  blocks, predict mode only.
+  blocks (``ProspectParams``, one or a list of ``SocialPrefParams``,
+  ``Lottery``), predict mode only.
+
+Every block is read through the dataclass that defines it (see
+:mod:`foggame.schema`): an unknown key is an error, and each value must have
+its field's type — a number, an integer, a boolean, a string or one of the
+field's listed choices.  Messages name the key, e.g. ``model.params.max_level``.
 
 Exit codes: 0 success, 2 config/validation error, 3 runtime error.  All
 outputs are pure functions of the config (plus explicit flags); files are
@@ -23,17 +31,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Literal, Sequence, get_args
 
 from .behavior import model_from_dict, predict
 from .estimation import (
-    _SEARCH_DEFAULTS,
     ModelFamily,
+    SearchOptions,
+    check_bounds,
     cross_validate,
     epsilon_nash_family,
     fit_mle,
@@ -43,10 +51,9 @@ from .estimation import (
 )
 from .games import load_game
 from .market import (
-    PRICE_RULES,
     FogScenario,
     NegotiationTrace,
-    as_int,
+    PriceRule,
     compute_metrics,
     default_scenario,
     run_negotiation,
@@ -59,33 +66,18 @@ from .preferences import (
     pt_evaluate,
     transform_game_social,
 )
+from .schema import ConfigError, as_object, build, read, read_fields
 
 OUT_DIR_ENV = "FOGGAME_OUT"
 
-_MODES = ("simulate", "fit", "predict")
+Mode = Literal["simulate", "fit", "predict"]
 
-_SCENARIO_KEYS = {field.name for field in dataclasses.fields(FogScenario)}
-
-_EXPERIMENT_KEYS = {
-    "mode",
-    "seeds",
-    "out_dir",
-    "noise_sweep",
-    "averaging_sweep",
-    "price_rule",
-    "dataset",
-    "game",
-    "folds",
-    "cv_seed",
-    "bounds",
-    "search",
-}
-
-# Fittable model tag -> the params keys that fix its family's structure.
-_FIT_PARAMS = {
-    "logit_qbr": (),
-    "epsilon_nash": ("no_nash_fallback",),
-    "level_k": ("num_levels", "response", "precision"),
+# Fittable model tag -> its family factory, whose parameters are the keys the
+# model block's ``params`` may set.
+_FIT_FAMILIES = {
+    "logit_qbr": qbr_family,
+    "epsilon_nash": epsilon_nash_family,
+    "level_k": level_k_family,
 }
 
 _DEFAULT_BOUNDS_BY_PARAM = {
@@ -93,96 +85,104 @@ _DEFAULT_BOUNDS_BY_PARAM = {
     "epsilon": (0.0, 1.0),
 }
 
-
-class ConfigError(ValueError):
-    """Config schema or invariant violation; maps to exit code 2."""
+_BLOCK = {"block": True}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Fully resolved run description; equal specs run identically."""
+    """Fully resolved run description; equal specs run identically.
 
-    mode: str
-    scenario: FogScenario | None = None
-    model: dict | None = None
-    prospect: ProspectParams | None = None
-    social: tuple[SocialPrefParams, ...] | None = None
-    lottery: Lottery | None = None
+    Fields with ``_BLOCK`` metadata are top-level config blocks; every other
+    field is an ``experiment`` key.  ``noise_sweep`` and ``averaging_sweep``
+    default to the scenario's own setting.  The checks here span fields and
+    blocks; each block's own values were checked when it was read.
+    """
+
+    mode: Mode
     seeds: tuple[int, ...] = ()
     out_dir: str = "out"
-    noise_sweep: tuple[float, ...] = ()
-    averaging_sweep: tuple[bool, ...] = ()
-    price_rule: str = "gradient_ascent"
+    noise_sweep: tuple[float, ...] | None = None
+    averaging_sweep: tuple[bool, ...] | None = None
+    price_rule: PriceRule = "gradient_ascent"
     dataset: str | None = None
-    game_path: str | None = None
+    game: str | None = None
     folds: int | None = None
     cv_seed: int = 0
     bounds: tuple[tuple[float, float], ...] | None = None
-    search: tuple[int, int] = (
-        _SEARCH_DEFAULTS["grid_points"],
-        _SEARCH_DEFAULTS["refine_iters"],
-    )
+    search: SearchOptions = SearchOptions()
+    scenario: FogScenario | None = field(default=None, metadata=_BLOCK)
+    model: dict | None = field(default=None, metadata=_BLOCK)
+    prospect: ProspectParams | None = field(default=None, metadata=_BLOCK)
+    social: tuple[SocialPrefParams, ...] | None = field(default=None, metadata=_BLOCK)
+    lottery: Lottery | None = field(default=None, metadata=_BLOCK)
+
+    def __post_init__(self) -> None:
+        if self.scenario is not None:
+            if self.noise_sweep is None:
+                object.__setattr__(self, "noise_sweep", (self.scenario.noise_level,))
+            if self.averaging_sweep is None:
+                object.__setattr__(self, "averaging_sweep", (self.scenario.averaging,))
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError("experiment.seeds: must be >= 0")
+        if any(not 0.0 <= rho < 1.0 for rho in self.noise_sweep or ()):
+            raise ConfigError("experiment.noise_sweep: values must lie in [0, 1)")
+        for key in ("dataset", "game"):
+            value = getattr(self, key)
+            if value is not None and not Path(value).exists():
+                raise ConfigError(f"experiment.{key}: path {value!r} does not exist")
+        if self.folds is not None and self.folds < 2:
+            raise ConfigError("experiment.folds: must be >= 2")
+        if self.cv_seed < 0:
+            raise ConfigError("experiment.cv_seed: must be >= 0")
+        if self.bounds is not None:
+            try:
+                check_bounds(self.bounds)
+            except ValueError as exc:
+                raise ConfigError(f"experiment.bounds: {exc}") from exc
+        if self.model is not None and "model" not in self.model:
+            raise ConfigError("model.model: missing variant tag")
+        if self.social == ():
+            raise ConfigError("social: expected an object or nonempty list of objects")
+        for key in ("prospect", "social", "lottery"):
+            if getattr(self, key) is not None and self.mode != "predict":
+                raise ConfigError(f"{key}: only supported in predict mode")
+        if self.mode == "simulate":
+            if not self.seeds:
+                raise ConfigError("experiment.seeds: must be nonempty for simulate")
+            if self.scenario is None:
+                raise ConfigError("scenario: required for simulate")
+        if self.mode == "fit":
+            if self.dataset is None:
+                raise ConfigError("experiment.dataset: required for fit")
+            if self.model is None:
+                raise ConfigError("model: required for fit")
+        if self.mode == "predict":
+            strategic = self.model is not None or self.game is not None
+            if strategic and self.prospect is not None:
+                raise ConfigError(
+                    "prospect: cannot be combined with a strategic model block; "
+                    "prospect valuation applies to exogenous lotteries only"
+                )
+            if strategic:
+                if self.model is None or self.game is None:
+                    raise ConfigError("model: predict needs both model and experiment.game")
+            elif self.prospect is not None or self.lottery is not None:
+                if self.prospect is None or self.lottery is None:
+                    raise ConfigError("lottery: predict needs both prospect and lottery")
+            else:
+                raise ConfigError(
+                    "model: predict needs either model + experiment.game "
+                    "or prospect + lottery"
+                )
 
 
-def _require_mapping(block, key: str) -> dict:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{key}: expected a JSON object")
-    return block
-
-
-def _list(value, key: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{key}: expected a JSON list, got {value!r}")
-    return value
-
-
-def _integer(value, key: str, minimum: int) -> int:
-    try:
-        number = as_int(value, key)
-    except ValueError:
-        raise ConfigError(f"{key}: must be an integer, got {value!r}") from None
-    if number < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}")
-    return number
-
-
-def _number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: must be a number, got {value!r}")
-    return float(value)
-
-
-def _scenario_from_config(block: dict) -> FogScenario:
-    block = dict(block)
-    preset = block.pop("preset", None)
-    unknown = set(block) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError(f"scenario.{sorted(unknown)[0]}: unknown key")
-    for key in ("utility_weights", "quality_factors", "price_floors",
-                "margin_factors", "initial_prices", "price_caps"):
-        if key in block and isinstance(block[key], list):
-            block[key] = tuple(block[key])
-    try:
-        if preset is None:
-            return FogScenario(**block)
-        if preset != "default":
-            raise ConfigError(f"scenario.preset: unknown preset {preset!r}")
-        return default_scenario(**block)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"scenario: {exc}") from exc
-
-
-def _social_from_config(block) -> tuple[SocialPrefParams, ...]:
-    if isinstance(block, dict):
-        block = [block]
-    if not isinstance(block, list) or not block:
-        raise ConfigError("social: expected an object or nonempty list of objects")
-    try:
-        return tuple(SocialPrefParams(**entry) for entry in block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"social: {exc}") from exc
+def _scenario_from_config(block) -> FogScenario:
+    fields = dict(as_object(block, "scenario"))
+    preset = fields.pop("preset", None)
+    if preset not in (None, "default"):
+        raise ConfigError(f"scenario.preset: unknown preset {preset!r}")
+    factory = FogScenario if preset is None else default_scenario
+    return build(factory, read_fields(FogScenario, fields, "scenario"), "scenario")
 
 
 def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
@@ -198,17 +198,8 @@ def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - {"scenario", "model", "experiment",
-                          "prospect", "social", "lottery"}
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown top-level key")
-
-    experiment = _require_mapping(raw.get("experiment", {}), "experiment")
-    unknown = set(experiment) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ConfigError(f"experiment.{sorted(unknown)[0]}: unknown key")
+    raw = dict(as_object(raw, "config root"))
+    experiment = dict(as_object(raw.pop("experiment", {}), "experiment"))
 
     config_mode = experiment.get("mode")
     if mode is None:
@@ -218,205 +209,42 @@ def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
             f"experiment.mode: config says {config_mode!r} but the "
             f"{mode!r} command was invoked"
         )
-    if mode not in _MODES:
-        raise ConfigError(f"experiment.mode: must be one of {_MODES}")
+    experiment["mode"] = mode
+    if experiment.get("out_dir") in (None, ""):
+        experiment["out_dir"] = os.environ.get(OUT_DIR_ENV) or "out"
+    if isinstance(raw.get("social"), dict):
+        raw["social"] = [raw["social"]]
 
-    scenario = None
-    if "scenario" in raw:
-        scenario = _scenario_from_config(_require_mapping(raw["scenario"], "scenario"))
-    model = raw.get("model")
-    if model is not None:
-        model = _require_mapping(model, "model")
-        if "model" not in model:
-            raise ConfigError("model.model: missing variant tag")
-
-    prospect = social = lottery = None
-    for key in ("prospect", "social", "lottery"):
-        if key in raw and mode != "predict":
-            raise ConfigError(f"{key}: only supported in predict mode")
-    if "prospect" in raw:
-        try:
-            prospect = ProspectParams(**_require_mapping(raw["prospect"], "prospect"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"prospect: {exc}") from exc
-    if "social" in raw:
-        social = _social_from_config(raw["social"])
-    if "lottery" in raw:
-        block = _require_mapping(raw["lottery"], "lottery")
-        try:
-            lottery = Lottery(
-                outcomes=tuple(block["outcomes"]), probs=tuple(block["probs"])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"lottery: {exc}") from exc
-
-    seeds = tuple(
-        _integer(seed, "experiment.seeds", 0)
-        for seed in _list(experiment.get("seeds", []), "experiment.seeds")
-    )
-    if mode == "simulate" and not seeds:
-        raise ConfigError("experiment.seeds: must be nonempty for simulate")
-
-    out_dir = experiment.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"experiment.out_dir: must be a string, got {out_dir!r}")
-    out_dir = out_dir or os.environ.get(OUT_DIR_ENV) or "out"
-
-    noise_sweep = experiment.get("noise_sweep")
-    if noise_sweep is None:
-        noise_sweep = (scenario.noise_level,) if scenario else ()
-    else:
-        noise_sweep = tuple(
-            _number(x, "experiment.noise_sweep")
-            for x in _list(noise_sweep, "experiment.noise_sweep")
-        )
-        for rho in noise_sweep:
-            if not 0.0 <= rho < 1.0:
-                raise ConfigError("experiment.noise_sweep: values must lie in [0, 1)")
-    averaging_sweep = experiment.get("averaging_sweep")
-    if averaging_sweep is None:
-        averaging_sweep = (scenario.averaging,) if scenario else ()
-    else:
-        _list(averaging_sweep, "experiment.averaging_sweep")
-        if not all(isinstance(b, bool) for b in averaging_sweep):
-            raise ConfigError("experiment.averaging_sweep: values must be booleans")
-        averaging_sweep = tuple(averaging_sweep)
-
-    price_rule = experiment.get("price_rule", "gradient_ascent")
-    if price_rule not in PRICE_RULES:
-        raise ConfigError(f"experiment.price_rule: must be one of {PRICE_RULES}")
-
-    dataset = experiment.get("dataset")
-    game_path = experiment.get("game")
-    for key, value in (("dataset", dataset), ("game", game_path)):
-        if value is None:
-            continue
-        if not isinstance(value, str):
-            raise ConfigError(f"experiment.{key}: must be a path string, got {value!r}")
-        if not Path(value).exists():
-            raise ConfigError(f"experiment.{key}: path {value!r} does not exist")
-
-    folds = experiment.get("folds")
-    if folds is not None:
-        folds = _integer(folds, "experiment.folds", 2)
-    cv_seed = _integer(experiment.get("cv_seed", 0), "experiment.cv_seed", 0)
-
-    bounds = experiment.get("bounds")
-    if bounds is not None:
-        pairs = _list(bounds, "experiment.bounds")
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
-            raise ConfigError("experiment.bounds: expected a list of [low, high] pairs")
-        bounds = tuple(
-            (_number(lo, "experiment.bounds"), _number(hi, "experiment.bounds"))
-            for lo, hi in pairs
-        )
-        for lo, hi in bounds:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ConfigError(
-                    f"experiment.bounds: [{lo}, {hi}] must be finite with low <= high"
-                )
-    search_block = experiment.get("search", {})
-    _require_mapping(search_block, "experiment.search")
-    unknown = set(search_block) - {"grid_points", "refine_iters"}
-    if unknown:
-        raise ConfigError(f"experiment.search.{sorted(unknown)[0]}: unknown key")
-    options = {**_SEARCH_DEFAULTS, **search_block}
-    search = (
-        _integer(options["grid_points"], "experiment.search.grid_points", 3),
-        _integer(options["refine_iters"], "experiment.search.refine_iters", 0),
-    )
-
-    # Mode-specific requirements.
-    if mode == "simulate" and scenario is None:
-        raise ConfigError("scenario: required for simulate")
-    if mode == "fit":
-        if dataset is None:
-            raise ConfigError("experiment.dataset: required for fit")
-        if model is None:
-            raise ConfigError("model: required for fit")
-    if mode == "predict":
-        strategic = model is not None or game_path is not None
-        lottery_mode = prospect is not None or lottery is not None
-        if strategic and prospect is not None:
-            raise ConfigError(
-                "prospect: cannot be combined with a strategic model block; "
-                "prospect valuation applies to exogenous lotteries only"
-            )
-        if strategic:
-            if model is None or game_path is None:
-                raise ConfigError("model: predict needs both model and experiment.game")
-        elif lottery_mode:
-            if prospect is None or lottery is None:
-                raise ConfigError("lottery: predict needs both prospect and lottery")
-        else:
-            raise ConfigError(
-                "model: predict needs either model + experiment.game "
-                "or prospect + lottery"
-            )
-
+    fields = dataclasses.fields(ExperimentSpec)
+    blocks = {f.name for f in fields if f.metadata}
     return ExperimentSpec(
-        mode=mode,
-        scenario=scenario,
-        model=model,
-        prospect=prospect,
-        social=social,
-        lottery=lottery,
-        seeds=seeds,
-        out_dir=str(out_dir),
-        noise_sweep=noise_sweep,
-        averaging_sweep=averaging_sweep,
-        price_rule=price_rule,
-        dataset=dataset,
-        game_path=game_path,
-        folds=folds,
-        cv_seed=cv_seed,
-        bounds=bounds,
-        search=search,
+        **read_fields(ExperimentSpec, experiment, "experiment",
+                      names={f.name for f in fields} - blocks),
+        **read_fields(ExperimentSpec, raw, "", names=blocks,
+                      decoders={"scenario": _scenario_from_config}),
     )
 
 
-def _as_config(record) -> dict:
-    """A dataclass's fields as a config block, tuples written as lists."""
-    return {
-        name: list(value) if isinstance(value, tuple) else value
-        for name, value in dataclasses.asdict(record).items()
-    }
+def _as_json(value):
+    """A spec value as JSON: dataclasses as objects of every field, tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _as_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_as_json(item) for item in value]
+    return value
 
 
 def resolved_config(spec: ExperimentSpec) -> dict:
-    """Spec as a config document; parsing it back yields an equal spec."""
-    experiment: dict = {
-        "mode": spec.mode,
-        "seeds": list(spec.seeds),
-        "out_dir": spec.out_dir,
-        "price_rule": spec.price_rule,
-        "cv_seed": spec.cv_seed,
-        "search": {"grid_points": spec.search[0], "refine_iters": spec.search[1]},
-    }
-    if spec.noise_sweep or spec.scenario is not None:
-        experiment["noise_sweep"] = list(spec.noise_sweep)
-        experiment["averaging_sweep"] = list(spec.averaging_sweep)
-    for key, value in (
-        ("dataset", spec.dataset),
-        ("game", spec.game_path),
-        ("folds", spec.folds),
-    ):
-        if value is not None:
-            experiment[key] = value
-    if spec.bounds is not None:
-        experiment["bounds"] = [list(pair) for pair in spec.bounds]
+    """Spec as a config document; parsing it back yields an equal spec.
 
-    config: dict = {"experiment": experiment}
-    if spec.scenario is not None:
-        config["scenario"] = _as_config(spec.scenario)
-    if spec.model is not None:
-        config["model"] = spec.model
-    if spec.prospect is not None:
-        config["prospect"] = _as_config(spec.prospect)
-    if spec.social is not None:
-        config["social"] = [_as_config(s) for s in spec.social]
-    if spec.lottery is not None:
-        config["lottery"] = _as_config(spec.lottery)
+    Fields left unset (``None``) are left out.
+    """
+    config: dict = {"experiment": {}}
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if value is not None:
+            block = config if f.metadata else config["experiment"]
+            block[f.name] = _as_json(value)
     return config
 
 
@@ -443,46 +271,10 @@ def _family_from_model_block(model: dict) -> ModelFamily:
     ``num_levels``), not fitted values; any other key is an error.
     """
     tag = model["model"]
-    params = model.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("model.params: expected a JSON object")
-    allowed = _FIT_PARAMS.get(tag) if isinstance(tag, str) else None
-    if allowed is None:
+    factory = _FIT_FAMILIES.get(tag) if isinstance(tag, str) else None
+    if factory is None:
         raise ConfigError(f"model.model: {tag!r} is not a fittable family")
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"model.params.{sorted(unknown)[0]}: unknown key for fitting {tag!r}"
-        )
-    if tag == "logit_qbr":
-        return qbr_family()
-    if tag == "epsilon_nash":
-        fallback = params.get("no_nash_fallback", "uniform")
-        if fallback not in ("error", "uniform"):
-            raise ConfigError(
-                f"model.params.no_nash_fallback: must be 'error' or 'uniform', "
-                f"got {fallback!r}"
-            )
-        return epsilon_nash_family(fallback)
-    if "num_levels" not in params:
-        raise ConfigError("model.params.num_levels: required to fit a level_k family")
-    response = params.get("response", "exact_br")
-    if response not in ("exact_br", "qbr"):
-        raise ConfigError(
-            f"model.params.response: must be 'exact_br' or 'qbr', got {response!r}"
-        )
-    if response == "exact_br" and "precision" in params:
-        raise ConfigError("model.params.precision: only meaningful for the qbr response")
-    precision = params.get("precision")
-    if precision is not None:
-        precision = _number(precision, "model.params.precision")
-        if not (math.isfinite(precision) and precision >= 0):
-            raise ConfigError("model.params.precision: must be finite and >= 0")
-    return level_k_family(
-        _integer(params["num_levels"], "model.params.num_levels", 1),
-        response,
-        precision,
-    )
+    return read(factory, model.get("params", {}), "model.params")
 
 
 def _default_bounds(family: ModelFamily) -> tuple[tuple[float, float], ...]:
@@ -568,7 +360,7 @@ def run_fit(spec: ExperimentSpec) -> int:
             f"experiment.bounds: family {family.name!r} has "
             f"{family.num_params} parameters, got {len(bounds)} bounds"
         )
-    search = {"grid_points": spec.search[0], "refine_iters": spec.search[1]}
+    search = dataclasses.asdict(spec.search)
     result = fit_mle(family, data, bounds, search)
     if spec.folds is not None:
         cv = cross_validate(family, data, spec.folds, bounds, search, spec.cv_seed)
@@ -587,9 +379,9 @@ def run_predict(spec: ExperimentSpec) -> int:
         payload = {"value": pt_evaluate(spec.lottery, spec.prospect)}
         sys.stdout.write(_json_text(payload))
         return 0
-    assert spec.model is not None and spec.game_path is not None
+    assert spec.model is not None and spec.game is not None
     try:
-        game = load_game(spec.game_path)
+        game = load_game(spec.game)
     except ValueError as exc:
         raise ConfigError(f"experiment.game: {exc}") from exc
     try:
@@ -618,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Seeded market simulations, model fitting, and prediction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _MODES:
+    for command in get_args(Mode):
         p = sub.add_parser(command)
         p.add_argument("config", help="path to a JSON config file")
         p.add_argument("--out", help="output directory (overrides config)")

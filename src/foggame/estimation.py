@@ -25,14 +25,21 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .behavior import EpsilonNash, LevelK, LogitQBR, predict
+from .behavior import (
+    EpsilonNash,
+    LevelK,
+    LogitQBR,
+    NoNashFallback,
+    ResponseKind,
+    _check_response,
+    predict,
+)
 from .games import NormalFormGame
+from .schema import as_number, read
 
 PROB_FLOOR = 1e-12
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-_SEARCH_DEFAULTS = {"grid_points": 11, "refine_iters": 40}
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,7 @@ def qbr_family() -> ModelFamily:
     return ModelFamily(name="logit_qbr", param_names=("precision",), build=build)
 
 
-def epsilon_nash_family(no_nash_fallback: str = "uniform") -> ModelFamily:
+def epsilon_nash_family(no_nash_fallback: NoNashFallback = "uniform") -> ModelFamily:
     """Nash-with-trembles family; one error-rate parameter.
 
     The uniform fallback keeps the likelihood defined on games without a
@@ -160,19 +167,21 @@ def epsilon_nash_family(no_nash_fallback: str = "uniform") -> ModelFamily:
 
 def level_k_family(
     num_levels: int,
-    response: str = "exact_br",
-    fixed_precision: float | None = None,
+    response: ResponseKind = "exact_br",
+    precision: float | None = None,
 ) -> ModelFamily:
     """Mixture over reasoning levels 0..num_levels-1.
 
     Parameters are the level weights (a simplex group, renormalized inside
     ``build``) plus a trailing precision parameter when ``response`` is
-    ``"qbr"`` and no fixed precision is supplied.
+    ``"qbr"`` and no fixed ``precision`` is supplied.
     """
     if num_levels < 1:
         raise ValueError("num_levels must be >= 1")
+    fit_precision = response == "qbr" and precision is None
+    if not fit_precision:
+        _check_response(response, precision)
     names = tuple(f"weight_{k}" for k in range(num_levels))
-    fit_precision = response == "qbr" and fixed_precision is None
     if fit_precision:
         names = names + ("precision",)
 
@@ -184,13 +193,10 @@ def level_k_family(
         if total <= 0:
             raise ValueError("level weights must not all be zero")
         weights = weights / total
-        precision = None
-        if response == "qbr":
-            precision = theta[num_levels] if fit_precision else fixed_precision
         return LevelK(
             level_weights=tuple(float(w) for w in weights),
-            response=response,  # type: ignore[arg-type]
-            precision=precision,
+            response=response,
+            precision=theta[num_levels] if fit_precision else precision,
         )
 
     return ModelFamily(
@@ -243,31 +249,26 @@ class FitResult:
         }
 
 
-def _resolve_search(search: Mapping | None) -> dict:
-    resolved = dict(_SEARCH_DEFAULTS)
-    if search is not None:
-        for key, value in search.items():
-            if key not in _SEARCH_DEFAULTS:
-                raise ValueError(f"unknown search option {key!r}")
-            resolved[key] = int(value)
-    if resolved["grid_points"] < 3:
-        raise ValueError("grid_points must be >= 3")
-    if resolved["refine_iters"] < 0:
-        raise ValueError("refine_iters must be >= 0")
-    return resolved
+@dataclass(frozen=True)
+class SearchOptions:
+    """Grid points per axis and golden-section steps of :func:`fit_mle`."""
+
+    grid_points: int = 11
+    refine_iters: int = 40
+
+    def __post_init__(self) -> None:
+        if self.grid_points < 3:
+            raise ValueError("grid_points must be >= 3")
+        if self.refine_iters < 0:
+            raise ValueError("refine_iters must be >= 0")
 
 
-def _check_bounds(
-    bounds: Sequence[tuple[float, float]], num_params: int
-) -> list[tuple[float, float]]:
-    checked = [(float(lo), float(hi)) for lo, hi in bounds]
-    if len(checked) != num_params:
-        raise ValueError(
-            f"expected {num_params} bounds, got {len(checked)}"
-        )
+def check_bounds(bounds: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """``(low, high)`` pairs as floats; each must be finite with low <= high."""
+    checked = [(as_number(lo, "bounds"), as_number(hi, "bounds")) for lo, hi in bounds]
     for lo, hi in checked:
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-            raise ValueError(f"invalid bound ({lo}, {hi})")
+            raise ValueError(f"invalid bound ({lo}, {hi}): must be finite with low <= high")
     return checked
 
 
@@ -339,28 +340,31 @@ def fit_mle(
     best point, renormalizing simplex groups after each coordinate move.
     The result is the best point over *all* evaluations, so it can never be
     worse than any grid point.  Fully deterministic.
+
+    ``search`` holds :class:`SearchOptions` fields; a value that is not an
+    integer raises, as an unknown key does.
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    box = _check_bounds(bounds, family.num_params)
-    opts = _resolve_search(search)
-    grid_points = opts["grid_points"]
-    refine_iters = opts["refine_iters"]
+    box = check_bounds(bounds)
+    if len(box) != family.num_params:
+        raise ValueError(f"expected {family.num_params} bounds, got {len(box)}")
+    options = read(SearchOptions, {} if search is None else dict(search), "search")
 
     evaluate = _Tracker(lambda theta: log_likelihood(family, theta, data))
 
-    axes = [np.linspace(lo, hi, grid_points) for lo, hi in box]
+    axes = [np.linspace(lo, hi, options.grid_points) for lo, hi in box]
     for point in product(*axes):
         evaluate(point)
     if evaluate.best_theta is None:
         raise ValueError("no feasible parameter vector on the search grid")
 
     theta = list(evaluate.best_theta)
-    cells = [(hi - lo) / (grid_points - 1) for lo, hi in box]
+    cells = [(hi - lo) / (options.grid_points - 1) for lo, hi in box]
     in_group = {
         i: group for group in family.simplex_groups for i in group
     }
-    if refine_iters > 0:
+    if options.refine_iters > 0:
         for _cycle in range(2):
             for i in range(family.num_params):
                 lo = max(box[i][0], theta[i] - cells[i])
@@ -373,7 +377,7 @@ def fit_mle(
                     probe[i] = x
                     return evaluate(probe)
 
-                x_best, v_best = _golden_max(line, lo, hi, refine_iters)
+                x_best, v_best = _golden_max(line, lo, hi, options.refine_iters)
                 if math.isfinite(v_best) and v_best >= evaluate.best_value:
                     theta[i] = x_best
                 group = in_group.get(i)

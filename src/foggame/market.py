@@ -24,41 +24,27 @@ sees and pays — carries the perturbation and is projected back into
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence, get_args
 
 import numpy as np
+
+from .schema import as_bool, as_int, as_number
 
 # Noisy demands are floored here so log-utility stays defined.
 DEMAND_FLOOR = 1e-9
 
 PriceRule = Literal["gradient_ascent", "foc_root"]
-PRICE_RULES = ("gradient_ascent", "foc_root")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def as_int(value, name: str) -> int:
-    """``value`` as an int; bools, non-numbers and fractional numbers raise."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if _is_real(value) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+PRICE_RULES = get_args(PriceRule)
 
 
 def _broadcast(value, n: int, name: str) -> tuple[float, ...]:
     vec = (value,) * n if np.isscalar(value) else tuple(value)
     if len(vec) != n:
         raise ValueError(f"{name} must have length {n}, got {len(vec)}")
-    if not all(_is_real(x) for x in vec):
-        raise ValueError(f"{name} must hold numbers, got {value!r}")
-    vec = tuple(float(x) for x in vec)
+    vec = tuple(as_number(x, name) for x in vec)
     if any(not np.isfinite(x) for x in vec):
         raise ValueError(f"{name} must be finite")
     return vec
@@ -101,11 +87,8 @@ class FogScenario:
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         for name in ("budget", "utility_scale", "step_size", "noise_level",
                      "convergence_tol"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not isinstance(self.averaging, bool):
-            raise ValueError(f"averaging must be true or false, got {self.averaging!r}")
+            as_number(getattr(self, name), name)
+        as_bool(self.averaging, "averaging")
         m = self.num_nodes
         if m < 1:
             raise ValueError("num_nodes must be >= 1")

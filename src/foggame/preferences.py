@@ -27,7 +27,7 @@ class Lottery:
         if not outcomes:
             raise ValueError("lottery needs at least one outcome")
         if len(outcomes) != len(probs):
-            raise ValueError("outcomes and probs must have equal length")
+            raise ValueError("probs must have the same length as outcomes")
         if not all(np.isfinite(outcomes)):
             raise ValueError("outcomes must be finite")
         if any(p < 0 or p > 1 for p in probs):

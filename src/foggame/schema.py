@@ -1,0 +1,171 @@
+"""JSON config blocks read through the dataclasses that define them.
+
+A block's allowed keys and defaults are the parameters of the dataclass (or
+factory function) that consumes it, and each value is read by the rule for
+its annotated type:
+
+* ``float`` — a number, bools excluded, returned as a float;
+* ``int`` — an integral number (``3`` or ``3.0``), bools excluded;
+* ``bool`` — ``true`` or ``false``;
+* ``str`` — a string;
+* ``Literal[...]`` — one of the listed choices;
+* ``tuple[T, ...]`` and ``tuple[T, U]`` — a list, each item read as its type;
+* a dataclass — a nested object, read the same way;
+* ``dict`` — an object, passed through;
+* ``X | Y`` — ``null`` for ``None``, a list for a tuple arm, else the first
+  other arm.
+
+Every error is a :class:`ConfigError` whose message starts with the key path,
+e.g. ``model.params.max_level: must be an integer, got 2.7``.  Range checks
+stay in the constructors, which guard library callers too; a constructor's
+``ValueError`` is reported under the parameter its message starts with, or
+else under the block.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import inspect
+import numbers
+import types
+from typing import Any, Callable, Literal, Mapping, Union, get_args, get_origin, get_type_hints
+
+
+class ConfigError(ValueError):
+    """Config schema or invariant violation; maps to exit code 2."""
+
+
+def as_number(value, key: str) -> float:
+    """``value`` as a float; bools and non-numbers raise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{key}: must be a number, got {value!r}")
+
+
+def as_int(value, key: str) -> int:
+    """``value`` as an int; bools, non-numbers and fractional numbers raise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ConfigError(f"{key}: must be an integer, got {value!r}")
+
+
+def as_bool(value, key: str) -> bool:
+    """``value`` itself if it is ``True`` or ``False``; anything else raises."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key}: must be true or false, got {value!r}")
+
+
+def as_object(value, key: str) -> dict:
+    """``value`` itself if it is a JSON object; anything else raises."""
+    if isinstance(value, dict):
+        return value
+    raise ConfigError(f"{key}: must be a JSON object, got {value!r}")
+
+
+@functools.cache
+def _parameters(factory: Callable) -> dict[str, tuple[Any, bool]]:
+    """Parameter name -> (annotated type, whether it is required)."""
+    hints = get_type_hints(factory)
+    return {
+        name: (hints.get(name), p.default is inspect.Parameter.empty)
+        for name, p in inspect.signature(factory).parameters.items()
+        if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+    }
+
+
+def read_value(value, hint, key: str):
+    """``value`` read by the rule for type ``hint``; see the module docstring."""
+    if hint is float:
+        return as_number(value, key)
+    if hint is int:
+        return as_int(value, key)
+    if hint is bool:
+        return as_bool(value, key)
+    if hint is str:
+        if isinstance(value, str):
+            return value
+        raise ConfigError(f"{key}: must be a string, got {value!r}")
+    if hint is dict:
+        return as_object(value, key)
+    if dataclasses.is_dataclass(hint):
+        return read(hint, value, key)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        arms = [arm for arm in args if arm is not type(None)]
+        is_list = isinstance(value, list)
+        arm = next((a for a in arms if (get_origin(a) is tuple) == is_list), arms[0])
+        return read_value(value, arm, key)
+    if origin is Literal:
+        if value in args:
+            return value
+        choices = ", ".join(repr(choice) for choice in args)
+        raise ConfigError(f"{key}: must be one of {choices}, got {value!r}")
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key}: must be a list, got {value!r}")
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(read_value(item, args[0], key) for item in value)
+        if len(value) != len(args):
+            raise ConfigError(f"{key}: must be a list of {len(args)} values, got {value!r}")
+        return tuple(read_value(item, arm, key) for item, arm in zip(value, args))
+    raise TypeError(f"{key}: no config rule for type {hint!r}")
+
+
+def read_fields(
+    factory: Callable,
+    block,
+    key: str,
+    names: set[str] | None = None,
+    decoders: Mapping[str, Callable] | None = None,
+) -> dict:
+    """The entries of JSON object ``block`` as keyword arguments of ``factory``.
+
+    Keys must be parameters of ``factory`` (and in ``names`` when given).
+    Each value is read by its parameter's type, or by ``decoders[name]``
+    when there is one.  Parameters left out keep their defaults.
+    """
+    params = _parameters(factory)
+    kwargs = {}
+    for name, value in as_object(block, key).items():
+        path = f"{key}.{name}" if key else name
+        if name not in params or (names is not None and name not in names):
+            raise ConfigError(f"{path}: unknown key")
+        decode = (decoders or {}).get(name)
+        if decode is None:
+            kwargs[name] = read_value(value, params[name][0], path)
+            continue
+        try:
+            kwargs[name] = decode(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return kwargs
+
+
+def build(factory: Callable, kwargs: dict, key: str):
+    """``factory(**kwargs)``, with a missing parameter or a failed range check
+    reported as a :class:`ConfigError` under its key path."""
+    params = _parameters(factory)
+    for name, (_, required) in params.items():
+        if required and name not in kwargs:
+            raise ConfigError(f"{key}.{name}: missing")
+    try:
+        return factory(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name in params or name in kwargs:
+            raise ConfigError(f"{key}.{name}: {rest}") from exc
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def read(factory: Callable, block, key: str, decoders: Mapping[str, Callable] | None = None):
+    """``factory`` called with the entries of JSON object ``block``."""
+    return build(factory, read_fields(factory, block, key, decoders=decoders), key)

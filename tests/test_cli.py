@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from foggame.cli import (
     parse_config,
     resolved_config,
 )
-from foggame.estimation import sample_observations, save_observations
+from foggame.estimation import SearchOptions, sample_observations, save_observations
 from foggame.games import save_game
 from foggame.preferences import (
     Lottery,
@@ -112,7 +114,7 @@ class TestParseConfig:
         assert spec.price_rule == "gradient_ascent"
         assert spec.noise_sweep == (0.0,)
         assert spec.averaging_sweep == (False,)
-        assert spec.search == (11, 40)
+        assert spec.search == SearchOptions(grid_points=11, refine_iters=40)
 
     def test_invariant_violation_names_key(self, tmp_path):
         path = write_config(
@@ -619,6 +621,49 @@ class TestFitConfigValues:
                        "model.params.precision")
 
 
+# Bad model parameter -> (value, predict model block, fit model block or None).
+# A key that exists in both modes must get the same message in both.
+BAD_MODEL_PARAMS = {
+    "max_level": (2.7, {"model": "cognitive_hierarchy", "params": {"poisson_mean": 1.5}},
+                  None),
+    "max_depth": (True, {"model": "noisy_introspection",
+                         "params": {"precision": 1.0, "decay": 0.5}}, None),
+    "epsilon": ("0.1", {"model": "epsilon_nash", "params": {}}, None),
+    "precision": (True, {"model": "logit_qbr", "params": {}},
+                  {"model": "level_k", "params": {"num_levels": 2, "response": "qbr"}}),
+    "response": ("bogus", {"model": "level_k", "params": {"level_weights": [1.0]}},
+                 {"model": "level_k", "params": {"num_levels": 2}}),
+    "no_nash_fallback": (7, {"model": "epsilon_nash", "params": {"epsilon": 0.1}},
+                         {"model": "epsilon_nash", "params": {}}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_MODEL_PARAMS))
+def test_bad_model_param_named_alike_in_predict_and_fit(tmp_path, capsys, key):
+    value, predict_model, fit_model = BAD_MODEL_PARAMS[key]
+    runs = [("predict", predict_model, {"game": str(REPO / "data" / "example_game.json")})]
+    if fit_model is not None:
+        runs.append(("fit", fit_model, {"dataset": str(REPO / "data" / "qbr_lambda2.jsonl")}))
+    errors = []
+    for mode, model, experiment in runs:
+        model = {"model": model["model"], "params": {**model["params"], key: value}}
+        config = {"model": model, "experiment": {"mode": mode, **experiment}}
+        assert main([mode, write_config(tmp_path, config), "--out", str(tmp_path / "out")]) == 2
+        errors.append(capsys.readouterr().err)
+    assert f"model.params.{key}: " in errors[0]
+    assert errors == errors[:1] * len(errors)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy is loaded only when the QRE solver polishes an iterate, so a
+    # simulate or non-QRE predict run never pays for importing it.
+    code = "import sys, foggame.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestShippedArtifacts:
     """The configs/ and data/ files in the repo stay mutually consistent."""
 
@@ -782,6 +827,18 @@ class TestPredict:
             },
         )
         assert main(["predict", path]) == 2
+
+    def test_unknown_lottery_key(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "prospect": {},
+                "lottery": {"outcomes": [1, 2], "probs": [0.5, 0.5], "weights": [9, 9]},
+                "experiment": {"mode": "predict"},
+            },
+        )
+        assert main(["predict", path]) == 2
+        assert "lottery.weights" in capsys.readouterr().err
 
     def test_predict_needs_some_target(self, tmp_path):
         path = write_config(tmp_path, {"experiment": {"mode": "predict"}})

@@ -198,7 +198,7 @@ class TestFamilies:
         assert model.level_weights == (0.25, 0.75)
 
     def test_level_k_family_fixed_precision(self):
-        family = level_k_family(2, response="qbr", fixed_precision=1.5)
+        family = level_k_family(2, response="qbr", precision=1.5)
         assert family.param_names == ("weight_0", "weight_1")
         assert family.build((1.0, 1.0)).precision == 1.5
 
@@ -296,6 +296,26 @@ class TestFitMle:
             fit_mle(
                 qbr_family(), data, bounds=[(0.0, 1.0)], search={"steps": 5}
             )
+
+    @pytest.mark.parametrize(
+        "search, bounds",
+        [
+            ({"grid_points": 7.5}, [(0.0, 1.0)]),
+            ({"grid_points": True}, [(0.0, 1.0)]),
+            ({"refine_iters": True}, [(0.0, 1.0)]),
+            (None, [(True, "3")]),
+        ],
+    )
+    def test_search_and_bounds_values_typed(self, pennies_game, search, bounds):
+        # Same rules as a config file: integers are not truncated, bools and
+        # strings are not numbers.
+        data = ObservationDataset(
+            tuple(Observation(pennies_game, 0, a) for a in (0, 1, 0, 1))
+        )
+        with pytest.raises(ValueError):
+            fit_mle(qbr_family(), data, bounds, search)
+        with pytest.raises(ValueError):
+            cross_validate(qbr_family(), data, 2, bounds, search)
 
 
 class TestCrossValidation:
