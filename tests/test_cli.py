@@ -651,7 +651,7 @@ def test_bad_model_param_named_alike_in_predict_and_fit(tmp_path, capsys, key):
         assert main([mode, write_config(tmp_path, config), "--out", str(tmp_path / "out")]) == 2
         errors.append(capsys.readouterr().err)
     assert f"model.params.{key}: " in errors[0]
-    assert errors == errors[:1] * len(errors)
+    assert len(set(errors)) == 1
     assert not (tmp_path / "out").exists()
 
 
