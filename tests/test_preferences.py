@@ -258,6 +258,24 @@ class TestSocialUtility:
             social_utility((1.0, float("nan")), 0, params)
 
 
+def _social_cell_oracle(base, player: int, params: SocialPrefParams) -> float:
+    """One player's recomposed payoff in one cell, computed on its own."""
+    base = np.asarray(list(base), dtype=float)
+    own = base[player]
+    others = float(base.sum() - own)
+    envy = max(0.0, float(base.max()) - own)
+    if params.inequity_metric == "range":
+        inequity = float(base.max() - base.min())
+    else:
+        inequity = float(np.mean(np.abs(base - base.mean())))
+    return float(
+        params.selfish_weight * own
+        + params.altruism_weight * others
+        - params.inequity_weight * inequity
+        - params.envy_weight * envy
+    )
+
+
 class TestTransformGameSocial:
     def test_all_selfish_identity(self, pd_game):
         out = transform_game_social(
@@ -279,18 +297,36 @@ class TestTransformGameSocial:
             assert np.all(row == row[0])
 
     def test_altruism_cells_match_per_cell_oracle(self, asym_game):
-        params = [
-            SocialPrefParams(altruism_weight=1.0),
-            SocialPrefParams(altruism_weight=1.0),
-        ]
-        out = transform_game_social(asym_game, params)
-        for i in range(2):
-            for j in range(2):
-                base = [asym_game.payoff(0, (i, j)), asym_game.payoff(1, (i, j))]
-                for player in range(2):
-                    assert out.payoff(player, (i, j)) == pytest.approx(
-                        social_utility(base, player, params[player])
-                    )
+        # Every weight and both inequity metrics, on 1-3 player games with
+        # integer ties and -0.0 payoffs, and on an 8-player game, where NumPy
+        # sums a cell's payoffs pairwise rather than one by one.
+        rng = np.random.default_rng(11)
+        games = [asym_game, NormalFormGame((3,), rng.normal(size=(1, 3)))]
+        for counts in ((2, 3), (3, 2, 2), (2, 2, 3)):
+            shape = (len(counts),) + counts
+            games.append(NormalFormGame(counts, rng.normal(scale=4.0, size=shape)))
+            ties = rng.integers(-2, 3, size=shape).astype(float)
+            ties[ties == 0] = -0.0
+            games.append(NormalFormGame(counts, ties))
+        games.append(NormalFormGame((2,) * 8, rng.normal(size=(8,) + (2,) * 8)))
+        for game in games:
+            n = game.num_players
+            for metrics in (["range"] * n, ["mean_deviation"] * n,
+                            ["range", "mean_deviation"] * n):
+                params = [
+                    SocialPrefParams(*rng.uniform(0.0, 2.0, size=4),
+                                     inequity_metric=metric)
+                    for metric in metrics[:n]
+                ]
+                expected = np.empty_like(game.payoffs)
+                for cell in np.ndindex(*game.action_counts):
+                    base = game.payoffs[(slice(None),) + cell]
+                    for player in range(n):
+                        expected[(player,) + cell] = _social_cell_oracle(
+                            base, player, params[player]
+                        )
+                out = transform_game_social(game, params)
+                assert np.array_equal(out.payoffs, expected)
 
     def test_wrong_params_count(self, pd_game):
         with pytest.raises(ValueError):
