@@ -63,25 +63,6 @@ class FixedPointError(RuntimeError):
         self.residual = residual
 
 
-def logit_qbr(utilities: Sequence[float], precision: float) -> MixedStrategy:
-    """Logit choice over a utility vector.
-
-    Weight of action i is ``exp(precision * u_i)`` normalized over all
-    actions.  ``precision = 0`` returns the exact uniform distribution; large
-    precision concentrates on the argmax.  The maximum utility is subtracted
-    before exponentiation so large magnitudes cannot overflow.
-    """
-    u = np.asarray(list(utilities), dtype=float)
-    if u.size == 0:
-        raise ValueError("utilities must be nonempty")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("utilities must be finite")
-    lam = float(precision)
-    if not np.isfinite(lam) or lam < 0.0:
-        raise ValueError("precision must be a finite nonnegative real")
-    return MixedStrategy(_softmax(lam * u))
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Logit weights of ``z``, shifted by its maximum so they cannot overflow."""
     w = np.exp(z - z.max())

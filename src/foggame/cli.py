@@ -345,7 +345,7 @@ def run_fit(spec: ExperimentSpec) -> int:
     family = _family_from_model_block(spec.model)
     try:
         data = load_observations(spec.dataset)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"experiment.dataset: {exc}") from exc
     if len(data) == 0:
         raise ConfigError("experiment.dataset: empty dataset")
@@ -382,7 +382,7 @@ def run_predict(spec: ExperimentSpec) -> int:
     assert spec.model is not None and spec.game is not None
     try:
         game = load_game(spec.game)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"experiment.game: {exc}") from exc
     try:
         model = model_from_dict(spec.model)

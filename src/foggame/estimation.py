@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .behavior import (
     predict,
 )
 from .games import NormalFormGame
-from .schema import as_number, read
+from .schema import as_int, as_number, read
 
 PROB_FLOOR = 1e-12
 
@@ -108,8 +108,8 @@ def load_observations(path: str | Path) -> ObservationDataset:
                 observations.append(
                     Observation(
                         game=game,
-                        player=int(record["player"]),
-                        action=int(record["action"]),
+                        player=as_int(record["player"], "player"),
+                        action=as_int(record["action"], "action"),
                     )
                 )
             except (ValueError, KeyError, TypeError) as exc:

@@ -1,8 +1,9 @@
-"""Finite normal-form games: payoff tensors, beliefs, best responses, pure Nash.
+"""Finite normal-form games: payoff tensors, the expected-utility kernel, pure Nash.
 
 A game with N players is stored as one payoff tensor per player over the joint
-action space.  Beliefs are independent per-opponent mixed strategies; expected
-utility contracts the owner's payoff tensor against those marginals.
+action space.  A player's expected utilities contract their payoff tensor
+against independent mixed strategies of the others (:func:`_eu_vector`, the
+one contraction every choice model in :mod:`foggame.behavior` uses).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .schema import as_int
 
 # Actions whose expected utility is within TIE_TOL of the maximum count as
 # best responses; pure_nash applies the same slack to deviation checks.
@@ -70,31 +73,6 @@ class MixedStrategy:
             raise ValueError("mixing weight must lie in [0, 1]")
         merged = (1.0 - t) * self.as_array() + t * other.as_array()
         return MixedStrategy(tuple(merged))
-
-
-@dataclass(frozen=True)
-class Belief:
-    """One player's belief: an independent mixed strategy per opponent.
-
-    ``opponents`` is ordered by increasing opponent player index (the owner
-    skipped), so for a 3-player game belief of player 1 holds strategies for
-    players (0, 2) in that order.
-    """
-
-    owner: int
-    opponents: tuple[MixedStrategy, ...]
-
-    def __post_init__(self) -> None:
-        if self.owner < 0:
-            raise ValueError("owner must be a valid player index")
-        object.__setattr__(self, "opponents", tuple(self.opponents))
-
-    @classmethod
-    def from_profile(cls, profile: Sequence[MixedStrategy], owner: int) -> "Belief":
-        """Belief of ``owner`` when all players follow ``profile``."""
-        if not 0 <= owner < len(profile):
-            raise ValueError(f"owner {owner} out of range for {len(profile)} players")
-        return cls(owner, tuple(s for i, s in enumerate(profile) if i != owner))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +152,7 @@ class NormalFormGame:
     @classmethod
     def from_dict(cls, data: dict) -> "NormalFormGame":
         try:
-            counts = tuple(int(n) for n in data["action_counts"])
+            counts = tuple(as_int(n, "action_counts") for n in data["action_counts"])
             raw = data["payoffs"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed game record: {exc}") from exc
@@ -208,23 +186,6 @@ def _check_player(game: NormalFormGame, player: int) -> None:
         raise ValueError(f"player {player} out of range for {game.num_players} players")
 
 
-def _check_belief(game: NormalFormGame, player: int, belief: Belief) -> None:
-    if belief.owner != player:
-        raise ValueError(f"belief owned by player {belief.owner}, expected {player}")
-    opponents = [i for i in range(game.num_players) if i != player]
-    if len(belief.opponents) != len(opponents):
-        raise ValueError(
-            f"belief has {len(belief.opponents)} opponent strategies, "
-            f"expected {len(opponents)}"
-        )
-    for opp, strat in zip(opponents, belief.opponents):
-        if strat.num_actions != game.action_counts[opp]:
-            raise ValueError(
-                f"strategy for player {opp} has {strat.num_actions} actions, "
-                f"expected {game.action_counts[opp]}"
-            )
-
-
 def _eu_vector(
     payoffs: np.ndarray, player: int, arrays: Sequence[np.ndarray | None]
 ) -> np.ndarray:
@@ -239,31 +200,6 @@ def _eu_vector(
         if j != player:
             t = np.tensordot(t, arrays[j], axes=(j, 0))
     return t
-
-
-def _belief_eu(game: NormalFormGame, player: int, belief: Belief) -> np.ndarray:
-    """The kernel's expected-utility vector under a checked ``belief``."""
-    _check_belief(game, player, belief)
-    arrays: list[np.ndarray | None] = [s.as_array() for s in belief.opponents]
-    arrays.insert(player, None)
-    return _eu_vector(game.payoffs, player, arrays)
-
-
-def expected_utility(
-    game: NormalFormGame, player: int, action: int, belief: Belief
-) -> float:
-    """Expected payoff of ``action`` for ``player`` under independent beliefs."""
-    _check_player(game, player)
-    if not 0 <= action < game.action_counts[player]:
-        raise ValueError(f"action {action} out of range for player {player}")
-    return float(_belief_eu(game, player, belief)[action])
-
-
-def best_response_set(game: NormalFormGame, player: int, belief: Belief) -> list[int]:
-    """Actions within ``TIE_TOL`` of the maximal expected utility, ascending."""
-    _check_player(game, player)
-    values = _belief_eu(game, player, belief)
-    return np.flatnonzero(values >= values.max() - TIE_TOL).tolist()
 
 
 def pure_nash(game: NormalFormGame) -> list[tuple[int, ...]]:

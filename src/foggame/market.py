@@ -215,6 +215,8 @@ class _Market:
         return np.minimum(np.maximum(prices, self.floors), self.caps, out=out)
 
     def gradient_step(self, c_last, c_prev, rise) -> np.ndarray:
+        """Climb each node's finite-difference gain slope ``rise / delta_c``
+        (zero where the price did not move), projected onto [floor, cap]."""
         delta_c = c_last - c_prev
         moved = np.abs(delta_c) > 1e-12 * np.maximum(1.0, np.abs(c_last))
         slope = np.divide(rise, delta_c, out=np.zeros(delta_c.shape), where=moved)
@@ -251,40 +253,6 @@ def optimal_demand(scenario: FogScenario, prices: Sequence[float]) -> np.ndarray
     budget exactly.
     """
     return _Market(scenario).demand(_check_prices(scenario, prices))
-
-
-def price_update(
-    scenario: FogScenario,
-    history: Sequence[tuple[Sequence[float], Sequence[float]]],
-    rule: PriceRule = "gradient_ascent",
-) -> np.ndarray:
-    """Next price of every node from the (prices, observed demands) history.
-
-    ``history`` holds one entry per round so far, oldest first; only the
-    last two are read.  ``gradient_ascent`` climbs the finite-difference
-    slope of each node's gain between those two entries (a single entry
-    probes upward by ``step_size * price_floor``; a node whose price did
-    not move keeps it) and projects the result onto
-    ``[price_floor, price_cap]``.
-
-    ``foc_root`` solves each node's first-order condition under the
-    closed-form demand r(c) = B w / (c W), whose slope is r'(c) = -r/c.
-    The stationarity term r + kappa (c - f) r'(c) = r (1 - kappa (c - f) / c)
-    is at least r f / c > 0 for kappa in (0, 1], so the gain rises strictly
-    on ``[price_floor, price_cap]`` and the rule returns the caps.
-    """
-    if rule not in PRICE_RULES:
-        raise ValueError(f"unknown price rule {rule!r}")
-    if len(history) == 0:
-        raise ValueError("history must contain at least one (prices, demands) entry")
-    k = _Market(scenario)
-    if rule == "foc_root":
-        return k.caps.copy()
-    if len(history) == 1:
-        return k.project(_check_prices(scenario, history[-1][0]) + k.probe)
-    rise = fog_gain(scenario, *history[-1]) - fog_gain(scenario, *history[-2])
-    c_last = np.asarray(history[-1][0], dtype=float)
-    return k.gradient_step(c_last, np.asarray(history[-2][0], dtype=float), rise)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,6 +380,8 @@ def run_negotiation(
             break
 
         if not gradient:
+            # foc_root: under r(c) = B w / (c W) the gain's slope
+            # r (1 - kappa (c - f) / c) >= r f / c > 0, so the root is the cap
             intended = k.caps
         else:
             gain = k.gain(intended, r)

@@ -1,4 +1,8 @@
-"""Prospect-theory valuation and social-preference payoff recomposition."""
+"""Prospect-theory valuation and social-preference payoff recomposition.
+
+A lottery is valued term by term; a game's payoffs are recomposed for social
+preferences in one array computation over the whole payoff tensor.
+"""
 
 from __future__ import annotations
 
@@ -133,38 +137,13 @@ class SocialPrefParams:
             raise ValueError(f"unknown inequity metric {self.inequity_metric!r}")
 
 
-def _inequity(base: np.ndarray, metric: InequityMetric) -> float:
-    if metric == "range":
-        return float(base.max() - base.min())
-    return float(np.mean(np.abs(base - base.mean())))
-
-
-def social_utility(
-    base_payoffs: Sequence[float], player: int, params: SocialPrefParams
-) -> float:
-    """Recompose one payoff vector from ``player``'s social point of view."""
-    base = np.asarray(list(base_payoffs), dtype=float)
-    if base.size == 0:
-        raise ValueError("base_payoffs must be nonempty")
-    if not np.all(np.isfinite(base)):
-        raise ValueError("base payoffs must be finite")
-    if not 0 <= player < base.size:
-        raise ValueError(f"player {player} out of range for {base.size} payoffs")
-    own = base[player]
-    others = float(base.sum() - own)
-    envy = max(0.0, float(base.max()) - own)
-    return float(
-        params.selfish_weight * own
-        + params.altruism_weight * others
-        - params.inequity_weight * _inequity(base, params.inequity_metric)
-        - params.envy_weight * envy
-    )
-
-
 def transform_game_social(
     game: NormalFormGame, params_per_player: Sequence[SocialPrefParams]
 ) -> NormalFormGame:
-    """New game whose payoffs are each cell recomposed via social_utility.
+    """New game whose payoffs are recomposed cell by cell from each player's
+    social point of view: own payoff, altruism toward the others' total,
+    inequity (range or mean absolute deviation of the cell) and envy of the
+    cell's top payoff.
 
     All-selfish parameters (weight 1, everything else 0) reproduce the input
     game exactly.
@@ -174,10 +153,29 @@ def transform_game_social(
             f"need one SocialPrefParams per player "
             f"({game.num_players}), got {len(params_per_player)}"
         )
-    tensor = np.empty_like(game.payoffs)
-    flat_cells = np.ndindex(*game.action_counts)
-    for cell in flat_cells:
-        base = game.payoffs[(slice(None),) + cell]
-        for player, params in enumerate(params_per_player):
-            tensor[(player,) + cell] = social_utility(base, player, params)
-    return NormalFormGame(game.action_counts, tensor)
+    # (cells..., players), contiguous, so each cell reduces over its own
+    # payoff vector exactly as a 1-D array of that cell would.
+    base = np.ascontiguousarray(np.moveaxis(game.payoffs, 0, -1))
+    top = base.max(axis=-1, keepdims=True)
+    spread = {
+        "range": top - base.min(axis=-1, keepdims=True),
+        "mean_deviation": np.mean(
+            np.abs(base - base.mean(axis=-1, keepdims=True)), axis=-1, keepdims=True
+        ),
+    }
+    inequity = np.concatenate(
+        [spread[p.inequity_metric] for p in params_per_player], axis=-1
+    )
+    selfish, altruism, inequity_w, envy = np.array(
+        [
+            (p.selfish_weight, p.altruism_weight, p.inequity_weight, p.envy_weight)
+            for p in params_per_player
+        ]
+    ).T
+    tensor = (
+        selfish * base
+        + altruism * (base.sum(axis=-1, keepdims=True) - base)
+        - inequity_w * inequity
+        - envy * np.maximum(0.0, top - base)
+    )
+    return NormalFormGame(game.action_counts, np.moveaxis(tensor, -1, 0))

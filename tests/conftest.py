@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from foggame.behavior import LevelK
 from foggame.games import NormalFormGame
 
 
@@ -74,3 +75,11 @@ def dominant_3x2_game() -> NormalFormGame:
 def random_game(rng: np.random.Generator, counts=(2, 2), scale=5.0) -> NormalFormGame:
     payoffs = rng.uniform(-scale, scale, size=(len(counts), *counts))
     return NormalFormGame(action_counts=tuple(counts), payoffs=payoffs)
+
+
+def logit_choice(utilities, precision: float) -> tuple[float, ...]:
+    """Logit choice weights over ``utilities``: the level-1 qbr response of
+    the one player of a game with those payoffs."""
+    u = np.asarray(utilities, dtype=float)
+    model = LevelK(level_weights=(0.0, 1.0), response="qbr", precision=precision)
+    return model.predict(NormalFormGame((u.size,), u[None, :]), 0).weights

@@ -20,7 +20,6 @@ from foggame.behavior import (
     LevelK,
     LogitQBR,
     NoisyIntrospection,
-    logit_qbr,
     predict,
     qbr_equilibrium,
 )
@@ -48,7 +47,7 @@ from foggame.preferences import (
     transform_game_social,
 )
 
-from conftest import random_game
+from conftest import logit_choice, random_game
 
 SEEDS = tuple(range(100))
 
@@ -229,17 +228,17 @@ def test_efficiency_ordering_across_noise_treatments(
 
 def test_logit_choice_limit_behavior():
     for n in (2, 3, 6):
-        got = logit_qbr([float(i) for i in range(n)], 0.0)
-        assert got.weights == tuple([1.0 / n] * n)
+        got = logit_choice([float(i) for i in range(n)], 0.0)
+        assert got == tuple([1.0 / n] * n)
 
-    assert logit_qbr([1.0, 0.0], 50.0).weights[0] > 0.999999
+    assert logit_choice([1.0, 0.0], 50.0)[0] > 0.999999
 
     rng = np.random.default_rng(31)
     for _ in range(10):
         u = rng.normal(size=4)
-        base = logit_qbr(u, 2.0).weights
+        base = logit_choice(u, 2.0)
         for shift in (-500.0, -3.7, 0.9, 42.0, 500.0):
-            moved = logit_qbr(u + shift, 2.0).weights
+            moved = logit_choice(u + shift, 2.0)
             assert max(abs(a - b) for a, b in zip(base, moved)) < 1e-12
 
 

@@ -567,6 +567,20 @@ class TestFit:
         assert "model.params.num_levels" in capsys.readouterr().err
 
 
+    def test_non_integer_choice_rejected(self, tmp_path, pd_game, capsys):
+        record = {"game": pd_game.to_dict(), "player": True, "action": 1}
+        dataset = tmp_path / "bad.jsonl"
+        dataset.write_text(json.dumps(record) + "\n")
+        path = write_config(
+            tmp_path,
+            {
+                "model": {"model": "logit_qbr", "params": {}},
+                "experiment": {"mode": "fit", "dataset": str(dataset)},
+            },
+        )
+        assert main(["fit", path]) == 2
+        assert "experiment.dataset: malformed observation lines: 1" in capsys.readouterr().err
+
 class TestFitConfigValues:
     """A bad fit-mode value exits 2 and names its key before any fitting."""
 
@@ -654,6 +668,26 @@ def test_bad_model_param_named_alike_in_predict_and_fit(tmp_path, capsys, key):
     assert len(set(errors)) == 1
     assert not (tmp_path / "out").exists()
 
+
+@pytest.mark.parametrize("mode, key", [("predict", "game"), ("fit", "dataset")])
+def test_directory_as_input_path_exits_2(tmp_path, capsys, mode, key):
+    config = {
+        "model": {"model": "logit_qbr", "params": {"precision": 1.0} if mode == "predict" else {}},
+        "experiment": {"mode": mode, key: str(tmp_path)},
+    }
+    assert main([mode, write_config(tmp_path, config)]) == 2
+    assert f"error: experiment.{key}: " in capsys.readouterr().err
+
+
+def test_public_names_resolve():
+    import foggame
+
+    names = foggame.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(foggame, name)] == []
+    namespace: dict = {}
+    exec("from foggame import *", namespace)
+    assert set(names) <= set(namespace)
 
 def test_cli_import_leaves_scipy_unloaded():
     # SciPy is loaded only when the QRE solver polishes an iterate, so a
@@ -839,6 +873,20 @@ class TestPredict:
         )
         assert main(["predict", path]) == 2
         assert "lottery.weights" in capsys.readouterr().err
+
+    def test_non_integer_action_counts_rejected(self, tmp_path, capsys):
+        game = tmp_path / "game.json"
+        record = {"action_counts": [2.9, True], "payoffs": {"0": [1.0, 0.0], "1": [0.0, 1.0]}}
+        game.write_text(json.dumps(record))
+        path = write_config(
+            tmp_path,
+            {
+                "model": {"model": "best_response", "params": {}},
+                "experiment": {"mode": "predict", "game": str(game)},
+            },
+        )
+        assert main(["predict", path]) == 2
+        assert "experiment.game: action_counts: must be an integer" in capsys.readouterr().err
 
     def test_predict_needs_some_target(self, tmp_path):
         path = write_config(tmp_path, {"experiment": {"mode": "predict"}})

@@ -99,6 +99,20 @@ class TestObservationIO:
         assert "2" in message and "4" in message
 
 
+    @pytest.mark.parametrize("field, value", [("player", True), ("action", 1.7), ("action", "1")])
+    def test_non_integer_choice_reported(self, tmp_path, pd_game, field, value):
+        record = {"game": pd_game.to_dict(), "player": 0, "action": 1}
+        path = tmp_path / "obs.jsonl"
+        path.write_text(f"{json.dumps(record)}\n{json.dumps({**record, field: value})}\n")
+        with pytest.raises(ValueError, match=f"lines: 2 .*{field}: must be an integer"):
+            load_observations(path)
+
+    def test_integral_float_choice_accepted(self, tmp_path, pd_game):
+        path = tmp_path / "obs.jsonl"
+        path.write_text(json.dumps({"game": pd_game.to_dict(), "player": 1.0, "action": 0}))
+        [obs] = load_observations(path).observations
+        assert (obs.player, obs.action) == (1, 0)
+
 class TestLogLikelihood:
     def test_half_probability_single_observation(self, pennies_game):
         data = ObservationDataset((Observation(pennies_game, 0, 0),))

@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foggame.behavior import BestResponse, LevelK
 from foggame.games import (
     TIE_TOL,
-    Belief,
     MixedStrategy,
     NormalFormGame,
-    best_response_set,
-    expected_utility,
     load_game,
     pure_nash,
     save_game,
@@ -73,21 +71,15 @@ class TestMixedStrategy:
 
 
 class TestBelief:
-    def test_from_profile_skips_owner(self):
-        profile = [
-            MixedStrategy((1.0, 0.0)),
-            MixedStrategy((0.0, 1.0)),
-            MixedStrategy((0.5, 0.5)),
-        ]
-        b = Belief.from_profile(profile, owner=1)
-        assert b.owner == 1
-        assert b.opponents == (profile[0], profile[2])
+    """A player's belief is the whole profile with their own entry unread."""
 
-    def test_opponent_count_checked(self, pd_game):
-        with pytest.raises(ValueError):
-            expected_utility(
-                pd_game, 0, 0, Belief(owner=0, opponents=())
-            )
+    def test_from_profile_skips_owner(self):
+        game = random_game(np.random.default_rng(3), counts=(2, 3, 2))
+        profile = [np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.5, 0.5])]
+        expected = _eu_vector(game.payoffs, 1, profile)
+        for owner_entry in (None, np.full(5, np.nan)):
+            belief = [profile[0], owner_entry, profile[2]]
+            assert np.array_equal(_eu_vector(game.payoffs, 1, belief), expected)
 
 
 class TestNormalFormGame:
@@ -151,91 +143,82 @@ class TestNormalFormGame:
                 {"action_counts": [2, 2], "payoffs": {"0": [1, 2, 3]}}
             )
 
+    def test_from_dict_rejects_non_integer_counts(self):
+        payoffs = {"0": [0.0, 1.0], "1": [1.0, 0.0]}
+        for counts in ([2.9, True], [2.9, 1], [2, True], ["2", 1]):
+            with pytest.raises(ValueError, match="action_counts: must be an integer"):
+                NormalFormGame.from_dict({"action_counts": counts, "payoffs": payoffs})
+        game = NormalFormGame.from_dict({"action_counts": [2.0, 1], "payoffs": payoffs})
+        assert game.action_counts == (2, 1)
+
+
+def _best_response_set(game, player, profile=None) -> list[int]:
+    """Support of the exact best response to ``profile`` (uniform play if None)."""
+    if profile is None:
+        strategy = BestResponse().predict(game, player)
+    else:
+        level0 = tuple(MixedStrategy(tuple(w)) for w in profile)
+        strategy = LevelK(level_weights=(0.0, 1.0), level0=level0).predict(game, player)
+    return np.flatnonzero(strategy.as_array()).tolist()
+
 
 class TestExpectedUtility:
     def test_degenerate_belief_selects_column(self, pd_game):
-        belief = Belief(owner=0, opponents=(MixedStrategy((1.0, 0.0)),))
-        assert expected_utility(pd_game, 0, 1, belief) == 5.0
+        assert _eu_vector(pd_game.payoffs, 0, [None, np.array([1.0, 0.0])])[1] == 5.0
 
     def test_constant_payoff_expectation(self, tie_game):
-        belief = Belief(owner=1, opponents=(MixedStrategy.uniform(2),))
-        assert expected_utility(tie_game, 1, 0, belief) == pytest.approx(2.0)
+        eu = _eu_vector(tie_game.payoffs, 1, [np.full(2, 0.5), None])
+        assert eu[0] == pytest.approx(2.0)
 
     def test_brute_force_oracle_2x3(self):
         rng = np.random.default_rng(7)
         game = random_game(rng, counts=(2, 3))
-        belief = Belief(owner=0, opponents=(MixedStrategy.uniform(3),))
+        eu = _eu_vector(game.payoffs, 0, [None, np.full(3, 1.0 / 3.0)])
         for action in range(2):
             oracle = sum(
                 (1.0 / 3.0) * game.payoffs[0][action, j] for j in range(3)
             )
-            assert expected_utility(game, 0, action, belief) == pytest.approx(
-                oracle, abs=1e-12
-            )
+            assert eu[action] == pytest.approx(oracle, abs=1e-12)
 
     def test_brute_force_oracle_three_player(self):
         rng = np.random.default_rng(11)
         game = random_game(rng, counts=(2, 2, 2))
-        marginals = (MixedStrategy((0.3, 0.7)), MixedStrategy((0.6, 0.4)))
-        belief = Belief(owner=1, opponents=marginals)
+        marginals = (np.array([0.3, 0.7]), np.array([0.6, 0.4]))
+        eu = _eu_vector(game.payoffs, 1, [marginals[0], None, marginals[1]])
         for action in range(2):
             oracle = 0.0
             for a0 in range(2):
                 for a2 in range(2):
-                    p = marginals[0].weights[a0] * marginals[1].weights[a2]
+                    p = marginals[0][a0] * marginals[1][a2]
                     oracle += p * game.payoffs[1][a0, action, a2]
-            assert expected_utility(game, 1, action, belief) == pytest.approx(
-                oracle, abs=1e-12
-            )
+            assert eu[action] == pytest.approx(oracle, abs=1e-12)
 
     def test_linear_in_belief(self, asym_game):
-        b1 = Belief(owner=0, opponents=(MixedStrategy((1.0, 0.0)),))
-        b2 = Belief(owner=0, opponents=(MixedStrategy((0.0, 1.0)),))
+        e1 = _eu_vector(asym_game.payoffs, 0, [None, np.array([1.0, 0.0])])
+        e2 = _eu_vector(asym_game.payoffs, 0, [None, np.array([0.0, 1.0])])
         for t in (0.0, 0.25, 0.5, 1.0):
-            mixed = Belief(
-                owner=0,
-                opponents=(MixedStrategy((1.0 - t, t)),),
-            )
-            for action in range(2):
-                expect = (1 - t) * expected_utility(
-                    asym_game, 0, action, b1
-                ) + t * expected_utility(asym_game, 0, action, b2)
-                assert expected_utility(
-                    asym_game, 0, action, mixed
-                ) == pytest.approx(expect, abs=1e-12)
-
-    def test_action_out_of_range(self, pd_game):
-        belief = Belief(owner=0, opponents=(MixedStrategy.uniform(2),))
-        with pytest.raises(ValueError):
-            expected_utility(pd_game, 0, 2, belief)
-        with pytest.raises(ValueError):
-            expected_utility(pd_game, 5, 0, belief)
+            mixed = _eu_vector(asym_game.payoffs, 0, [None, np.array([1.0 - t, t])])
+            np.testing.assert_allclose(mixed, (1 - t) * e1 + t * e2, rtol=0.0, atol=1e-12)
 
 
 class TestBestResponseSet:
     def test_dominant_action_singleton(self, pd_game):
-        belief = Belief(owner=0, opponents=(MixedStrategy.uniform(2),))
-        assert best_response_set(pd_game, 0, belief) == [1]
+        assert _best_response_set(pd_game, 0) == [1]
 
     def test_total_tie_returns_all(self, tie_game):
-        belief = Belief(owner=0, opponents=(MixedStrategy.uniform(2),))
-        assert best_response_set(tie_game, 0, belief) == [0, 1]
+        assert _best_response_set(tie_game, 0) == [0, 1]
 
     def test_matches_argmax_oracle_random_3x3(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             game = random_game(rng, counts=(3, 3))
             weights = rng.dirichlet(np.ones(3))
-            belief = Belief(
-                owner=0, opponents=(MixedStrategy(tuple(weights)),)
-            )
-            eus = np.array(
-                [expected_utility(game, 0, a, belief) for a in range(3)]
-            )
+            eus = game.payoffs[0] @ weights
             oracle = [
                 a for a in range(3) if eus[a] >= eus.max() - TIE_TOL
             ]
-            assert best_response_set(game, 0, belief) == oracle
+            profile = [np.full(3, 1.0 / 3.0), weights]
+            assert _best_response_set(game, 0, profile) == oracle
 
     def test_near_tie_within_tolerance_included(self):
         eps = 1e-10  # inside TIE_TOL
@@ -243,8 +226,7 @@ class TestBestResponseSet:
             [[1.0, 1.0], [1.0 - eps, 1.0 - eps]],
             [[0.0, 0.0], [0.0, 0.0]],
         )
-        belief = Belief(owner=0, opponents=(MixedStrategy.uniform(2),))
-        assert best_response_set(game, 0, belief) == [0, 1]
+        assert _best_response_set(game, 0) == [0, 1]
 
     def test_shift_invariance(self, asym_game):
         shifted = NormalFormGame(
@@ -253,9 +235,9 @@ class TestBestResponseSet:
                 [asym_game.payoffs[0] + 100.0, asym_game.payoffs[1]]
             ),
         )
-        belief = Belief(owner=0, opponents=(MixedStrategy((0.4, 0.6)),))
-        assert best_response_set(shifted, 0, belief) == best_response_set(
-            asym_game, 0, belief
+        profile = [np.array([0.5, 0.5]), np.array([0.4, 0.6])]
+        assert _best_response_set(shifted, 0, profile) == _best_response_set(
+            asym_game, 0, profile
         )
 
     def test_positive_scaling_invariance(self, asym_game):
@@ -265,9 +247,9 @@ class TestBestResponseSet:
                 [asym_game.payoffs[0] * 3.5, asym_game.payoffs[1]]
             ),
         )
-        belief = Belief(owner=0, opponents=(MixedStrategy((0.4, 0.6)),))
-        assert best_response_set(scaled, 0, belief) == best_response_set(
-            asym_game, 0, belief
+        profile = [np.array([0.5, 0.5]), np.array([0.4, 0.6])]
+        assert _best_response_set(scaled, 0, profile) == _best_response_set(
+            asym_game, 0, profile
         )
 
 
@@ -410,12 +392,8 @@ def test_expected_utility_belief_linearity_property(data, t):
     w1 = rng.dirichlet(np.ones(2))
     w2 = rng.dirichlet(np.ones(2))
     mixed_w = (1 - t) * w1 + t * w2
-    b1 = Belief(owner=0, opponents=(MixedStrategy(tuple(w1)),))
-    b2 = Belief(owner=0, opponents=(MixedStrategy(tuple(w2)),))
-    bm = Belief(owner=0, opponents=(MixedStrategy(tuple(mixed_w)),))
-    for action in range(2):
-        left = expected_utility(game, 0, action, bm)
-        right = (1 - t) * expected_utility(game, 0, action, b1) + (
-            t
-        ) * expected_utility(game, 0, action, b2)
-        assert left == pytest.approx(right, abs=1e-9)
+    left = _eu_vector(game.payoffs, 0, [None, mixed_w])
+    right = (1 - t) * _eu_vector(game.payoffs, 0, [None, w1]) + t * _eu_vector(
+        game.payoffs, 0, [None, w2]
+    )
+    np.testing.assert_allclose(left, right, rtol=0.0, atol=1e-9)

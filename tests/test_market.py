@@ -18,11 +18,11 @@ from foggame.market import (
     fog_gain,
     instability_index,
     optimal_demand,
-    price_update,
     run_negotiation,
     user_utility,
     write_trace_csv,
 )
+from foggame.market import _Market
 
 
 def _one_node(**overrides) -> FogScenario:
@@ -325,14 +325,25 @@ class TestOptimalDemand:
             assert np.allclose(revenue, expected, atol=1e-12)
 
 
+def _next_prices(scn: FogScenario, history) -> np.ndarray:
+    """The negotiation's next prices after ``history``'s (prices, demands)
+    rows: a probe after one row, else a gradient step on the last two."""
+    k = _Market(scn)
+    rows = [(np.asarray(c, dtype=float), np.asarray(r, dtype=float)) for c, r in history]
+    if len(rows) == 1:
+        return k.project(rows[0][0] + k.probe)
+    (c_prev, r_prev), (c_last, r_last) = rows[-2:]
+    return k.gradient_step(c_last, c_prev, k.gain(c_last, r_last) - k.gain(c_prev, r_prev))
+
+
 class TestPriceUpdate:
     def test_foc_rule_lands_on_cap(self):
         # gain is strictly increasing in price under the closed-form demand,
         # so the first-order rule returns the cap; cross-check that boundary
         # against a dense grid argmax of the gain itself.
         for kappa in (0.1, 0.5, 1.0):
-            scn = _one_node(margin_factors=kappa)
-            got = price_update(scn, [([1.0], [10.0])], rule="foc_root")
+            scn = _one_node(margin_factors=kappa, max_rounds=3)
+            got = run_negotiation(scn, price_rule="foc_root").prices[1]
             assert got.tolist() == list(scn.price_caps)
             grid = np.linspace(scn.price_floors[0], scn.price_caps[0], 4001)
             gains = [
@@ -351,33 +362,33 @@ class TestPriceUpdate:
         scn = _one_node(step_size=8.0)
         # rising gain between the two entries -> positive slope at the cap
         history = [([18.0], [1.0]), ([20.0], [1.1])]
-        assert price_update(scn, history).tolist() == [20.0]
+        assert _next_prices(scn, history).tolist() == [20.0]
 
     def test_gradient_zero_slope_keeps_price(self):
         scn = _one_node(margin_factors=0.5)
         # equal gains at both entries: 0.5*(2-1)*2 == 0.5*(3-1)*1
         history = [([2.0], [2.0]), ([3.0], [1.0])]
-        assert price_update(scn, history).tolist() == [3.0]
+        assert _next_prices(scn, history).tolist() == [3.0]
 
     def test_unmoved_price_is_kept(self):
         scn = _one_node()
         history = [([4.0], [2.0]), ([4.0], [1.0])]
-        assert price_update(scn, history).tolist() == [4.0]
+        assert _next_prices(scn, history).tolist() == [4.0]
 
     def test_single_entry_probes_upward(self):
         scn = _one_node(step_size=2.0)
-        assert price_update(scn, [([1.0], [5.0])])[0] == pytest.approx(3.0)
+        assert _next_prices(scn, [([1.0], [5.0])])[0] == pytest.approx(3.0)
 
     def test_probe_respects_cap(self):
         scn = _one_node(step_size=100.0)
-        assert price_update(scn, [([1.0], [5.0])]).tolist() == [20.0]
+        assert _next_prices(scn, [([1.0], [5.0])]).tolist() == [20.0]
 
     def test_nodes_step_independently(self):
         # every node follows the one-node rule on its own (price, demand) pair
         scn = default_scenario()
         history = [([2.0, 1.0, 3.0, 0.9], [1.0, 2.0, 0.5, 4.0]),
                    ([2.5, 1.0, 2.0, 1.4], [0.9, 2.2, 0.8, 3.0])]
-        got = price_update(scn, history)
+        got = _next_prices(scn, history)
         for i in range(scn.num_nodes):
             node = FogScenario(
                 num_nodes=1,
@@ -388,17 +399,18 @@ class TestPriceUpdate:
                 step_size=scn.step_size,
             )
             alone = [([c[i]], [r[i]]) for c, r in history]
-            assert got[i] == price_update(node, alone)[0]
+            assert got[i] == _next_prices(node, alone)[0]
 
-    def test_empty_history_rejected(self):
-        scn = _one_node()
-        with pytest.raises(ValueError):
-            price_update(scn, [])
-
-    def test_unknown_rule_rejected(self):
-        scn = _one_node()
-        with pytest.raises(ValueError):
-            price_update(scn, [([1.0], [1.0])], rule="oracle")
+    def test_noise_free_trace_replays_price_steps(self):
+        # without noise or averaging each price row follows from the two
+        # before it (the second from the first by the upward probe)
+        scn = default_scenario(max_rounds=80, step_size=0.5)
+        trace = run_negotiation(scn, price_rule="gradient_ascent")
+        rows = list(zip(trace.prices, trace.demands))
+        assert len(rows) > 10
+        assert np.array_equal(trace.prices[1], _next_prices(scn, rows[:1]))
+        for t in range(2, len(rows)):
+            assert np.array_equal(trace.prices[t], _next_prices(scn, rows[t - 2 : t]))
 
 
 def _pinned_price_node(**overrides) -> FogScenario:

@@ -11,7 +11,6 @@ from foggame.preferences import (
     pt_evaluate,
     pt_value,
     pt_weight,
-    social_utility,
     transform_game_social,
 )
 
@@ -214,29 +213,34 @@ class TestSocialPrefParams:
             SocialPrefParams(inequity_metric="gini")
 
 
+def _one_cell(base, params) -> list[float]:
+    """Every player's recomposed payoff in a one-cell game with payoffs ``base``."""
+    game = NormalFormGame((1,) * len(base), np.reshape(base, (-1,) + (1,) * len(base)))
+    return transform_game_social(game, params).payoffs.ravel().tolist()
+
+
 class TestSocialUtility:
     def test_selfish_baseline(self):
         params = SocialPrefParams()
-        assert social_utility((2.0, 3.0), 0, params) == 2.0
-        assert social_utility((2.0, 3.0), 1, params) == 3.0
+        assert _one_cell((2.0, 3.0), [params, params]) == [2.0, 3.0]
 
     def test_equal_base_kills_inequity_and_envy(self):
         for metric in ("range", "mean_deviation"):
             params = SocialPrefParams(
                 inequity_weight=2.0, envy_weight=3.0, inequity_metric=metric
             )
-            assert social_utility((4.0, 4.0, 4.0), 1, params) == 4.0
+            assert _one_cell((4.0, 4.0, 4.0), [params] * 3) == [4.0] * 3
 
     def test_altruism_and_envy_arithmetic(self):
         altruistic = SocialPrefParams(altruism_weight=1.0)
-        assert social_utility((2.0, 3.0), 0, altruistic) == 5.0
+        assert _one_cell((2.0, 3.0), [altruistic] * 2) == [5.0, 5.0]
         envious = SocialPrefParams(altruism_weight=1.0, envy_weight=1.0)
-        assert social_utility((2.0, 3.0), 0, envious) == 4.0
+        assert _one_cell((2.0, 3.0), [envious] * 2) == [4.0, 5.0]
 
     def test_envy_only_upward(self):
         # the top player envies no one
         params = SocialPrefParams(envy_weight=5.0)
-        assert social_utility((2.0, 3.0), 1, params) == 3.0
+        assert _one_cell((2.0, 3.0), [params] * 2) == [2.0 - 5.0, 3.0]
 
     def test_inequity_metrics_differ(self):
         base = (0.0, 3.0, 6.0)
@@ -245,17 +249,8 @@ class TestSocialUtility:
             inequity_weight=1.0, inequity_metric="mean_deviation"
         )
         # range = 6; mean deviation = mean(|-3|, |0|, |3|) = 2
-        assert social_utility(base, 1, ranged) == 3.0 - 6.0
-        assert social_utility(base, 1, dev) == 3.0 - 2.0
-
-    def test_validation(self):
-        params = SocialPrefParams()
-        with pytest.raises(ValueError):
-            social_utility((), 0, params)
-        with pytest.raises(ValueError):
-            social_utility((1.0, 2.0), 2, params)
-        with pytest.raises(ValueError):
-            social_utility((1.0, float("nan")), 0, params)
+        assert _one_cell(base, [ranged] * 3) == [0.0 - 6.0, 3.0 - 6.0, 6.0 - 6.0]
+        assert _one_cell(base, [dev, ranged, dev]) == [0.0 - 2.0, 3.0 - 6.0, 6.0 - 2.0]
 
 
 def _social_cell_oracle(base, player: int, params: SocialPrefParams) -> float:
