@@ -1,13 +1,14 @@
 """Bounded-rational choice models over normal-form games.
 
-Every model maps ``(game, player)`` to a mixed strategy.  The family covers:
+Every model maps a game to a whole strategy profile (``predict_profile``),
+because each one solves or recurses over all players together; ``predict``
+picks one player's entry.  The family covers:
 
 * ``BestResponse`` — exact best response to uniform opponent play, ties
   broken uniformly.
 * ``EpsilonNash`` — play the first pure Nash profile's action with
   probability ``1 - epsilon``, spreading ``epsilon`` over the rest.
-* ``LogitQBR`` — the player's component of the logit quantal-response fixed
-  point for the whole game.
+* ``LogitQBR`` — the logit quantal-response fixed point of the whole game.
 * ``LevelK`` — iterated best/logit response seeded at a level-0 anchor,
   mixed across levels by an explicit weight vector.
 * ``CognitiveHierarchy`` — each level responds to a truncated, renormalized
@@ -19,8 +20,8 @@ Every model takes its expected utilities from the one contraction kernel in
 :mod:`foggame.games`.  Inside this module a strategy profile is a list of
 float arrays, one per player; inputs are validated where they enter (model
 constructors, a user-supplied ``level0``, the player index of ``predict``)
-and a :class:`~foggame.games.MixedStrategy` is built only where a prediction
-is returned.
+and :class:`~foggame.games.MixedStrategy` values are built only for the
+returned profile.
 
 All predictions are deterministic; sampling lives in :mod:`foggame.estimation`.
 """
@@ -124,10 +125,7 @@ def qbr_equilibrium(
     slices = _profile_slices(counts)
 
     def response(x: np.ndarray) -> np.ndarray:
-        arrays = [x[b] for b in slices]
-        return np.concatenate(
-            [_respond(game, p, arrays, "qbr", lam) for p in range(game.num_players)]
-        )
+        return np.concatenate(_respond_all(game, [x[b] for b in slices], "qbr", lam))
 
     def as_profile(x: np.ndarray) -> list[MixedStrategy]:
         return [MixedStrategy(x[b]) for b in slices]
@@ -202,20 +200,27 @@ def _level0_profile(game: NormalFormGame, level0: Level0) -> list[np.ndarray]:
     return [strat.as_array() for strat in level0]
 
 
-def _respond(
+def _respond_all(
     game: NormalFormGame,
-    player: int,
     profile: Sequence[np.ndarray],
     response: ResponseKind,
     precision: float | None,
-) -> np.ndarray:
-    """``player``'s response to ``profile``: uniform over the actions within
+) -> list[np.ndarray]:
+    """Every player's response to ``profile``: uniform over the actions within
     ``TIE_TOL`` of the best (exact_br), or logit weights at ``precision``."""
-    eu = _eu_vector(game.payoffs, player, profile)
-    if response == "exact_br":
-        support = eu >= eu.max() - TIE_TOL
-        return support / support.sum()
-    return _softmax(precision * eu)
+    out = []
+    for player in range(game.num_players):
+        eu = _eu_vector(game.payoffs, player, profile)
+        if response == "exact_br":
+            support = eu >= eu.max() - TIE_TOL
+            out.append(support / support.sum())
+        else:
+            out.append(_softmax(precision * eu))
+    return out
+
+
+def _strategies(arrays) -> tuple[MixedStrategy, ...]:
+    return tuple(MixedStrategy(a) for a in arrays)
 
 
 def _mix(weights: Sequence[float], strategies: Sequence[np.ndarray]) -> np.ndarray:
@@ -240,11 +245,8 @@ def _check_response(response: str, precision: float | None) -> None:
 class BestResponse:
     """Exact best response to uniform opponent play; ties broken uniformly."""
 
-    def predict(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        _check_player(game, player)
-        return MixedStrategy(
-            _respond(game, player, _uniform_profile(game), "exact_br", None)
-        )
+    def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
+        return _strategies(_respond_all(game, _uniform_profile(game), "exact_br", None))
 
 
 @dataclass(frozen=True)
@@ -266,20 +268,21 @@ class EpsilonNash:
         if self.no_nash_fallback not in ("error", "uniform"):
             raise ValueError(f"unknown fallback {self.no_nash_fallback!r}")
 
-    def predict(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        _check_player(game, player)
+    def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
         equilibria = pure_nash(game)
-        n = game.action_counts[player]
         if not equilibria:
             if self.no_nash_fallback == "uniform":
-                return MixedStrategy.uniform(n)
+                return tuple(MixedStrategy.uniform(n) for n in game.action_counts)
             raise NoEquilibriumError("game has no pure Nash equilibrium")
-        target = equilibria[0][player]
-        if n == 1:
-            return MixedStrategy.point_mass(0, 1)
-        w = [self.epsilon / (n - 1)] * n
-        w[target] = 1.0 - self.epsilon
-        return MixedStrategy(w)
+        profile = []
+        for target, n in zip(equilibria[0], game.action_counts):
+            if n == 1:
+                profile.append(MixedStrategy.point_mass(0, 1))
+                continue
+            w = [self.epsilon / (n - 1)] * n
+            w[target] = 1.0 - self.epsilon
+            profile.append(MixedStrategy(w))
+        return tuple(profile)
 
 
 @dataclass(frozen=True)
@@ -292,17 +295,16 @@ class LogitQBR:
         if not np.isfinite(self.precision) or self.precision < 0:
             raise ValueError("precision must be a finite nonnegative real")
 
-    def predict(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        _check_player(game, player)
-        return qbr_equilibrium(game, self.precision)[player]
+    def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
+        return tuple(qbr_equilibrium(game, self.precision))
 
 
 @dataclass(frozen=True)
 class LevelK:
     """Mixture over iterated-response levels.
 
-    ``level_weights[k]`` is the share of level-k reasoners; the prediction is
-    the weight-mixed strategy of the requested player across levels
+    ``level_weights[k]`` is the share of level-k reasoners; each player's
+    prediction is their weight-mixed strategy across levels
     ``0..len(level_weights) - 1``, where level k players respond to
     opponents playing their level k-1 strategies.
     """
@@ -325,17 +327,14 @@ class LevelK:
         if self.level0 is not None:
             object.__setattr__(self, "level0", tuple(self.level0))
 
-    def predict(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        _check_player(game, player)
+    def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
         levels = [_level0_profile(game, self.level0)]
         for _ in range(len(self.level_weights) - 1):
-            levels.append(
-                [
-                    _respond(game, p, levels[-1], self.response, self.precision)
-                    for p in range(game.num_players)
-                ]
-            )
-        return MixedStrategy(_mix(self.level_weights, [lv[player] for lv in levels]))
+            levels.append(_respond_all(game, levels[-1], self.response, self.precision))
+        return _strategies(
+            _mix(self.level_weights, [lv[p] for lv in levels])
+            for p in range(game.num_players)
+        )
 
 
 def _truncated_poisson(mean: float, count: int) -> np.ndarray:
@@ -351,9 +350,10 @@ class CognitiveHierarchy:
     """Poisson cognitive hierarchy.
 
     A level-k player responds to the mixture of levels ``0..k-1`` weighted by
-    a Poisson pmf truncated and renormalized over those levels.  ``predict``
-    returns the top-level agent's strategy; ``predict_population`` returns
-    the Poisson-weighted population mixture over all modeled levels.
+    a Poisson pmf truncated and renormalized over those levels.
+    ``predict_profile`` returns the top-level agents' strategies;
+    ``predict_population`` returns the Poisson-weighted population mixture
+    over all modeled levels.
     """
 
     poisson_mean: float
@@ -379,24 +379,19 @@ class CognitiveHierarchy:
             opponent_mix = [
                 _mix(share, [lv[p] for lv in levels]) for p in range(game.num_players)
             ]
-            levels.append(
-                [
-                    _respond(game, p, opponent_mix, self.response, self.precision)
-                    for p in range(game.num_players)
-                ]
-            )
+            levels.append(_respond_all(game, opponent_mix, self.response, self.precision))
         return levels
 
-    def predict(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        _check_player(game, player)
-        return MixedStrategy(self._levels(game)[self.max_level][player])
+    def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
+        return _strategies(self._levels(game)[self.max_level])
 
-    def predict_population(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        """Mixture of all levels 0..max_level under the truncated Poisson."""
-        _check_player(game, player)
+    def predict_population(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
+        """Each player's mixture of levels 0..max_level under the truncated Poisson."""
         levels = self._levels(game)
         pmf = _truncated_poisson(self.poisson_mean, self.max_level + 1)
-        return MixedStrategy(_mix(pmf, [lv[player] for lv in levels]))
+        return _strategies(
+            _mix(pmf, [lv[p] for lv in levels]) for p in range(game.num_players)
+        )
 
 
 @dataclass(frozen=True)
@@ -421,16 +416,11 @@ class NoisyIntrospection:
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
 
-    def predict(self, game: NormalFormGame, player: int) -> MixedStrategy:
-        _check_player(game, player)
+    def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
         profile = _uniform_profile(game)
         for depth in range(self.max_depth - 1, -1, -1):
-            lam = self.precision * self.decay**depth
-            profile = [
-                _respond(game, p, profile, "qbr", lam)
-                for p in range(game.num_players)
-            ]
-        return MixedStrategy(profile[player])
+            profile = _respond_all(game, profile, "qbr", self.precision * self.decay**depth)
+        return _strategies(profile)
 
 
 BehavioralModel = Union[
@@ -444,8 +434,10 @@ BehavioralModel = Union[
 
 
 def predict(model: BehavioralModel, game: NormalFormGame, player: int) -> MixedStrategy:
-    """Dispatch: the model's predicted mixed strategy for ``player``."""
-    return model.predict(game, player)
+    """``player``'s entry of the model's predicted profile; the player index
+    is checked before anything is solved."""
+    _check_player(game, player)
+    return model.predict_profile(game)[player]
 
 
 _MODEL_TAGS = {

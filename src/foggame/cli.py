@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, Sequence, get_args
 
-from .behavior import model_from_dict, predict
+from .behavior import _level0_profile, model_from_dict
 from .estimation import (
     ModelFamily,
     SearchOptions,
@@ -78,11 +78,6 @@ _FIT_FAMILIES = {
     "logit_qbr": qbr_family,
     "epsilon_nash": epsilon_nash_family,
     "level_k": level_k_family,
-}
-
-_DEFAULT_BOUNDS_BY_PARAM = {
-    "precision": (0.0, 10.0),
-    "epsilon": (0.0, 1.0),
 }
 
 _BLOCK = {"block": True}
@@ -277,20 +272,6 @@ def _family_from_model_block(model: dict) -> ModelFamily:
     return read(factory, model.get("params", {}), "model.params")
 
 
-def _default_bounds(family: ModelFamily) -> tuple[tuple[float, float], ...]:
-    bounds = []
-    for name in family.param_names:
-        if name in _DEFAULT_BOUNDS_BY_PARAM:
-            bounds.append(_DEFAULT_BOUNDS_BY_PARAM[name])
-        elif name.startswith("weight_"):
-            bounds.append((0.0, 1.0))
-        else:
-            raise ConfigError(
-                f"experiment.bounds: no default for parameter {name!r}; set bounds"
-            )
-    return tuple(bounds)
-
-
 def run_simulate(spec: ExperimentSpec) -> int:
     """Run every (noise, averaging, seed) cell; write traces + summary."""
     assert spec.scenario is not None
@@ -354,7 +335,7 @@ def run_fit(spec: ExperimentSpec) -> int:
             f"experiment.folds: {spec.folds} folds need at least "
             f"{spec.folds} observations, dataset has {len(data)}"
         )
-    bounds = spec.bounds if spec.bounds is not None else _default_bounds(family)
+    bounds = spec.bounds if spec.bounds is not None else family.bounds
     if len(bounds) != family.num_params:
         raise ConfigError(
             f"experiment.bounds: family {family.name!r} has "
@@ -396,10 +377,11 @@ def run_predict(spec: ExperimentSpec) -> int:
             game = transform_game_social(game, params)
         except ValueError as exc:
             raise ConfigError(f"social: {exc}") from exc
-    strategies = [
-        list(predict(model, game, player).weights)
-        for player in range(game.num_players)
-    ]
+    try:
+        _level0_profile(game, getattr(model, "level0", None))
+    except ValueError as exc:
+        raise ConfigError(f"model.params.level0: {exc}") from exc
+    strategies = [list(s.weights) for s in model.predict_profile(game)]
     sys.stdout.write(_json_text({"strategies": strategies}))
     return 0
 

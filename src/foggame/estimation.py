@@ -32,12 +32,15 @@ from .behavior import (
     NoNashFallback,
     ResponseKind,
     _check_response,
-    predict,
 )
-from .games import NormalFormGame
+from .games import MixedStrategy, NormalFormGame
 from .schema import as_int, as_number, read
 
 PROB_FLOOR = 1e-12
+
+# Default search ranges of the family parameters.
+_PRECISION_BOUNDS = (0.0, 10.0)
+_UNIT_BOUNDS = (0.0, 1.0)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -127,14 +130,17 @@ class ModelFamily:
     """A named, parameterized slice of model space.
 
     ``build`` maps a parameter vector to a behavioral model and raises
-    ``ValueError`` for invalid parameters.  ``simplex_groups`` lists index
-    groups (e.g. mixture weights) that are normalized to sum to one inside
-    ``build``, which makes the likelihood scale-invariant within each group.
+    ``ValueError`` for invalid parameters.  ``bounds`` is the default search
+    box, one ``(low, high)`` pair per parameter.  ``simplex_groups`` lists
+    index groups (e.g. mixture weights) that are normalized to sum to one
+    inside ``build``, which makes the likelihood scale-invariant within each
+    group.
     """
 
     name: str
     param_names: tuple[str, ...]
     build: Callable[[tuple[float, ...]], object]
+    bounds: tuple[tuple[float, float], ...]
     simplex_groups: tuple[tuple[int, ...], ...] = ()
 
     @property
@@ -148,7 +154,7 @@ def qbr_family() -> ModelFamily:
     def build(theta: tuple[float, ...]) -> LogitQBR:
         return LogitQBR(precision=theta[0])
 
-    return ModelFamily(name="logit_qbr", param_names=("precision",), build=build)
+    return ModelFamily("logit_qbr", ("precision",), build, bounds=(_PRECISION_BOUNDS,))
 
 
 def epsilon_nash_family(no_nash_fallback: NoNashFallback = "uniform") -> ModelFamily:
@@ -162,7 +168,7 @@ def epsilon_nash_family(no_nash_fallback: NoNashFallback = "uniform") -> ModelFa
     def build(theta: tuple[float, ...]) -> EpsilonNash:
         return EpsilonNash(epsilon=theta[0], no_nash_fallback=no_nash_fallback)
 
-    return ModelFamily(name="epsilon_nash", param_names=("epsilon",), build=build)
+    return ModelFamily("epsilon_nash", ("epsilon",), build, bounds=(_UNIT_BOUNDS,))
 
 
 def level_k_family(
@@ -182,8 +188,10 @@ def level_k_family(
     if not fit_precision:
         _check_response(response, precision)
     names = tuple(f"weight_{k}" for k in range(num_levels))
+    bounds = (_UNIT_BOUNDS,) * num_levels
     if fit_precision:
         names = names + ("precision",)
+        bounds = bounds + (_PRECISION_BOUNDS,)
 
     def build(theta: tuple[float, ...]) -> LevelK:
         weights = np.asarray(theta[:num_levels], dtype=float)
@@ -203,6 +211,7 @@ def level_k_family(
         name=f"level_k_{num_levels}",
         param_names=names,
         build=build,
+        bounds=bounds,
         simplex_groups=(tuple(range(num_levels)),),
     )
 
@@ -215,18 +224,16 @@ def log_likelihood(
     """Sum of log predicted probabilities of the chosen actions.
 
     Probabilities are floored at ``PROB_FLOOR``, so the result is always
-    finite.  Predictions are computed once per distinct (game, player) pair.
+    finite.  Each distinct game's profile is predicted once.
     """
     model = family.build(tuple(float(x) for x in theta))
-    cache: dict[tuple[NormalFormGame, int], tuple[float, ...]] = {}
+    cache: dict[NormalFormGame, tuple[MixedStrategy, ...]] = {}
     total = 0.0
     for obs in data:
-        key = (obs.game, obs.player)
-        weights = cache.get(key)
-        if weights is None:
-            weights = predict(model, obs.game, obs.player).weights
-            cache[key] = weights
-        total += math.log(max(weights[obs.action], PROB_FLOOR))
+        profile = cache.get(obs.game)
+        if profile is None:
+            profile = cache[obs.game] = model.predict_profile(obs.game)
+        total += math.log(max(profile[obs.player].weights[obs.action], PROB_FLOOR))
     return total
 
 
@@ -475,16 +482,15 @@ def sample_observations(
     if num_observations < 1:
         raise ValueError("num_observations must be >= 1")
     rng = np.random.default_rng(seed)
-    cache: dict[tuple[NormalFormGame, int], np.ndarray] = {}
+    cache: dict[NormalFormGame, list[np.ndarray]] = {}
     observations = []
     for i in range(num_observations):
         game = games[i % len(games)]
         player = int(rng.integers(game.num_players))
-        key = (game, player)
-        probs = cache.get(key)
-        if probs is None:
-            probs = np.asarray(predict(model, game, player).weights)
-            cache[key] = probs
+        profile = cache.get(game)
+        if profile is None:
+            profile = cache[game] = [s.as_array() for s in model.predict_profile(game)]
+        probs = profile[player]
         action = int(rng.choice(len(probs), p=probs))
         observations.append(Observation(game=game, player=player, action=action))
     return ObservationDataset(tuple(observations))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .schema import as_int
+from .schema import as_int, as_number, as_object
 
 # Actions whose expected utility is within TIE_TOL of the maximum count as
 # best responses; pure_nash applies the same slack to deviation checks.
@@ -151,25 +151,36 @@ class NormalFormGame:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NormalFormGame":
+        """Inverse of :meth:`to_dict`; ``payoffs`` needs exactly the keys
+        ``"0"``…``"N-1"``, each a list of numbers.  Raises ``ValueError``."""
         try:
             counts = tuple(as_int(n, "action_counts") for n in data["action_counts"])
-            raw = data["payoffs"]
+            raw = as_object(data["payoffs"], "payoffs")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed game record: {exc}") from exc
         if not counts:
             raise ValueError("game needs at least one player")
+        keys = [str(p) for p in range(len(counts))]
+        unknown = [k for k in raw if k not in keys]
+        if unknown:
+            raise ValueError(f"payoffs: unknown player key {unknown[0]!r}")
         tensors = []
-        for p in range(len(counts)):
-            key = str(p)
+        size = int(np.prod(counts))
+        for p, key in enumerate(keys):
             if key not in raw:
                 raise ValueError(f"missing payoffs for player {p}")
-            flat = np.asarray(raw[key], dtype=float)
-            size = int(np.prod(counts))
-            if flat.size != size:
+            entry = raw[key]
+            if not isinstance(entry, list):
+                raise ValueError(f"payoffs.{key}: must be a list, got {entry!r}")
+            for x in entry:
+                # Plain JSON numbers pass at once; as_number judges the rest.
+                if type(x) not in (float, int):
+                    as_number(x, f"payoffs.{key}")
+            if len(entry) != size:
                 raise ValueError(
-                    f"player {p} has {flat.size} payoff entries, expected {size}"
+                    f"player {p} has {len(entry)} payoff entries, expected {size}"
                 )
-            tensors.append(flat.reshape(counts, order="C"))
+            tensors.append(np.asarray(entry, dtype=float).reshape(counts, order="C"))
         return cls(counts, np.stack(tensors))
 
 

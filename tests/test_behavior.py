@@ -371,7 +371,7 @@ class TestCognitiveHierarchy:
         )
         lv2 = _br_oracle(u0, belief1)
         oracle = w[0] * lv0 + w[1] * lv1 + w[2] * lv2
-        got = ch.predict_population(asym_game, 0).weights
+        got = ch.predict_population(asym_game)[0].weights
         assert np.allclose(got, oracle, atol=1e-10)
 
     def test_validation(self):
@@ -489,3 +489,47 @@ class TestSerialization:
                     out = predict(model, game, player)
                     assert all(w >= 0 for w in out.weights)
                     assert sum(out.weights) == pytest.approx(1.0, abs=1e-9)
+
+
+SIX_MODELS = [
+    BestResponse(),
+    EpsilonNash(epsilon=0.2),
+    LogitQBR(precision=1.5),
+    LevelK(level_weights=(0.25, 0.5, 0.25), response="qbr", precision=1.0),
+    CognitiveHierarchy(poisson_mean=1.5, max_level=2),
+    NoisyIntrospection(precision=3.0, decay=0.5, max_depth=3),
+]
+
+
+class TestPredictProfile:
+    @pytest.mark.parametrize("model", SIX_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("player", [-1, 2])
+    def test_player_checked_before_any_solve(self, model, player, asym_game, monkeypatch):
+        def solve(self, game):
+            raise AssertionError("the profile was computed before the player check")
+
+        monkeypatch.setattr(type(model), "predict_profile", solve)
+        with pytest.raises(ValueError, match=f"player {player} out of range for 2 players"):
+            predict(model, asym_game, player)
+
+    @pytest.mark.parametrize("player", [-1, 2])
+    def test_no_nash_game_reports_the_player(self, pennies_game, player):
+        with pytest.raises(ValueError, match=f"player {player} out of range for 2 players"):
+            predict(EpsilonNash(epsilon=0.1), pennies_game, player)
+
+    @pytest.mark.parametrize("model", SIX_MODELS, ids=lambda m: type(m).__name__)
+    def test_predict_is_the_profile_entry(self, model):
+        game = random_game(np.random.default_rng(11), counts=(2, 3, 2))
+        if isinstance(model, EpsilonNash):
+            model = EpsilonNash(epsilon=0.2, no_nash_fallback="uniform")
+        profile = model.predict_profile(game)
+        assert isinstance(profile, tuple)
+        assert [s.num_actions for s in profile] == [2, 3, 2]
+        for player in range(3):
+            assert predict(model, game, player) == profile[player]
+
+    def test_population_profile_is_per_player(self, asym_game):
+        ch = CognitiveHierarchy(poisson_mean=1.2, max_level=2)
+        population = ch.predict_population(asym_game)
+        assert len(population) == 2
+        assert all(isinstance(s, MixedStrategy) for s in population)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import foggame.cli as cli
+from foggame import behavior
 from foggame.behavior import EpsilonNash, LevelK, model_to_dict, predict
 from foggame.cli import (
     OUT_DIR_ENV,
@@ -28,8 +29,21 @@ from foggame.preferences import (
     transform_game_social,
 )
 
+from conftest import random_game
 
 REPO = Path(__file__).resolve().parent.parent
+
+# Game records whose payoffs are not a list of numbers per player "0".."N-1".
+_GOOD_ROW = [1.0, 0.0, 0.0, 1.0]
+BAD_PAYOFFS = [
+    5,
+    {"0": {"a": 1.0}, "1": _GOOD_ROW},
+    {"0": [{}, 0.0, 0.0, 1.0], "1": _GOOD_ROW},
+    {"0": [True, 0.0, 0.0, 1.0], "1": _GOOD_ROW},
+    {"0": _GOOD_ROW, "1": ["1.5", 0.0, 0.0, 1.0]},
+    {"0": _GOOD_ROW, "1": _GOOD_ROW, "7": _GOOD_ROW},
+]
+BAD_PAYOFF_IDS = ["non-object", "object-entry", "object-payoff", "bool", "string", "extra-key"]
 
 # Configs whose resolved form must parse back to the same spec: the shipped
 # ones plus one of each optional block and every fit option.
@@ -581,6 +595,23 @@ class TestFit:
         assert main(["fit", path]) == 2
         assert "experiment.dataset: malformed observation lines: 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payoffs", BAD_PAYOFFS, ids=BAD_PAYOFF_IDS)
+    def test_malformed_payoffs_reported_as_line(self, tmp_path, pd_game, capsys, payoffs):
+        good = {"game": pd_game.to_dict(), "player": 0, "action": 1}
+        bad = {"game": {"action_counts": [2, 2], "payoffs": payoffs}, "player": 0, "action": 1}
+        dataset = tmp_path / "bad.jsonl"
+        dataset.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        path = write_config(
+            tmp_path,
+            {
+                "model": {"model": "logit_qbr", "params": {}},
+                "experiment": {"mode": "fit", "dataset": str(dataset)},
+            },
+        )
+        assert main(["fit", path]) == 2
+        assert "experiment.dataset: malformed observation lines: 2 " in capsys.readouterr().err
+
+
 class TestFitConfigValues:
     """A bad fit-mode value exits 2 and names its key before any fitting."""
 
@@ -887,6 +918,69 @@ class TestPredict:
         )
         assert main(["predict", path]) == 2
         assert "experiment.game: action_counts: must be an integer" in capsys.readouterr().err
+
+    def test_logit_qbr_three_player_game_solves_once(self, tmp_path, monkeypatch, capsys):
+        game = random_game(np.random.default_rng(3), counts=(2, 3, 2))
+        solved = []
+        real = behavior.qbr_equilibrium
+
+        def counting(game, precision, *args, **kwargs):
+            solved.append(game)
+            return real(game, precision, *args, **kwargs)
+
+        monkeypatch.setattr(behavior, "qbr_equilibrium", counting)
+        path = write_config(
+            tmp_path,
+            {
+                "model": {"model": "logit_qbr", "params": {"precision": 1.5}},
+                "experiment": {"mode": "predict", "game": self._game_file(tmp_path, game)},
+            },
+        )
+        assert main(["predict", path]) == 0
+        assert solved == [game]
+        out = json.loads(capsys.readouterr().out)
+        assert out["strategies"] == [list(s.weights) for s in real(game, 1.5)]
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"model": "level_k",
+             "params": {"level_weights": [0.5, 0.5], "level0": [[0.5, 0.5], [0.2, 0.3, 0.5]]}},
+            {"model": "cognitive_hierarchy",
+             "params": {"poisson_mean": 1.5, "max_level": 2, "level0": [[0.5, 0.5]]}},
+        ],
+        ids=["level_k-wrong-length", "cognitive_hierarchy-one-strategy"],
+    )
+    def test_level0_that_does_not_fit_the_game_exits_2(self, tmp_path, capsys, model):
+        config = {"model": model,
+                  "experiment": {"mode": "predict", "game": str(REPO / "data" / "example_game.json")}}
+        assert main(["predict", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err.startswith("error: model.params.level0: ")
+
+    def test_no_pure_nash_still_exits_3(self, tmp_path, pennies_game, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "model": {"model": "epsilon_nash", "params": {"epsilon": 0.1}},
+                "experiment": {"mode": "predict", "game": self._game_file(tmp_path, pennies_game)},
+            },
+        )
+        assert main(["predict", path]) == 3
+        assert "runtime error: game has no pure Nash equilibrium" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payoffs", BAD_PAYOFFS, ids=BAD_PAYOFF_IDS)
+    def test_malformed_payoffs_exit_2(self, tmp_path, capsys, payoffs):
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({"action_counts": [2, 2], "payoffs": payoffs}))
+        path = write_config(
+            tmp_path,
+            {
+                "model": {"model": "best_response", "params": {}},
+                "experiment": {"mode": "predict", "game": str(game)},
+            },
+        )
+        assert main(["predict", path]) == 2
+        assert "error: experiment.game: " in capsys.readouterr().err
 
     def test_predict_needs_some_target(self, tmp_path):
         path = write_config(tmp_path, {"experiment": {"mode": "predict"}})

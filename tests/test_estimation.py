@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from foggame import behavior
 from foggame.behavior import EpsilonNash, LevelK, LogitQBR, predict
 from foggame.estimation import (
     PROB_FLOOR,
@@ -26,6 +28,8 @@ from foggame.estimation import (
 )
 
 from conftest import random_game
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestObservation:
@@ -174,6 +178,25 @@ class TestLogLikelihood:
         data = ObservationDataset(tuple(observations))
         assert log_likelihood(family, (2.0,), data) <= 0.0
 
+    def test_one_qbr_solve_per_game(self, monkeypatch):
+        data = load_observations(REPO / "data" / "qbr_lambda2.jsonl")
+        games = {obs.game for obs in data}
+        assert {(obs.game, obs.player) for obs in data} == {
+            (game, player) for game in games for player in (0, 1)
+        }
+        solved = []
+        real = behavior.qbr_equilibrium
+
+        def counting(game, precision, *args, **kwargs):
+            solved.append(game)
+            return real(game, precision, *args, **kwargs)
+
+        monkeypatch.setattr(behavior, "qbr_equilibrium", counting)
+        for theta in (0.5, 2.0):
+            solved.clear()
+            log_likelihood(qbr_family(), (theta,), data)
+            assert len(solved) == len(games) == 20
+
     def test_invalid_theta_raises(self, pd_game):
         data = ObservationDataset((Observation(pd_game, 0, 0),))
         with pytest.raises(ValueError):
@@ -219,6 +242,14 @@ class TestFamilies:
     def test_bad_num_levels(self):
         with pytest.raises(ValueError):
             level_k_family(0)
+
+    def test_families_state_their_default_box(self):
+        unit, precision = (0.0, 1.0), (0.0, 10.0)
+        assert qbr_family().bounds == (precision,)
+        assert epsilon_nash_family().bounds == (unit,)
+        assert level_k_family(3).bounds == (unit, unit, unit)
+        assert level_k_family(2, response="qbr").bounds == (unit, unit, precision)
+        assert level_k_family(2, response="qbr", precision=1.5).bounds == (unit, unit)
 
 
 class TestFitMle:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foggame.behavior import BestResponse, LevelK
+from foggame.behavior import BestResponse, LevelK, predict
 from foggame.games import (
     TIE_TOL,
     MixedStrategy,
@@ -151,14 +151,32 @@ class TestNormalFormGame:
         game = NormalFormGame.from_dict({"action_counts": [2.0, 1], "payoffs": payoffs})
         assert game.action_counts == (2, 1)
 
+    @pytest.mark.parametrize(
+        "payoffs, message",
+        [
+            (5, "payoffs: must be a JSON object"),
+            ({"0": {"a": 1.0}, "1": [1.0, 0.0]}, "payoffs.0: must be a list"),
+            ({"0": [{}, 1.0], "1": [1.0, 0.0]}, "payoffs.0: must be a number"),
+            ({"0": [True, 1.0], "1": [1.0, 0.0]}, "payoffs.0: must be a number"),
+            ({"0": [0.0, 1.0], "1": ["1.5", 0.0]}, "payoffs.1: must be a number"),
+            ({"0": [0.0, 1.0], "1": [1.0, 0.0], "7": [1.0, 1.0]},
+             "payoffs: unknown player key '7'"),
+        ],
+        ids=["non-object", "object-entry", "object-payoff", "bool", "string", "extra-key"],
+    )
+    def test_from_dict_reads_payoffs_strictly(self, payoffs, message):
+        with pytest.raises(ValueError, match=message):
+            NormalFormGame.from_dict({"action_counts": [2, 1], "payoffs": payoffs})
+
 
 def _best_response_set(game, player, profile=None) -> list[int]:
     """Support of the exact best response to ``profile`` (uniform play if None)."""
     if profile is None:
-        strategy = BestResponse().predict(game, player)
+        strategy = predict(BestResponse(), game, player)
     else:
         level0 = tuple(MixedStrategy(tuple(w)) for w in profile)
-        strategy = LevelK(level_weights=(0.0, 1.0), level0=level0).predict(game, player)
+        model = LevelK(level_weights=(0.0, 1.0), level0=level0)
+        strategy = predict(model, game, player)
     return np.flatnonzero(strategy.as_array()).tolist()
 
 
