@@ -44,7 +44,7 @@ from .games import (
     _eu_vector,
     pure_nash,
 )
-from .schema import read
+from .schema import as_int, read
 
 
 class NoEquilibriumError(ValueError):
@@ -272,7 +272,7 @@ class EpsilonNash:
         equilibria = pure_nash(game)
         if not equilibria:
             if self.no_nash_fallback == "uniform":
-                return tuple(MixedStrategy.uniform(n) for n in game.action_counts)
+                return _strategies(_uniform_profile(game))
             raise NoEquilibriumError("game has no pure Nash equilibrium")
         profile = []
         for target, n in zip(equilibria[0], game.action_counts):
@@ -347,13 +347,10 @@ def _truncated_poisson(mean: float, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CognitiveHierarchy:
-    """Poisson cognitive hierarchy.
+    """Poisson cognitive hierarchy, predicting the level-``max_level`` players.
 
     A level-k player responds to the mixture of levels ``0..k-1`` weighted by
     a Poisson pmf truncated and renormalized over those levels.
-    ``predict_profile`` returns the top-level agents' strategies;
-    ``predict_population`` returns the Poisson-weighted population mixture
-    over all modeled levels.
     """
 
     poisson_mean: float
@@ -365,13 +362,14 @@ class CognitiveHierarchy:
     def __post_init__(self) -> None:
         if not np.isfinite(self.poisson_mean) or self.poisson_mean <= 0:
             raise ValueError("poisson_mean must be positive")
+        object.__setattr__(self, "max_level", as_int(self.max_level, "max_level"))
         if self.max_level < 1:
             raise ValueError("max_level must be >= 1")
         _check_response(self.response, self.precision)
         if self.level0 is not None:
             object.__setattr__(self, "level0", tuple(self.level0))
 
-    def _levels(self, game: NormalFormGame) -> list[list[np.ndarray]]:
+    def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
         levels = [_level0_profile(game, self.level0)]
         pmf = _truncated_poisson(self.poisson_mean, self.max_level + 1)
         for k in range(1, self.max_level + 1):
@@ -380,18 +378,7 @@ class CognitiveHierarchy:
                 _mix(share, [lv[p] for lv in levels]) for p in range(game.num_players)
             ]
             levels.append(_respond_all(game, opponent_mix, self.response, self.precision))
-        return levels
-
-    def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
-        return _strategies(self._levels(game)[self.max_level])
-
-    def predict_population(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
-        """Each player's mixture of levels 0..max_level under the truncated Poisson."""
-        levels = self._levels(game)
-        pmf = _truncated_poisson(self.poisson_mean, self.max_level + 1)
-        return _strategies(
-            _mix(pmf, [lv[p] for lv in levels]) for p in range(game.num_players)
-        )
+        return _strategies(levels[-1])
 
 
 @dataclass(frozen=True)
@@ -413,6 +400,7 @@ class NoisyIntrospection:
             raise ValueError("precision must be a finite nonnegative real")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie strictly inside (0, 1)")
+        object.__setattr__(self, "max_depth", as_int(self.max_depth, "max_depth"))
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
 

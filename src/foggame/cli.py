@@ -311,8 +311,8 @@ def run_simulate(spec: ExperimentSpec) -> int:
     failures = len(manifest_cells) - len(traces)
 
     if traces:
-        summary = compute_metrics(traces)
-        _atomic_write_text(out / "summary.json", _json_text(summary.to_dict()))
+        summary = {"configs": _as_json(compute_metrics(traces))}
+        _atomic_write_text(out / "summary.json", _json_text(summary))
     _atomic_write_text(
         out / "manifest.json",
         _json_text({"cells": manifest_cells, "num_failed": failures}),

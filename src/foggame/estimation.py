@@ -27,6 +27,7 @@ import numpy as np
 
 from .behavior import (
     EpsilonNash,
+    FixedPointError,
     LevelK,
     LogitQBR,
     NoNashFallback,
@@ -54,6 +55,8 @@ class Observation:
     action: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "player", as_int(self.player, "player"))
+        object.__setattr__(self, "action", as_int(self.action, "action"))
         if not 0 <= self.player < self.game.num_players:
             raise ValueError(f"player {self.player} out of range")
         if not 0 <= self.action < self.game.action_counts[self.player]:
@@ -108,13 +111,7 @@ def load_observations(path: str | Path) -> ObservationDataset:
             try:
                 record = json.loads(text)
                 game = NormalFormGame.from_dict(record["game"])
-                observations.append(
-                    Observation(
-                        game=game,
-                        player=as_int(record["player"], "player"),
-                        action=as_int(record["action"], "action"),
-                    )
-                )
+                observations.append(Observation(game, record["player"], record["action"]))
             except (ValueError, KeyError, TypeError) as exc:
                 bad.append((line_number, str(exc)))
     if bad:
@@ -224,15 +221,24 @@ def log_likelihood(
     """Sum of log predicted probabilities of the chosen actions.
 
     Probabilities are floored at ``PROB_FLOOR``, so the result is always
-    finite.  Each distinct game's profile is predicted once.
+    finite.  Each distinct game's profile is predicted once.  A
+    :class:`FixedPointError` is re-raised naming ``theta`` and the index in
+    ``data`` of the failing game's first observation.
     """
-    model = family.build(tuple(float(x) for x in theta))
+    theta = tuple(float(x) for x in theta)
+    model = family.build(theta)
     cache: dict[NormalFormGame, tuple[MixedStrategy, ...]] = {}
     total = 0.0
-    for obs in data:
+    for index, obs in enumerate(data):
         profile = cache.get(obs.game)
         if profile is None:
-            profile = cache[obs.game] = model.predict_profile(obs.game)
+            try:
+                profile = cache[obs.game] = model.predict_profile(obs.game)
+            except FixedPointError as exc:
+                at = ", ".join(f"{n}={x!r}" for n, x in zip(family.param_names, theta))
+                raise FixedPointError(
+                    f"{exc} at {at}, game of observation {index}", exc.profile, exc.residual
+                ) from exc
         total += math.log(max(profile[obs.player].weights[obs.action], PROB_FLOOR))
     return total
 
@@ -426,33 +432,6 @@ def fold_indices(
     return np.array_split(order, k)
 
 
-def cross_validate_details(
-    family: ModelFamily,
-    data: ObservationDataset,
-    k: int,
-    bounds: Sequence[tuple[float, float]],
-    search: Mapping | None = None,
-    seed: int = 0,
-) -> tuple[float, tuple[float, ...]]:
-    """K-fold CV; returns (mean per-observation held-out ll, per-fold sums).
-
-    Folds come from a seeded shuffle, so the same seed reproduces the same
-    assignment and score exactly.  The mean weights every observation
-    equally (total held-out log-likelihood over the dataset size).
-    """
-    folds = fold_indices(len(data), k, seed)
-    all_indices = set(range(len(data)))
-    fold_scores = []
-    for fold in folds:
-        held_out = set(int(i) for i in fold)
-        train = data.subset(sorted(all_indices - held_out))
-        test = data.subset(sorted(held_out))
-        fitted = fit_mle(family, train, bounds, search)
-        fold_scores.append(log_likelihood(family, fitted.params, test))
-    mean_score = sum(fold_scores) / len(data)
-    return mean_score, tuple(fold_scores)
-
-
 def cross_validate(
     family: ModelFamily,
     data: ObservationDataset,
@@ -461,8 +440,20 @@ def cross_validate(
     search: Mapping | None = None,
     seed: int = 0,
 ) -> float:
-    mean_score, _ = cross_validate_details(family, data, k, bounds, search, seed)
-    return mean_score
+    """K-fold CV: the mean per-observation held-out log-likelihood.
+
+    Folds come from a seeded shuffle, so the same seed reproduces the same
+    assignment and score exactly.  The mean weights every observation
+    equally (total held-out log-likelihood over the dataset size).
+    """
+    all_indices = set(range(len(data)))
+    total = 0.0
+    for fold in fold_indices(len(data), k, seed):
+        held_out = set(int(i) for i in fold)
+        train = data.subset(sorted(all_indices - held_out))
+        fitted = fit_mle(family, train, bounds, search)
+        total += log_likelihood(family, fitted.params, data.subset(sorted(held_out)))
+    return total / len(data)
 
 
 def sample_observations(

@@ -1,9 +1,5 @@
-"""Finite normal-form games: payoff tensors, the expected-utility kernel, pure Nash.
-
-A game with N players is stored as one payoff tensor per player over the joint
-action space.  A player's expected utilities contract their payoff tensor
-against independent mixed strategies of the others (:func:`_eu_vector`, the
-one contraction every choice model in :mod:`foggame.behavior` uses).
+"""Finite normal-form games: payoff tensors, pure Nash, and :func:`_eu_vector`,
+the one expected-utility contraction every model in :mod:`foggame.behavior` uses.
 """
 
 from __future__ import annotations
@@ -44,12 +40,6 @@ class MixedStrategy:
         object.__setattr__(self, "weights", weights)
 
     @classmethod
-    def uniform(cls, num_actions: int) -> "MixedStrategy":
-        if num_actions < 1:
-            raise ValueError("num_actions must be >= 1")
-        return cls((1.0 / num_actions,) * num_actions)
-
-    @classmethod
     def point_mass(cls, action: int, num_actions: int) -> "MixedStrategy":
         if not 0 <= action < num_actions:
             raise ValueError(f"action {action} out of range for {num_actions} actions")
@@ -63,16 +53,6 @@ class MixedStrategy:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
-
-    def mix(self, other: "MixedStrategy", weight_other: float) -> "MixedStrategy":
-        """Convex combination (1 - t) * self + t * other."""
-        if self.num_actions != other.num_actions:
-            raise ValueError("cannot mix strategies over different action counts")
-        t = float(weight_other)
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("mixing weight must lie in [0, 1]")
-        merged = (1.0 - t) * self.as_array() + t * other.as_array()
-        return MixedStrategy(tuple(merged))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +68,7 @@ class NormalFormGame:
     payoffs: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = tuple(int(n) for n in self.action_counts)
+        counts = tuple(as_int(n, "action_counts") for n in self.action_counts)
         if not counts:
             raise ValueError("game needs at least one player")
         if any(n < 1 for n in counts):
@@ -117,28 +97,6 @@ class NormalFormGame:
     @property
     def num_players(self) -> int:
         return len(self.action_counts)
-
-    @classmethod
-    def two_player(
-        cls,
-        row_payoffs: Sequence[Sequence[float]],
-        col_payoffs: Sequence[Sequence[float]],
-    ) -> "NormalFormGame":
-        a = np.asarray(row_payoffs, dtype=float)
-        b = np.asarray(col_payoffs, dtype=float)
-        if a.shape != b.shape or a.ndim != 2:
-            raise ValueError("row/column payoff matrices must share a 2-D shape")
-        return cls((a.shape[0], a.shape[1]), np.stack([a, b]))
-
-    def payoff(self, player: int, profile: Sequence[int]) -> float:
-        _check_player(self, player)
-        idx = tuple(int(a) for a in profile)
-        if len(idx) != self.num_players:
-            raise ValueError("profile length must equal the number of players")
-        for i, a in enumerate(idx):
-            if not 0 <= a < self.action_counts[i]:
-                raise ValueError(f"action {a} out of range for player {i}")
-        return float(self.payoffs[(player,) + idx])
 
     def to_dict(self) -> dict:
         return {

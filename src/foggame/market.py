@@ -23,7 +23,6 @@ sees and pays — carries the perturbation and is projected back into
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
@@ -146,10 +145,6 @@ class FogScenario:
         object.__setattr__(self, "initial_prices", init)
         object.__setattr__(self, "price_caps", caps)
 
-    @property
-    def total_weight(self) -> float:
-        return float(sum(self.utility_weights))
-
 
 def default_scenario(**overrides) -> FogScenario:
     """The stock 1-user/4-node market used by the shipped configs."""
@@ -198,7 +193,8 @@ class _Market:
         self.alpha = np.asarray(s.utility_weights)
         self.beta = np.asarray(s.quality_factors)
         self.kappa, self.scale = np.asarray(s.margin_factors), s.utility_scale
-        self.budget_alpha, self.total_weight = s.budget * self.alpha, s.total_weight
+        self.budget_alpha = s.budget * self.alpha
+        self.total_weight = float(sum(s.utility_weights))
         self.step_size, self.probe = s.step_size, s.step_size * self.floors
 
     def demand(self, c: np.ndarray) -> np.ndarray:
@@ -419,19 +415,6 @@ class ConfigMetrics:
     mean_final_fog_gain_total: float
     mean_instability_index: float
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
-class MarketSummary:
-    """Per-configuration metrics over a batch of traces."""
-
-    configs: tuple[ConfigMetrics, ...]
-
-    def to_dict(self) -> dict:
-        return {"configs": [c.to_dict() for c in self.configs]}
-
 
 def instability_index(trace: NegotiationTrace) -> float:
     """Mean over nodes of std/mean of price over the trailing window."""
@@ -440,8 +423,9 @@ def instability_index(trace: NegotiationTrace) -> float:
     return float(ratio.mean())
 
 
-def compute_metrics(traces: Iterable[NegotiationTrace]) -> MarketSummary:
-    """Group traces by (noise_level, averaging) and aggregate final behavior."""
+def compute_metrics(traces: Iterable[NegotiationTrace]) -> tuple[ConfigMetrics, ...]:
+    """Group traces by (noise_level, averaging) and aggregate final behavior,
+    one :class:`ConfigMetrics` per group in sorted order."""
     batch = list(traces)
     if not batch:
         raise ValueError("compute_metrics needs at least one trace")
@@ -472,7 +456,7 @@ def compute_metrics(traces: Iterable[NegotiationTrace]) -> MarketSummary:
                 mean_instability_index=fmean(instability_index(t) for t in members),
             )
         )
-    return MarketSummary(configs=tuple(configs))
+    return tuple(configs)
 
 
 TRACE_COLUMNS = ("round", "node_id", "price", "demand", "user_utility", "fog_gain")

@@ -13,10 +13,16 @@ from foggame.behavior import LevelK, predict
 from foggame.games import NormalFormGame
 
 
+def two_player(row, col) -> NormalFormGame:
+    """The game whose row and column players have these payoff matrices."""
+    payoffs = np.stack([np.asarray(row, dtype=float), np.asarray(col, dtype=float)])
+    return NormalFormGame(payoffs.shape[1:], payoffs)
+
+
 @pytest.fixture(scope="session")
 def pd_game() -> NormalFormGame:
     """Mutual-defection dominance: action 1 strictly dominant for both."""
-    return NormalFormGame.two_player(
+    return two_player(
         [[3.0, 0.0], [5.0, 1.0]],
         [[3.0, 5.0], [0.0, 1.0]],
     )
@@ -25,7 +31,7 @@ def pd_game() -> NormalFormGame:
 @pytest.fixture(scope="session")
 def coord_game() -> NormalFormGame:
     """Symmetric coordination: pure equilibria at (0,0) and (1,1)."""
-    return NormalFormGame.two_player(
+    return two_player(
         [[4.0, 0.0], [0.0, 2.0]],
         [[4.0, 0.0], [0.0, 2.0]],
     )
@@ -34,7 +40,7 @@ def coord_game() -> NormalFormGame:
 @pytest.fixture(scope="session")
 def pennies_game() -> NormalFormGame:
     """Zero-sum matcher/mismatcher: no pure equilibrium."""
-    return NormalFormGame.two_player(
+    return two_player(
         [[1.0, -1.0], [-1.0, 1.0]],
         [[-1.0, 1.0], [1.0, -1.0]],
     )
@@ -43,7 +49,7 @@ def pennies_game() -> NormalFormGame:
 @pytest.fixture(scope="session")
 def asym_game() -> NormalFormGame:
     """Asymmetric, dominance-solvable; unique pure equilibrium (0,0)."""
-    return NormalFormGame.two_player(
+    return two_player(
         [[2.0, -1.0], [1.0, 3.0]],
         [[1.0, 0.0], [2.0, 1.0]],
     )
@@ -52,7 +58,7 @@ def asym_game() -> NormalFormGame:
 @pytest.fixture(scope="session")
 def tie_game() -> NormalFormGame:
     """Constant payoffs: every action ties, every profile is an equilibrium."""
-    return NormalFormGame.two_player(
+    return two_player(
         [[1.0, 1.0], [1.0, 1.0]],
         [[2.0, 2.0], [2.0, 2.0]],
     )
@@ -66,7 +72,7 @@ def corpus(pd_game, coord_game, pennies_game, asym_game, tie_game):
 @pytest.fixture(scope="session")
 def dominant_3x2_game() -> NormalFormGame:
     """3-action row player with strictly dominant action 0; equilibrium (0,0)."""
-    return NormalFormGame.two_player(
+    return two_player(
         [[5.0, 5.0], [1.0, 1.0], [0.0, 0.0]],
         [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]],
     )

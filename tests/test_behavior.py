@@ -25,7 +25,7 @@ from foggame.behavior import (
 )
 from foggame.games import MixedStrategy
 
-from conftest import logit_choice, random_game
+from conftest import logit_choice, random_game, two_player
 
 # exp(1)/(1+exp(1)) and its complement, evaluated independently
 LOGIT_1_0_LAM1 = (0.7310585786300049, 0.2689414213699951)
@@ -208,6 +208,15 @@ class TestEpsilonNash:
         )
         assert out.weights == (0.5, 0.5)
 
+    def test_no_nash_uniform_fallback_three_actions(self):
+        beats = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+        rock_paper_scissors = two_player(beats, -beats)
+        model = EpsilonNash(epsilon=0.1, no_nash_fallback="uniform")
+        third = 1.0 / 3.0
+        assert model.predict_profile(rock_paper_scissors) == (
+            MixedStrategy((third, third, third)),
+        ) * 2
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EpsilonNash(epsilon=-0.1)
@@ -356,23 +365,12 @@ class TestCognitiveHierarchy:
             got = predict(ch, asym_game, player).weights
             assert np.allclose(got, lv[3][player], atol=1e-10)
 
-    def test_population_mixture(self, asym_game):
-        tau = 1.2
-        ch = CognitiveHierarchy(poisson_mean=tau, max_level=2)
-        pmf = [math.exp(-tau) * tau**k / math.factorial(k) for k in range(3)]
-        w = np.array(pmf) / sum(pmf)
-        # population = Poisson-weighted mixture of the per-level outputs
-        u0 = asym_game.payoffs[0]
-        lv0 = np.array([0.5, 0.5])
-        lv1 = _br_oracle(u0, np.array([0.5, 0.5]))
-        blend_w = np.array(pmf[:2]) / sum(pmf[:2])
-        belief1 = blend_w[0] * np.array([0.5, 0.5]) + blend_w[1] * _br_oracle(
-            asym_game.payoffs[1].T, np.array([0.5, 0.5])
-        )
-        lv2 = _br_oracle(u0, belief1)
-        oracle = w[0] * lv0 + w[1] * lv1 + w[2] * lv2
-        got = ch.predict_population(asym_game)[0].weights
-        assert np.allclose(got, oracle, atol=1e-10)
+    @pytest.mark.parametrize("bad", [2.7, True, "2"])
+    def test_max_level_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="^max_level: must be an integer"):
+            CognitiveHierarchy(1.5, bad)
+        ch = CognitiveHierarchy(1.5, 2.0)
+        assert ch.max_level == 2 and type(ch.max_level) is int
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -418,6 +416,13 @@ class TestNoisyIntrospection:
             NoisyIntrospection(precision=1.0, decay=0.5, max_depth=0)
         with pytest.raises(ValueError):
             NoisyIntrospection(precision=-1.0, decay=0.5, max_depth=2)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_max_depth_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="^max_depth: must be an integer"):
+            NoisyIntrospection(1.0, 0.5, bad)
+        model = NoisyIntrospection(1.0, 0.5, 3.0)
+        assert model.max_depth == 3 and type(model.max_depth) is int
 
 
 class TestSerialization:
@@ -527,9 +532,3 @@ class TestPredictProfile:
         assert [s.num_actions for s in profile] == [2, 3, 2]
         for player in range(3):
             assert predict(model, game, player) == profile[player]
-
-    def test_population_profile_is_per_player(self, asym_game):
-        ch = CognitiveHierarchy(poisson_mean=1.2, max_level=2)
-        population = ch.predict_population(asym_game)
-        assert len(population) == 2
-        assert all(isinstance(s, MixedStrategy) for s in population)

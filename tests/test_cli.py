@@ -512,6 +512,31 @@ class TestFit:
         assert main(["fit", path]) == 2
         assert "empty dataset" in capsys.readouterr().err
 
+    def test_solver_failure_exits_3_and_says_where(self, tmp_path, monkeypatch, capsys, pd_game):
+        from foggame.estimation import Observation, ObservationDataset
+
+        dataset = tmp_path / "obs.jsonl"
+        save_observations(ObservationDataset((Observation(pd_game, 0, 1),)), dataset)
+        path = write_config(
+            tmp_path,
+            {
+                "model": {"model": "logit_qbr", "params": {}},
+                "experiment": {"mode": "fit", "dataset": str(dataset)},
+            },
+        )
+
+        def failing(game, precision, *args, **kwargs):
+            raise behavior.FixedPointError(
+                "no fixed point within 10000 iterations (residual 2.380e-03)", [], 2.38e-3
+            )
+
+        monkeypatch.setattr(behavior, "qbr_equilibrium", failing)
+        assert main(["fit", path]) == 3
+        assert capsys.readouterr().err == (
+            "runtime error: no fixed point within 10000 iterations (residual 2.380e-03)"
+            " at precision=0.0, game of observation 0\n"
+        )
+
     def test_too_many_folds(self, tmp_path, pd_game):
         from foggame.estimation import Observation, ObservationDataset
 

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from foggame import behavior
-from foggame.behavior import EpsilonNash, LevelK, LogitQBR, predict
+from foggame.behavior import EpsilonNash, FixedPointError, LevelK, LogitQBR, predict
 from foggame.estimation import (
     PROB_FLOOR,
     FitResult,
     Observation,
     ObservationDataset,
     cross_validate,
-    cross_validate_details,
     epsilon_nash_family,
     fit_mle,
     fold_indices,
@@ -26,6 +25,7 @@ from foggame.estimation import (
     sample_observations,
     save_observations,
 )
+from foggame.games import MixedStrategy
 
 from conftest import random_game
 
@@ -44,6 +44,16 @@ class TestObservation:
     def test_action_out_of_range(self, pd_game):
         with pytest.raises(ValueError):
             Observation(game=pd_game, player=0, action=2)
+
+    @pytest.mark.parametrize(
+        "field, value", [("player", True), ("player", 1.5), ("action", 0.5), ("action", "1")]
+    )
+    def test_choice_must_be_an_integer(self, pd_game, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+            Observation(**{"game": pd_game, "player": 0, "action": 0, field: value})
+        obs = Observation(pd_game, 1.0, np.int64(0))
+        assert (obs.player, obs.action) == (1, 0)
+        assert type(obs.player) is int and type(obs.action) is int
 
     def test_dataset_subset(self, pd_game, coord_game):
         data = ObservationDataset(
@@ -196,6 +206,26 @@ class TestLogLikelihood:
             solved.clear()
             log_likelihood(qbr_family(), (theta,), data)
             assert len(solved) == len(games) == 20
+
+    def test_solver_failure_names_theta_and_observation(self, monkeypatch, pd_game, asym_game):
+        data = ObservationDataset(
+            tuple(Observation(g, p, 0) for g, p in [(pd_game, 0), (asym_game, 1), (asym_game, 0)])
+        )
+        stuck = [MixedStrategy((0.5, 0.5))] * 2
+        real = behavior.qbr_equilibrium
+
+        def failing(game, precision, *args, **kwargs):
+            if game == asym_game:
+                raise FixedPointError("no fixed point (residual 1.000e-02)", stuck, 0.01)
+            return real(game, precision, *args, **kwargs)
+
+        monkeypatch.setattr(behavior, "qbr_equilibrium", failing)
+        with pytest.raises(FixedPointError) as err:
+            log_likelihood(qbr_family(), (np.float64(2.5),), data)
+        assert str(err.value) == (
+            "no fixed point (residual 1.000e-02) at precision=2.5, game of observation 1"
+        )
+        assert err.value.profile is stuck and err.value.residual == 0.01
 
     def test_invalid_theta_raises(self, pd_game):
         data = ObservationDataset((Observation(pd_game, 0, 0),))
@@ -367,15 +397,17 @@ class TestCrossValidation:
     def test_identical_halves_equal_fold_scores(self, asym_game):
         obs = Observation(asym_game, 0, 1)
         data = ObservationDataset((obs, obs, obs, obs))
-        _, folds = cross_validate_details(
-            qbr_family(),
-            data,
-            k=2,
-            bounds=[(0.0, 4.0)],
-            search={"grid_points": 5, "refine_iters": 0},
-            seed=0,
-        )
+        family, bounds = qbr_family(), [(0.0, 4.0)]
+        search = {"grid_points": 5, "refine_iters": 0}
+        folds = []
+        for fold in fold_indices(len(data), 2, seed=0):
+            held_out = set(fold.tolist())
+            train = data.subset([i for i in range(len(data)) if i not in held_out])
+            fitted = fit_mle(family, train, bounds, search)
+            folds.append(log_likelihood(family, fitted.params, data.subset(sorted(held_out))))
         assert folds[0] == pytest.approx(folds[1], abs=1e-12)
+        score = cross_validate(family, data, 2, bounds, search, seed=0)
+        assert score == sum(folds) / len(data)
 
     def test_seed_reproducibility(self, pd_game, asym_game):
         data = sample_observations(

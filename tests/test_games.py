@@ -19,7 +19,7 @@ from foggame.games import (
 )
 from foggame.games import _eu_vector
 
-from conftest import random_game
+from conftest import random_game, two_player
 
 
 class TestMixedStrategy:
@@ -44,10 +44,6 @@ class TestMixedStrategy:
         with pytest.raises(ValueError):
             MixedStrategy((math.inf, 0.0))
 
-    def test_uniform(self):
-        s = MixedStrategy.uniform(4)
-        assert s.weights == (0.25, 0.25, 0.25, 0.25)
-
     def test_point_mass(self):
         s = MixedStrategy.point_mass(1, 3)
         assert s.weights == (0.0, 1.0, 0.0)
@@ -55,13 +51,6 @@ class TestMixedStrategy:
     def test_point_mass_out_of_range(self):
         with pytest.raises(ValueError):
             MixedStrategy.point_mass(3, 3)
-
-    def test_mix_is_convex_combination(self):
-        a = MixedStrategy((1.0, 0.0))
-        b = MixedStrategy((0.0, 1.0))
-        assert a.mix(b, 0.25).weights == (0.75, 0.25)
-        assert a.mix(b, 0.0).weights == a.weights
-        assert a.mix(b, 1.0).weights == b.weights
 
     def test_as_array_is_copy(self):
         s = MixedStrategy((0.5, 0.5))
@@ -88,10 +77,6 @@ class TestNormalFormGame:
         assert pd_game.action_counts == (2, 2)
         assert pd_game.payoffs.shape == (2, 2, 2)
 
-    def test_payoff_accessor(self, pd_game):
-        assert pd_game.payoff(0, (1, 0)) == 5.0
-        assert pd_game.payoff(1, (0, 1)) == 5.0
-
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             NormalFormGame(action_counts=(2, 2), payoffs=np.zeros((2, 2, 3)))
@@ -102,6 +87,14 @@ class TestNormalFormGame:
         with pytest.raises(ValueError):
             NormalFormGame(action_counts=(2, 2), payoffs=bad)
 
+    @pytest.mark.parametrize("counts, shape", [((2.9, 2), (2, 2, 2)), ((True, 2), (2, 1, 2))])
+    def test_action_counts_must_be_integers(self, counts, shape):
+        with pytest.raises(ValueError, match="^action_counts: must be an integer"):
+            NormalFormGame(counts, np.zeros(shape))
+        game = NormalFormGame((2.0, np.int64(2)), np.zeros((2, 2, 2)))
+        assert game.action_counts == (2, 2)
+        assert all(type(n) is int for n in game.action_counts)
+
     def test_rejects_zero_actions(self):
         with pytest.raises(ValueError):
             NormalFormGame(action_counts=(0, 2), payoffs=np.zeros((2, 0, 2)))
@@ -111,7 +104,7 @@ class TestNormalFormGame:
             pd_game.payoffs[0, 0, 0] = 7.0
 
     def test_equality_and_hash(self, pd_game):
-        clone = NormalFormGame.two_player(
+        clone = two_player(
             [[3.0, 0.0], [5.0, 1.0]],
             [[3.0, 5.0], [0.0, 1.0]],
         )
@@ -240,7 +233,7 @@ class TestBestResponseSet:
 
     def test_near_tie_within_tolerance_included(self):
         eps = 1e-10  # inside TIE_TOL
-        game = NormalFormGame.two_player(
+        game = two_player(
             [[1.0, 1.0], [1.0 - eps, 1.0 - eps]],
             [[0.0, 0.0], [0.0, 0.0]],
         )
@@ -352,7 +345,7 @@ class TestPureNash:
         """2x2 game where only row's switch from (0, 0) to (1, 0) pays ``gain``."""
         row = np.array([[0.0, 0.0], [gain, -1.0]])
         col = np.array([[0.0, -1.0], [0.0, -1.0]])
-        return NormalFormGame.two_player(row, col)
+        return two_player(row, col)
 
     def test_deviation_gaining_exactly_tie_tol_is_not_improving(self):
         game = self._one_deviation(TIE_TOL)

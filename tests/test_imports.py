@@ -1,0 +1,39 @@
+"""Every top-level import in a ``foggame`` module is used in that module.
+
+``__init__.py`` is exempt: it imports names to re-export them.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "foggame"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports of ``source`` that it never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_guard_sees_an_unused_import():
+    source = "import dataclasses\nimport json\nfrom typing import Any, Sequence\nx: Any = json\n"
+    assert unused_imports(source) == ["line 1: dataclasses", "line 3: Sequence"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_import(module):
+    assert unused_imports(module.read_text()) == []

@@ -812,16 +812,14 @@ class TestRunNegotiation:
 class TestMetrics:
     def test_converged_noise_free_instability_negligible(self):
         trace = run_negotiation(default_scenario())
-        summary = compute_metrics([trace])
-        assert len(summary.configs) == 1
-        cfg = summary.configs[0]
+        (cfg,) = compute_metrics([trace])
         assert cfg.convergence_rate == 1.0
         assert cfg.mean_instability_index < 1e-9
 
     def test_duplicate_traces_same_aggregates(self):
         trace = run_negotiation(default_scenario())
-        single = compute_metrics([trace]).configs[0]
-        doubled = compute_metrics([trace, trace]).configs[0]
+        (single,) = compute_metrics([trace])
+        (doubled,) = compute_metrics([trace, trace])
         assert doubled.num_traces == 2
         for field in (
             "noise_level",
@@ -840,13 +838,7 @@ class TestMetrics:
         )
         clean = run_negotiation(default_scenario(), seed=1)
         summary = compute_metrics([noisy, clean])
-        assert [c.noise_level for c in summary.configs] == [0.0, 0.1]
-
-    def test_summary_round_trips_to_dict(self):
-        trace = run_negotiation(default_scenario())
-        data = compute_metrics([trace]).to_dict()
-        assert set(data) == {"configs"}
-        assert data["configs"][0]["num_traces"] == 1
+        assert [c.noise_level for c in summary] == [0.0, 0.1]
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
