@@ -28,7 +28,6 @@ All predictions are deterministic; sampling lives in :mod:`foggame.estimation`.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence, Union
@@ -44,7 +43,7 @@ from .games import (
     _eu_vector,
     pure_nash,
 )
-from .schema import as_int, read
+from .schema import as_int, as_json, as_number, read, read_value
 
 
 class NoEquilibriumError(ValueError):
@@ -315,7 +314,7 @@ class LevelK:
     precision: float | None = None
 
     def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.level_weights)
+        weights = tuple(as_number(w, "level_weights") for w in self.level_weights)
         if not weights:
             raise ValueError("level_weights must be nonempty")
         if any(w < 0 or not np.isfinite(w) for w in weights):
@@ -438,16 +437,11 @@ _MODEL_TAGS = {
 }
 
 
-def _level0_to_json(level0: Level0):
-    if level0 is None:
-        return "uniform"
-    return [list(s.weights) for s in level0]
-
-
 def _level0_from_json(data) -> Level0:
-    if data is None or data == "uniform":
-        return None
-    return tuple(MixedStrategy(tuple(row)) for row in data)
+    """``"uniform"``, ``null`` or one weight list per player, read as numbers first."""
+    hint = Literal["uniform"] | tuple[tuple[float, ...], ...] | None
+    rows = read_value(data, hint, "params.level0")
+    return None if rows in (None, "uniform") else tuple(MixedStrategy(r) for r in rows)
 
 
 _TAG_MODELS = {tag: cls for cls, tag in _MODEL_TAGS.items()}
@@ -456,20 +450,19 @@ _TAG_MODELS = {tag: cls for cls, tag in _MODEL_TAGS.items()}
 def model_to_dict(model: BehavioralModel) -> dict:
     """Tagged JSON-friendly form: ``{"model": tag, "params": {...}}``.
 
-    ``params`` holds every field of the model in declaration order; an
-    unset ``precision`` (exact best response) is left out.
+    ``params`` is the model's :func:`~foggame.schema.as_json` form, fields in
+    declaration order, with an unset ``precision`` (exact best response) left
+    out and ``level0`` written as ``"uniform"`` or a list of weight lists.
     """
     tag = _MODEL_TAGS.get(type(model))
     if tag is None:
         raise ValueError(f"unknown model type {type(model).__name__}")
     params: dict = {}
-    for field in dataclasses.fields(model):
-        value = getattr(model, field.name)
-        if field.name == "level0":
-            value = _level0_to_json(value)
-        elif value is None:
-            continue
-        params[field.name] = list(value) if isinstance(value, tuple) else value
+    for name, value in as_json(model).items():
+        if name == "level0":
+            value = "uniform" if value is None else [s["weights"] for s in value]
+        if value is not None:
+            params[name] = value
     return {"model": tag, "params": params}
 
 

@@ -39,6 +39,7 @@ from typing import Literal, Sequence, get_args
 
 from .behavior import _level0_profile, model_from_dict
 from .estimation import (
+    PROB_FLOOR,
     ModelFamily,
     SearchOptions,
     check_bounds,
@@ -66,7 +67,7 @@ from .preferences import (
     pt_evaluate,
     transform_game_social,
 )
-from .schema import ConfigError, as_object, build, read, read_fields
+from .schema import ConfigError, as_json, as_object, build, read, read_fields
 
 OUT_DIR_ENV = "FOGGAME_OUT"
 
@@ -220,15 +221,6 @@ def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
     )
 
 
-def _as_json(value):
-    """A spec value as JSON: dataclasses as objects of every field, tuples as lists."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _as_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, tuple):
-        return [_as_json(item) for item in value]
-    return value
-
-
 def resolved_config(spec: ExperimentSpec) -> dict:
     """Spec as a config document; parsing it back yields an equal spec.
 
@@ -239,7 +231,7 @@ def resolved_config(spec: ExperimentSpec) -> dict:
         value = getattr(spec, f.name)
         if value is not None:
             block = config if f.metadata else config["experiment"]
-            block[f.name] = _as_json(value)
+            block[f.name] = as_json(value)
     return config
 
 
@@ -311,7 +303,7 @@ def run_simulate(spec: ExperimentSpec) -> int:
     failures = len(manifest_cells) - len(traces)
 
     if traces:
-        summary = {"configs": _as_json(compute_metrics(traces))}
+        summary = {"configs": as_json(compute_metrics(traces))}
         _atomic_write_text(out / "summary.json", _json_text(summary))
     _atomic_write_text(
         out / "manifest.json",
@@ -341,12 +333,11 @@ def run_fit(spec: ExperimentSpec) -> int:
             f"experiment.bounds: family {family.name!r} has "
             f"{family.num_params} parameters, got {len(bounds)} bounds"
         )
-    search = dataclasses.asdict(spec.search)
-    result = fit_mle(family, data, bounds, search)
+    result = fit_mle(family, data, bounds, spec.search)
     if spec.folds is not None:
-        cv = cross_validate(family, data, spec.folds, bounds, search, spec.cv_seed)
+        cv = cross_validate(family, data, spec.folds, bounds, spec.search, spec.cv_seed)
         result = dataclasses.replace(result, cv_score=cv)
-    payload = {"family": family.name, **result.to_dict()}
+    payload = {"family": family.name, **as_json(result), "probability_floor": PROB_FLOOR}
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(out / "fit_result.json", _json_text(payload))

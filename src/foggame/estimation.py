@@ -1,17 +1,18 @@
 """Fitting behavioral-model parameters to observed choices.
 
 An observation is one discrete choice: a game, the player who moved, and the
-action they picked.  A model family maps a parameter vector to a behavioral
-model; the log-likelihood of the vector sums the log predicted probability
-of each chosen action.  Fitting is derivative-free — a coarse grid over the
-parameter box followed by golden-section coordinate refinement — because the
-likelihood surfaces of mixture models are piecewise-smooth with plateaus
-where gradient methods stall.
+action they picked; a dataset is a plain sequence of observations (the
+loaders return a tuple).  A model family maps a parameter vector to a
+behavioral model; the log-likelihood of the vector sums the log predicted
+probability of each chosen action.  Fitting is derivative-free — a coarse
+grid over the parameter box followed by golden-section coordinate refinement,
+sized by a :class:`SearchOptions` — because the likelihood surfaces of
+mixture models are piecewise-smooth with plateaus where gradient methods stall.
 
 Predicted probabilities are floored at ``PROB_FLOOR`` before the log so a
 single zero-probability observation (possible under degenerate models such
-as a hard best response) cannot send the objective to −∞.  Outputs record
-the floor so downstream consumers can see it was in effect.
+as a hard best response) cannot send the objective to −∞.  ``fit_result.json``
+records the floor so downstream consumers can see it was in effect.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .behavior import (
     _check_response,
 )
 from .games import MixedStrategy, NormalFormGame
-from .schema import as_int, as_number, read
+from .schema import as_int, as_number
 
 PROB_FLOOR = 1e-12
 
@@ -65,27 +66,10 @@ class Observation:
             )
 
 
-@dataclass(frozen=True)
-class ObservationDataset:
-    observations: tuple[Observation, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "observations", tuple(self.observations))
-
-    def __len__(self) -> int:
-        return len(self.observations)
-
-    def __iter__(self):
-        return iter(self.observations)
-
-    def subset(self, indices: Sequence[int]) -> ObservationDataset:
-        return ObservationDataset(tuple(self.observations[i] for i in indices))
-
-
-def save_observations(dataset: ObservationDataset, path: str | Path) -> None:
+def save_observations(observations: Iterable[Observation], path: str | Path) -> None:
     """Write one JSON object per line: {"game": ..., "player": ..., "action": ...}."""
     with open(path, "w") as handle:
-        for obs in dataset:
+        for obs in observations:
             record = {
                 "game": obs.game.to_dict(),
                 "player": obs.player,
@@ -94,7 +78,7 @@ def save_observations(dataset: ObservationDataset, path: str | Path) -> None:
             handle.write(json.dumps(record) + "\n")
 
 
-def load_observations(path: str | Path) -> ObservationDataset:
+def load_observations(path: str | Path) -> tuple[Observation, ...]:
     """Read a JSON-lines observation file.
 
     Blank lines are ignored.  Malformed lines do not abort the scan; they are
@@ -119,7 +103,7 @@ def load_observations(path: str | Path) -> ObservationDataset:
         raise ValueError(
             f"malformed observation lines: {numbers} (first error: {bad[0][1]})"
         )
-    return ObservationDataset(tuple(observations))
+    return tuple(observations)
 
 
 @dataclass(frozen=True)
@@ -179,6 +163,7 @@ def level_k_family(
     ``build``) plus a trailing precision parameter when ``response`` is
     ``"qbr"`` and no fixed ``precision`` is supplied.
     """
+    num_levels = as_int(num_levels, "num_levels")
     if num_levels < 1:
         raise ValueError("num_levels must be >= 1")
     fit_precision = response == "qbr" and precision is None
@@ -216,7 +201,7 @@ def level_k_family(
 def log_likelihood(
     family: ModelFamily,
     theta: Sequence[float],
-    data: ObservationDataset,
+    data: Sequence[Observation],
 ) -> float:
     """Sum of log predicted probabilities of the chosen actions.
 
@@ -251,16 +236,6 @@ class FitResult:
     param_names: tuple[str, ...] = ()
     cv_score: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "params": list(self.params),
-            "param_names": list(self.param_names),
-            "log_likelihood": self.log_likelihood,
-            "evaluations": self.evaluations,
-            "cv_score": self.cv_score,
-            "probability_floor": PROB_FLOOR,
-        }
-
 
 @dataclass(frozen=True)
 class SearchOptions:
@@ -270,6 +245,8 @@ class SearchOptions:
     refine_iters: int = 40
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "grid_points", as_int(self.grid_points, "grid_points"))
+        object.__setattr__(self, "refine_iters", as_int(self.refine_iters, "refine_iters"))
         if self.grid_points < 3:
             raise ValueError("grid_points must be >= 3")
         if self.refine_iters < 0:
@@ -341,43 +318,40 @@ def _golden_max(
 
 def fit_mle(
     family: ModelFamily,
-    data: ObservationDataset,
+    data: Sequence[Observation],
     bounds: Sequence[tuple[float, float]],
-    search: Mapping | None = None,
+    search: SearchOptions = SearchOptions(),
 ) -> FitResult:
     """Maximize the dataset log-likelihood over the family's parameter box.
 
-    Stage one evaluates a full Cartesian grid (``grid_points`` per axis);
-    stage two runs two cycles of per-coordinate golden-section refinement
-    (``refine_iters`` shrink steps each) inside the grid cell around the
-    best point, renormalizing simplex groups after each coordinate move.
+    Stage one evaluates a full Cartesian grid (``search.grid_points`` per
+    axis); stage two runs two cycles of per-coordinate golden-section
+    refinement (``search.refine_iters`` shrink steps each) inside the grid
+    cell around the best point, renormalizing simplex groups after each
+    coordinate move.
     The result is the best point over *all* evaluations, so it can never be
     worse than any grid point.  Fully deterministic.
-
-    ``search`` holds :class:`SearchOptions` fields; a value that is not an
-    integer raises, as an unknown key does.
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
     box = check_bounds(bounds)
     if len(box) != family.num_params:
         raise ValueError(f"expected {family.num_params} bounds, got {len(box)}")
-    options = read(SearchOptions, {} if search is None else dict(search), "search")
 
     evaluate = _Tracker(lambda theta: log_likelihood(family, theta, data))
 
-    axes = [np.linspace(lo, hi, options.grid_points) for lo, hi in box]
+    axes = [np.linspace(lo, hi, search.grid_points) for lo, hi in box]
     for point in product(*axes):
         evaluate(point)
     if evaluate.best_theta is None:
         raise ValueError("no feasible parameter vector on the search grid")
 
     theta = list(evaluate.best_theta)
-    cells = [(hi - lo) / (options.grid_points - 1) for lo, hi in box]
+    cells = [(hi - lo) / (search.grid_points - 1) for lo, hi in box]
     in_group = {
         i: group for group in family.simplex_groups for i in group
     }
-    if options.refine_iters > 0:
+    if search.refine_iters > 0:
         for _cycle in range(2):
             for i in range(family.num_params):
                 lo = max(box[i][0], theta[i] - cells[i])
@@ -390,7 +364,7 @@ def fit_mle(
                     probe[i] = x
                     return evaluate(probe)
 
-                x_best, v_best = _golden_max(line, lo, hi, options.refine_iters)
+                x_best, v_best = _golden_max(line, lo, hi, search.refine_iters)
                 if math.isfinite(v_best) and v_best >= evaluate.best_value:
                     theta[i] = x_best
                 group = in_group.get(i)
@@ -422,6 +396,7 @@ def fold_indices(
     num_observations: int, k: int, seed: int
 ) -> list[np.ndarray]:
     """Seeded permutation split into k near-equal contiguous folds."""
+    k = as_int(k, "k")
     if k < 2:
         raise ValueError("k must be >= 2")
     if num_observations < k:
@@ -434,10 +409,10 @@ def fold_indices(
 
 def cross_validate(
     family: ModelFamily,
-    data: ObservationDataset,
+    data: Sequence[Observation],
     k: int,
     bounds: Sequence[tuple[float, float]],
-    search: Mapping | None = None,
+    search: SearchOptions = SearchOptions(),
     seed: int = 0,
 ) -> float:
     """K-fold CV: the mean per-observation held-out log-likelihood.
@@ -446,13 +421,12 @@ def cross_validate(
     assignment and score exactly.  The mean weights every observation
     equally (total held-out log-likelihood over the dataset size).
     """
-    all_indices = set(range(len(data)))
     total = 0.0
     for fold in fold_indices(len(data), k, seed):
-        held_out = set(int(i) for i in fold)
-        train = data.subset(sorted(all_indices - held_out))
+        held_out = set(fold.tolist())
+        train = [obs for i, obs in enumerate(data) if i not in held_out]
         fitted = fit_mle(family, train, bounds, search)
-        total += log_likelihood(family, fitted.params, data.subset(sorted(held_out)))
+        total += log_likelihood(family, fitted.params, [data[i] for i in sorted(held_out)])
     return total / len(data)
 
 
@@ -461,7 +435,7 @@ def sample_observations(
     games: Sequence[NormalFormGame],
     num_observations: int,
     seed: int = 0,
-) -> ObservationDataset:
+) -> tuple[Observation, ...]:
     """Draw synthetic choices from a model's predictions.
 
     Games are visited round-robin; the moving player is drawn uniformly and
@@ -484,4 +458,4 @@ def sample_observations(
         probs = profile[player]
         action = int(rng.choice(len(probs), p=probs))
         observations.append(Observation(game=game, player=player, action=action))
-    return ObservationDataset(tuple(observations))
+    return tuple(observations)

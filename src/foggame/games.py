@@ -28,7 +28,7 @@ class MixedStrategy:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.weights)
+        weights = tuple(as_number(w, "weights") for w in self.weights)
         if not weights:
             raise ValueError("MixedStrategy needs at least one action weight")
         for w in weights:

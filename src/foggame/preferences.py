@@ -12,6 +12,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .games import NormalFormGame
+from .schema import as_number
 
 # Below ~0.28 the single-parameter weighting curve stops being monotone, so
 # the constructor rejects that region outright and double-checks on a grid.
@@ -26,8 +27,8 @@ class Lottery:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        outcomes = tuple(float(x) for x in self.outcomes)
-        probs = tuple(float(p) for p in self.probs)
+        outcomes = tuple(as_number(x, "outcomes") for x in self.outcomes)
+        probs = tuple(as_number(p, "probs") for p in self.probs)
         if not outcomes:
             raise ValueError("lottery needs at least one outcome")
         if len(outcomes) != len(probs):

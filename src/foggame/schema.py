@@ -1,4 +1,5 @@
-"""JSON config blocks read through the dataclasses that define them.
+"""JSON config blocks read through the dataclasses that define them, and
+written back by :func:`as_json`.
 
 A block's allowed keys and defaults are the parameters of the dataclass (or
 factory function) that consumes it, and each value is read by the rule for
@@ -169,3 +170,12 @@ def build(factory: Callable, kwargs: dict, key: str):
 def read(factory: Callable, block, key: str, decoders: Mapping[str, Callable] | None = None):
     """``factory`` called with the entries of JSON object ``block``."""
     return build(factory, read_fields(factory, block, key, decoders=decoders), key)
+
+
+def as_json(value):
+    """A spec value as JSON: dataclasses as objects of every field, tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: as_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [as_json(item) for item in value]
+    return value

@@ -25,6 +25,7 @@ from foggame.behavior import (
 )
 from foggame.cli import main
 from foggame.estimation import (
+    SearchOptions,
     epsilon_nash_family,
     fit_mle,
     qbr_family,
@@ -312,7 +313,7 @@ def test_mle_parameter_recovery():
             qbr_family(),
             data,
             bounds=[(0.0, 10.0)],
-            search={"grid_points": 11, "refine_iters": 30},
+            search=SearchOptions(grid_points=11, refine_iters=30),
         )
         if 1.7 <= fitted.params[0] <= 2.3:
             qbr_hits += 1
@@ -332,7 +333,7 @@ def test_mle_parameter_recovery():
             epsilon_nash_family(),
             data,
             bounds=[(0.0, 1.0)],
-            search={"grid_points": 11, "refine_iters": 30},
+            search=SearchOptions(grid_points=11, refine_iters=30),
         )
         if abs(fitted.params[0] - 0.2) <= 0.05:
             eps_hits += 1

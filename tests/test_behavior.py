@@ -266,6 +266,12 @@ class TestLevelK:
         assert predict(model, asym_game, 0).weights == (0.9, 0.1)
         assert predict(model, asym_game, 1).weights == (0.2, 0.8)
 
+    @pytest.mark.parametrize("bad", [("1",), (True,), (0.5, "0.5")])
+    def test_level_weights_must_be_numbers(self, bad):
+        with pytest.raises(ValueError, match="^level_weights: must be a number"):
+            LevelK(bad)
+        assert LevelK((1,)).level_weights == (1.0,)
+
     def test_dominant_action_any_level(self, pd_game):
         for weights in [(0.0, 1.0), (0.0, 0.0, 1.0)]:
             model = LevelK(level_weights=weights)
@@ -463,6 +469,58 @@ class TestSerialization:
         assert predict(again, asym_game, 0).weights == predict(
             model, asym_game, 0
         ).weights
+
+    @pytest.mark.parametrize(
+        "model, expected",
+        [
+            (BestResponse(), {"model": "best_response", "params": {}}),
+            (
+                EpsilonNash(epsilon=0.25, no_nash_fallback="uniform"),
+                {"model": "epsilon_nash",
+                 "params": {"epsilon": 0.25, "no_nash_fallback": "uniform"}},
+            ),
+            (LogitQBR(precision=3.5), {"model": "logit_qbr", "params": {"precision": 3.5}}),
+            (
+                LevelK(level_weights=(0.2, 0.8)),
+                {"model": "level_k",
+                 "params": {"level_weights": [0.2, 0.8], "level0": "uniform",
+                            "response": "exact_br"}},
+            ),
+            (
+                LevelK(
+                    level_weights=(0.1, 0.9),
+                    level0=(MixedStrategy((0.7, 0.3)), MixedStrategy((0.4, 0.6))),
+                    response="qbr",
+                    precision=1.1,
+                ),
+                {"model": "level_k",
+                 "params": {"level_weights": [0.1, 0.9], "level0": [[0.7, 0.3], [0.4, 0.6]],
+                            "response": "qbr", "precision": 1.1}},
+            ),
+            (
+                CognitiveHierarchy(poisson_mean=1.5, max_level=3),
+                {"model": "cognitive_hierarchy",
+                 "params": {"poisson_mean": 1.5, "max_level": 3, "level0": "uniform",
+                            "response": "exact_br"}},
+            ),
+            (
+                CognitiveHierarchy(poisson_mean=0.8, max_level=2, response="qbr", precision=0.7),
+                {"model": "cognitive_hierarchy",
+                 "params": {"poisson_mean": 0.8, "max_level": 2, "level0": "uniform",
+                            "response": "qbr", "precision": 0.7}},
+            ),
+            (
+                NoisyIntrospection(precision=2.0, decay=0.6, max_depth=3),
+                {"model": "noisy_introspection",
+                 "params": {"precision": 2.0, "decay": 0.6, "max_depth": 3}},
+            ),
+        ],
+        ids=["BestResponse", "EpsilonNash", "LogitQBR", "LevelK-uniform", "LevelK-profile",
+             "CognitiveHierarchy", "CognitiveHierarchy-qbr", "NoisyIntrospection"],
+    )
+    def test_record_is_pinned(self, model, expected):
+        # repr pins key order, list versus tuple and int versus float too.
+        assert repr(model_to_dict(model)) == repr(expected)
 
     def test_logit_qbr_record_matches_shipped_generator(self):
         meta = json.loads(

@@ -19,7 +19,12 @@ from foggame.cli import (
     parse_config,
     resolved_config,
 )
-from foggame.estimation import SearchOptions, sample_observations, save_observations
+from foggame.estimation import (
+    Observation,
+    SearchOptions,
+    sample_observations,
+    save_observations,
+)
 from foggame.games import save_game
 from foggame.preferences import (
     Lottery,
@@ -160,6 +165,10 @@ class TestParseConfig:
             (
                 {"experiment": {"mode": "predict", "gpus": 8}},
                 "experiment.gpus",
+            ),
+            (
+                {"experiment": {"mode": "predict", "search": {"steps": 5}}},
+                "experiment.search.steps",
             ),
         ]:
             path = write_config(tmp_path, payload)
@@ -513,10 +522,8 @@ class TestFit:
         assert "empty dataset" in capsys.readouterr().err
 
     def test_solver_failure_exits_3_and_says_where(self, tmp_path, monkeypatch, capsys, pd_game):
-        from foggame.estimation import Observation, ObservationDataset
-
         dataset = tmp_path / "obs.jsonl"
-        save_observations(ObservationDataset((Observation(pd_game, 0, 1),)), dataset)
+        save_observations([Observation(pd_game, 0, 1)], dataset)
         path = write_config(
             tmp_path,
             {
@@ -538,13 +545,8 @@ class TestFit:
         )
 
     def test_too_many_folds(self, tmp_path, pd_game):
-        from foggame.estimation import Observation, ObservationDataset
-
         small = tmp_path / "small.jsonl"
-        save_observations(
-            ObservationDataset(tuple(Observation(pd_game, 0, 1) for _ in range(4))),
-            small,
-        )
+        save_observations([Observation(pd_game, 0, 1)] * 4, small)
         path = write_config(
             tmp_path,
             {
@@ -559,12 +561,8 @@ class TestFit:
         assert main(["fit", path]) == 2
 
     def test_malformed_dataset_lists_lines(self, tmp_path, pd_game, capsys):
-        from foggame.estimation import Observation, ObservationDataset
-
         good_file = tmp_path / "seed.jsonl"
-        save_observations(
-            ObservationDataset((Observation(pd_game, 0, 1),)), good_file
-        )
+        save_observations([Observation(pd_game, 0, 1)], good_file)
         good_line = good_file.read_text().strip()
         bad = tmp_path / "bad.jsonl"
         bad.write_text(f"{good_line}\nnot json\n")
@@ -806,7 +804,7 @@ class TestShippedArtifacts:
             check=True,
             capture_output=True,
         )
-        for name in ("qbr_lambda2.jsonl", "example_game.json"):
+        for name in ("qbr_lambda2.jsonl", "qbr_lambda2.meta.json", "example_game.json"):
             assert (tmp_path / name).read_bytes() == (
                 self.repo_root / "data" / name
             ).read_bytes()
@@ -981,6 +979,26 @@ class TestPredict:
                   "experiment": {"mode": "predict", "game": str(REPO / "data" / "example_game.json")}}
         assert main(["predict", write_config(tmp_path, config)]) == 2
         assert capsys.readouterr().err.startswith("error: model.params.level0: ")
+
+    @pytest.mark.parametrize("tag", ["level_k", "cognitive_hierarchy"])
+    @pytest.mark.parametrize(
+        "level0, expected",
+        [
+            ([["0.5", "0.5"], ["0.5", "0.5"]], "must be a number, got '0.5'"),
+            ([[True, False], [0.5, 0.5]], "must be a number, got True"),
+            ("uniformm", "must be one of 'uniform', got 'uniformm'"),
+            (5, "must be one of 'uniform', got 5"),
+            ([[0.5, 0.5], None], "must be a list, got None"),
+        ],
+        ids=["strings", "bools", "misspelt", "number", "null-row"],
+    )
+    def test_level0_of_the_wrong_type_exits_2(self, tmp_path, capsys, tag, level0, expected):
+        params = {"level_k": {"level_weights": [0.5, 0.5]},
+                  "cognitive_hierarchy": {"poisson_mean": 1.5, "max_level": 2}}[tag]
+        config = {"model": {"model": tag, "params": {**params, "level0": level0}},
+                  "experiment": {"mode": "predict", "game": str(REPO / "data" / "example_game.json")}}
+        assert main(["predict", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == f"error: model.params.level0: {expected}\n"
 
     def test_no_pure_nash_still_exits_3(self, tmp_path, pennies_game, capsys):
         path = write_config(

@@ -9,11 +9,12 @@ import pytest
 
 from foggame import behavior
 from foggame.behavior import EpsilonNash, FixedPointError, LevelK, LogitQBR, predict
+from foggame.cli import main
 from foggame.estimation import (
     PROB_FLOOR,
     FitResult,
     Observation,
-    ObservationDataset,
+    SearchOptions,
     cross_validate,
     epsilon_nash_family,
     fit_mle,
@@ -26,6 +27,7 @@ from foggame.estimation import (
     save_observations,
 )
 from foggame.games import MixedStrategy
+from foggame.schema import as_json
 
 from conftest import random_game
 
@@ -55,40 +57,21 @@ class TestObservation:
         assert (obs.player, obs.action) == (1, 0)
         assert type(obs.player) is int and type(obs.action) is int
 
-    def test_dataset_subset(self, pd_game, coord_game):
-        data = ObservationDataset(
-            (
-                Observation(pd_game, 0, 0),
-                Observation(coord_game, 1, 1),
-                Observation(pd_game, 1, 0),
-            )
-        )
-        sub = data.subset([2, 0])
-        assert len(sub) == 2
-        assert sub.observations[0].player == 1
-
 
 class TestObservationIO:
     def test_round_trip(self, tmp_path, pd_game, asym_game):
-        data = ObservationDataset(
-            (
-                Observation(pd_game, 0, 1),
-                Observation(asym_game, 1, 0),
-            )
-        )
+        data = [Observation(pd_game, 0, 1), Observation(asym_game, 1, 0)]
         path = tmp_path / "obs.jsonl"
         save_observations(data, path)
         again = load_observations(path)
-        assert len(again) == 2
-        assert again.observations[0].game == pd_game
-        assert again.observations[0].action == 1
-        assert again.observations[1].game == asym_game
+        assert again == tuple(data)
+        assert again[0].game == pd_game
+        assert again[0].action == 1
+        assert again[1].game == asym_game
 
     def test_file_is_json_lines(self, tmp_path, pd_game):
         path = tmp_path / "obs.jsonl"
-        save_observations(
-            ObservationDataset((Observation(pd_game, 0, 0),)), path
-        )
+        save_observations((Observation(pd_game, 0, 0),), path)
         record = json.loads(path.read_text().strip())
         assert set(record) == {"game", "player", "action"}
 
@@ -124,30 +107,28 @@ class TestObservationIO:
     def test_integral_float_choice_accepted(self, tmp_path, pd_game):
         path = tmp_path / "obs.jsonl"
         path.write_text(json.dumps({"game": pd_game.to_dict(), "player": 1.0, "action": 0}))
-        [obs] = load_observations(path).observations
+        [obs] = load_observations(path)
         assert (obs.player, obs.action) == (1, 0)
 
 class TestLogLikelihood:
     def test_half_probability_single_observation(self, pennies_game):
-        data = ObservationDataset((Observation(pennies_game, 0, 0),))
+        data = (Observation(pennies_game, 0, 0),)
         # uniform play: the chosen action has probability exactly 1/2
         got = log_likelihood(qbr_family(), (0.0,), data)
         assert got == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_additivity_over_identical_observations(self, pennies_game):
-        single = ObservationDataset((Observation(pennies_game, 0, 0),))
-        many = ObservationDataset(tuple(single.observations * 7))
+        single = (Observation(pennies_game, 0, 0),)
+        many = single * 7
         one = log_likelihood(qbr_family(), (0.0,), single)
         assert log_likelihood(qbr_family(), (0.0,), many) == pytest.approx(
             7 * one, abs=1e-12
         )
 
     def test_additivity_over_concatenation(self, pd_game, asym_game):
-        a = ObservationDataset(
-            (Observation(pd_game, 0, 1), Observation(pd_game, 1, 0))
-        )
-        b = ObservationDataset((Observation(asym_game, 0, 0),))
-        both = ObservationDataset(a.observations + b.observations)
+        a = (Observation(pd_game, 0, 1), Observation(pd_game, 1, 0))
+        b = (Observation(asym_game, 0, 0),)
+        both = a + b
         family = qbr_family()
         assert log_likelihood(family, (1.5,), both) == pytest.approx(
             log_likelihood(family, (1.5,), a)
@@ -165,14 +146,12 @@ class TestLogLikelihood:
         prod = 1.0
         for obs in observations:
             prod *= predict(model, obs.game, obs.player).weights[obs.action]
-        got = log_likelihood(
-            qbr_family(), (1.0,), ObservationDataset(observations)
-        )
+        got = log_likelihood(qbr_family(), (1.0,), observations)
         assert got == pytest.approx(math.log(prod), abs=1e-10)
 
     def test_floor_keeps_zero_probability_finite(self, pd_game):
         # epsilon=0 puts zero mass on the dominated action
-        data = ObservationDataset((Observation(pd_game, 0, 0),))
+        data = (Observation(pd_game, 0, 0),)
         got = log_likelihood(epsilon_nash_family(), (0.0,), data)
         assert math.isfinite(got)
         assert got == pytest.approx(math.log(PROB_FLOOR), abs=1e-12)
@@ -185,8 +164,7 @@ class TestLogLikelihood:
             observations.append(
                 Observation(game, int(rng.integers(2)), int(rng.integers(2)))
             )
-        data = ObservationDataset(tuple(observations))
-        assert log_likelihood(family, (2.0,), data) <= 0.0
+        assert log_likelihood(family, (2.0,), observations) <= 0.0
 
     def test_one_qbr_solve_per_game(self, monkeypatch):
         data = load_observations(REPO / "data" / "qbr_lambda2.jsonl")
@@ -208,9 +186,7 @@ class TestLogLikelihood:
             assert len(solved) == len(games) == 20
 
     def test_solver_failure_names_theta_and_observation(self, monkeypatch, pd_game, asym_game):
-        data = ObservationDataset(
-            tuple(Observation(g, p, 0) for g, p in [(pd_game, 0), (asym_game, 1), (asym_game, 0)])
-        )
+        data = [Observation(g, p, 0) for g, p in [(pd_game, 0), (asym_game, 1), (asym_game, 0)]]
         stuck = [MixedStrategy((0.5, 0.5))] * 2
         real = behavior.qbr_equilibrium
 
@@ -228,7 +204,7 @@ class TestLogLikelihood:
         assert err.value.profile is stuck and err.value.residual == 0.01
 
     def test_invalid_theta_raises(self, pd_game):
-        data = ObservationDataset((Observation(pd_game, 0, 0),))
+        data = (Observation(pd_game, 0, 0),)
         with pytest.raises(ValueError):
             log_likelihood(qbr_family(), (-1.0,), data)
 
@@ -273,6 +249,12 @@ class TestFamilies:
         with pytest.raises(ValueError):
             level_k_family(0)
 
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_num_levels_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="^num_levels: must be an integer"):
+            level_k_family(bad)
+        assert level_k_family(2.0).name == "level_k_2"
+
     def test_families_state_their_default_box(self):
         unit, precision = (0.0, 1.0), (0.0, 10.0)
         assert qbr_family().bounds == (precision,)
@@ -294,24 +276,20 @@ class TestFitMle:
             qbr_family(),
             data,
             bounds=[(0.0, 10.0)],
-            search={"grid_points": 11, "refine_iters": 10},
+            search=SearchOptions(grid_points=11, refine_iters=10),
         )
         first_step = 10.0 / 10
         assert result.params[0] < first_step
 
     def test_result_at_least_every_grid_point(self, pd_game, asym_game):
-        data = ObservationDataset(
-            (
-                Observation(pd_game, 0, 1),
-                Observation(asym_game, 0, 0),
-                Observation(asym_game, 1, 1),
-            )
+        data = (
+            Observation(pd_game, 0, 1),
+            Observation(asym_game, 0, 0),
+            Observation(asym_game, 1, 1),
         )
         family = qbr_family()
         bounds = [(0.0, 5.0)]
-        result = fit_mle(
-            family, data, bounds, search={"grid_points": 6, "refine_iters": 8}
-        )
+        result = fit_mle(family, data, bounds, SearchOptions(grid_points=6, refine_iters=8))
         for lam in np.linspace(0.0, 5.0, 6):
             assert result.log_likelihood >= log_likelihood(
                 family, (float(lam),), data
@@ -322,7 +300,7 @@ class TestFitMle:
             LogitQBR(precision=1.2), [asym_game, coord_game], 80, seed=4
         )
         kwargs = dict(
-            bounds=[(0.0, 8.0)], search={"grid_points": 9, "refine_iters": 12}
+            bounds=[(0.0, 8.0)], search=SearchOptions(grid_points=9, refine_iters=12)
         )
         a = fit_mle(qbr_family(), data, **kwargs)
         b = fit_mle(qbr_family(), data, **kwargs)
@@ -337,40 +315,46 @@ class TestFitMle:
             level_k_family(2),
             data,
             bounds=[(0.0, 1.0), (0.0, 1.0)],
-            search={"grid_points": 6, "refine_iters": 12},
+            search=SearchOptions(grid_points=6, refine_iters=12),
         )
         assert sum(result.params) == pytest.approx(1.0, abs=1e-9)
         assert abs(result.params[1] - 0.7) < 0.15
 
-    def test_fit_result_serialization(self, pennies_game):
-        data = ObservationDataset((Observation(pennies_game, 0, 0),))
-        result = fit_mle(
-            qbr_family(),
-            data,
-            bounds=[(0.0, 2.0)],
-            search={"grid_points": 3, "refine_iters": 0},
-        )
-        payload = result.to_dict()
-        assert payload["param_names"] == ["precision"]
-        assert payload["probability_floor"] == PROB_FLOOR
-        assert payload["cv_score"] is None
-        assert payload["evaluations"] == result.evaluations > 0
+    def test_fit_result_serialization(self, tmp_path, pennies_game, capsys):
+        data = (Observation(pennies_game, 0, 0),)
+        search = SearchOptions(grid_points=3, refine_iters=0)
+        result = fit_mle(qbr_family(), data, bounds=[(0.0, 2.0)], search=search)
+        payload = as_json(result)
+        assert payload == {
+            "params": list(result.params),
+            "log_likelihood": result.log_likelihood,
+            "evaluations": result.evaluations,
+            "param_names": ["precision"],
+            "cv_score": None,
+        }
+        assert result.evaluations > 0
+        # fit_result.json is that object plus the family and the probability floor.
+        save_observations(data, tmp_path / "obs.jsonl")
+        config = {
+            "model": {"model": "logit_qbr"},
+            "experiment": {"mode": "fit", "dataset": str(tmp_path / "obs.jsonl"),
+                           "bounds": [[0.0, 2.0]], "search": as_json(search),
+                           "out_dir": str(tmp_path / "out")},
+        }
+        (tmp_path / "fit.json").write_text(json.dumps(config))
+        assert main(["fit", str(tmp_path / "fit.json")]) == 0
+        capsys.readouterr()
+        stored = json.loads((tmp_path / "out" / "fit_result.json").read_text())
+        assert stored == {"family": "logit_qbr", **payload, "probability_floor": PROB_FLOOR}
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            fit_mle(qbr_family(), ObservationDataset(()), bounds=[(0.0, 1.0)])
+            fit_mle(qbr_family(), (), bounds=[(0.0, 1.0)])
 
     def test_bounds_length_checked(self, pennies_game):
-        data = ObservationDataset((Observation(pennies_game, 0, 0),))
+        data = (Observation(pennies_game, 0, 0),)
         with pytest.raises(ValueError):
             fit_mle(qbr_family(), data, bounds=[(0.0, 1.0), (0.0, 1.0)])
-
-    def test_unknown_search_option_rejected(self, pennies_game):
-        data = ObservationDataset((Observation(pennies_game, 0, 0),))
-        with pytest.raises(ValueError):
-            fit_mle(
-                qbr_family(), data, bounds=[(0.0, 1.0)], search={"steps": 5}
-            )
 
     @pytest.mark.parametrize(
         "search, bounds",
@@ -379,32 +363,38 @@ class TestFitMle:
             ({"grid_points": True}, [(0.0, 1.0)]),
             ({"refine_iters": True}, [(0.0, 1.0)]),
             (None, [(True, "3")]),
+            ({"grid_points": "5"}, [(0.0, 1.0)]),
+            ({"refine_iters": 2.5}, [(0.0, 1.0)]),
         ],
     )
     def test_search_and_bounds_values_typed(self, pennies_game, search, bounds):
         # Same rules as a config file: integers are not truncated, bools and
-        # strings are not numbers.
-        data = ObservationDataset(
-            tuple(Observation(pennies_game, 0, a) for a in (0, 1, 0, 1))
-        )
+        # strings are not numbers.  Search options are checked when built.
+        if search is not None:
+            [(field, _)] = search.items()
+            with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+                SearchOptions(**search)
+            assert type(getattr(SearchOptions(**{field: 5.0}), field)) is int
+            return
+        data = tuple(Observation(pennies_game, 0, a) for a in (0, 1, 0, 1))
         with pytest.raises(ValueError):
-            fit_mle(qbr_family(), data, bounds, search)
+            fit_mle(qbr_family(), data, bounds)
         with pytest.raises(ValueError):
-            cross_validate(qbr_family(), data, 2, bounds, search)
+            cross_validate(qbr_family(), data, 2, bounds)
 
 
 class TestCrossValidation:
     def test_identical_halves_equal_fold_scores(self, asym_game):
         obs = Observation(asym_game, 0, 1)
-        data = ObservationDataset((obs, obs, obs, obs))
+        data = (obs, obs, obs, obs)
         family, bounds = qbr_family(), [(0.0, 4.0)]
-        search = {"grid_points": 5, "refine_iters": 0}
+        search = SearchOptions(grid_points=5, refine_iters=0)
         folds = []
         for fold in fold_indices(len(data), 2, seed=0):
             held_out = set(fold.tolist())
-            train = data.subset([i for i in range(len(data)) if i not in held_out])
+            train = [data[i] for i in range(len(data)) if i not in held_out]
             fitted = fit_mle(family, train, bounds, search)
-            folds.append(log_likelihood(family, fitted.params, data.subset(sorted(held_out))))
+            folds.append(log_likelihood(family, fitted.params, [data[i] for i in sorted(held_out)]))
         assert folds[0] == pytest.approx(folds[1], abs=1e-12)
         score = cross_validate(family, data, 2, bounds, search, seed=0)
         assert score == sum(folds) / len(data)
@@ -419,7 +409,7 @@ class TestCrossValidation:
         kwargs = dict(
             k=4,
             bounds=[(0.0, 1.0)],
-            search={"grid_points": 9, "refine_iters": 0},
+            search=SearchOptions(grid_points=9, refine_iters=0),
         )
         a = cross_validate(epsilon_nash_family(), data, seed=11, **kwargs)
         b = cross_validate(epsilon_nash_family(), data, seed=11, **kwargs)
@@ -436,7 +426,7 @@ class TestCrossValidation:
         data = sample_observations(truth, games, 60, seed=21)
         family = epsilon_nash_family()
         bounds = [(0.0, 1.0)]
-        search = {"grid_points": 9, "refine_iters": 6}
+        search = SearchOptions(grid_points=9, refine_iters=6)
         train = fit_mle(family, data, bounds, search)
         train_per_obs = train.log_likelihood / len(data)
         scores = [
@@ -447,7 +437,7 @@ class TestCrossValidation:
 
     def test_too_many_folds_rejected(self, pennies_game):
         obs = Observation(pennies_game, 0, 0)
-        data = ObservationDataset((obs,) * 4)
+        data = (obs,) * 4
         with pytest.raises(ValueError):
             cross_validate(
                 qbr_family(), data, k=5, bounds=[(0.0, 1.0)]
@@ -455,13 +445,19 @@ class TestCrossValidation:
         with pytest.raises(ValueError):
             fold_indices(4, 1, 0)
 
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_fold_count_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="^k: must be an integer"):
+            fold_indices(10, bad, 0)
+        assert len(fold_indices(10, 2.0, 0)) == 2
+
 
 class TestSampleObservations:
     def test_deterministic(self, pd_game, asym_game):
         model = LogitQBR(precision=1.0)
         a = sample_observations(model, [pd_game, asym_game], 30, seed=5)
         b = sample_observations(model, [pd_game, asym_game], 30, seed=5)
-        assert a.observations == b.observations
+        assert a == b
 
     def test_round_robin_games(self, pd_game, asym_game, coord_game):
         games = [pd_game, asym_game, coord_game]
@@ -483,12 +479,11 @@ class TestSampleObservations:
 
 def test_fit_result_invariant_nonpositive(pennies_game):
     obs = Observation(pennies_game, 0, 0)
-    data = ObservationDataset((obs,) * 3)
     result = fit_mle(
         qbr_family(),
-        data,
+        (obs,) * 3,
         bounds=[(0.0, 3.0)],
-        search={"grid_points": 4, "refine_iters": 0},
+        search=SearchOptions(grid_points=4, refine_iters=0),
     )
     assert isinstance(result, FitResult)
     assert result.log_likelihood <= 0.0

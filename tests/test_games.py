@@ -44,6 +44,13 @@ class TestMixedStrategy:
         with pytest.raises(ValueError):
             MixedStrategy((math.inf, 0.0))
 
+    @pytest.mark.parametrize("bad", [("0.5", "0.5"), (True, False)])
+    def test_weights_must_be_numbers(self, bad):
+        with pytest.raises(ValueError, match="^weights: must be a number"):
+            MixedStrategy(bad)
+        s = MixedStrategy((np.float64(0.25), 0.75))
+        assert s.weights == (0.25, 0.75) and type(s.weights[0]) is float
+
     def test_point_mass(self):
         s = MixedStrategy.point_mass(1, 3)
         assert s.weights == (0.0, 1.0, 0.0)

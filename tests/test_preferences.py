@@ -47,6 +47,16 @@ class TestLottery:
         with pytest.raises(ValueError):
             Lottery(outcomes=(), probs=())
 
+    @pytest.mark.parametrize(
+        "outcomes, probs, field",
+        [((True,), (1,), "outcomes"), (("3",), ("1",), "outcomes"), ((3,), ("1",), "probs")],
+    )
+    def test_values_must_be_numbers(self, outcomes, probs, field):
+        with pytest.raises(ValueError, match=f"^{field}: must be a number"):
+            Lottery(outcomes, probs)
+        lot = Lottery((3,), (1,))
+        assert lot.outcomes == (3.0,) and type(lot.probs[0]) is float
+
 
 class TestProspectParams:
     def test_defaults_valid(self):
