@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence, Union
+from typing import Callable, Literal, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .games import (
     MixedStrategy,
     NormalFormGame,
     _check_player,
-    _eu_vector,
+    _eu_kernel,
     pure_nash,
 )
 from .schema import as_int, as_json, as_number, read, read_value
@@ -65,8 +65,9 @@ class FixedPointError(RuntimeError):
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Logit weights of ``z``, shifted by its maximum so they cannot overflow."""
-    w = np.exp(z - z.max())
-    return w / w.sum()
+    w = np.exp(z - np.maximum.reduce(z))
+    w /= np.add.reduce(w)
+    return w
 
 
 def _uniform_profile(game: NormalFormGame) -> list[np.ndarray]:
@@ -79,14 +80,14 @@ def _profile_slices(counts: Sequence[int]) -> list[slice]:
 
 
 def _project_profile(x: np.ndarray, slices: Sequence[slice]) -> np.ndarray | None:
-    """Clip each player's block to the simplex; None if a block collapses."""
-    out = np.clip(x, 0.0, None)
+    """Clip each player's block to the simplex, in place; None if a block collapses."""
+    np.maximum(x, 0.0, out=x)
     for block in slices:
-        total = out[block].sum()
-        if not np.isfinite(total) or total <= 0.0:
+        total = np.add.reduce(x[block])
+        if not math.isfinite(total) or total <= 0.0:
             return None
-        out[block] /= total
-    return out
+        x[block] /= total
+    return x
 
 
 def qbr_equilibrium(
@@ -110,7 +111,10 @@ def qbr_equilibrium(
     no such point is found within ``max_iters`` response evaluations.
     Deterministic throughout.
     """
-    lam = float(precision)
+    lam = as_number(precision, "precision")
+    damping = as_number(damping, "damping")
+    max_iters = as_int(max_iters, "max_iters")
+    tol = as_number(tol, "tol")
     if not np.isfinite(lam) or lam < 0.0:
         raise ValueError("precision must be a finite nonnegative real")
     if not 0.0 < damping <= 1.0:
@@ -120,11 +124,11 @@ def qbr_equilibrium(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    counts = game.action_counts
-    slices = _profile_slices(counts)
+    slices = _profile_slices(game.action_counts)
+    eu = _eu_kernel(game.payoffs)
 
     def response(x: np.ndarray) -> np.ndarray:
-        return np.concatenate(_respond_all(game, [x[b] for b in slices], "qbr", lam))
+        return np.concatenate(_respond_all(eu, [x[b] for b in slices], "qbr", lam))
 
     def as_profile(x: np.ndarray) -> list[MixedStrategy]:
         return [MixedStrategy(x[b]) for b in slices]
@@ -139,7 +143,7 @@ def qbr_equilibrium(
     residual = math.inf
     for _ in range(max_iters):
         f = response(x) - x
-        residual = float(np.max(np.abs(f)))
+        residual = float(np.maximum.reduce(np.abs(f)))
         if residual < tol:
             return as_profile(x)
         if residual < best_residual:
@@ -163,7 +167,7 @@ def qbr_equilibrium(
             )
             if polished is not None:
                 f_p = response(polished) - polished
-                if float(np.max(np.abs(f_p))) < best_residual:
+                if float(np.maximum.reduce(np.abs(f_p))) < best_residual:
                     x = polished
                     stall = 0
                     continue
@@ -200,21 +204,22 @@ def _level0_profile(game: NormalFormGame, level0: Level0) -> list[np.ndarray]:
 
 
 def _respond_all(
-    game: NormalFormGame,
+    eu: Sequence[Callable[[Sequence[np.ndarray]], np.ndarray]],
     profile: Sequence[np.ndarray],
     response: ResponseKind,
     precision: float | None,
 ) -> list[np.ndarray]:
-    """Every player's response to ``profile``: uniform over the actions within
+    """Every player's response to ``profile``, given the game's
+    :func:`~foggame.games._eu_kernel`: uniform over the actions within
     ``TIE_TOL`` of the best (exact_br), or logit weights at ``precision``."""
     out = []
-    for player in range(game.num_players):
-        eu = _eu_vector(game.payoffs, player, profile)
+    for player_eu in eu:
+        values = player_eu(profile)
         if response == "exact_br":
-            support = eu >= eu.max() - TIE_TOL
-            out.append(support / support.sum())
+            support = values >= np.maximum.reduce(values) - TIE_TOL
+            out.append(support / np.add.reduce(support))
         else:
-            out.append(_softmax(precision * eu))
+            out.append(_softmax(precision * values))
     return out
 
 
@@ -230,7 +235,10 @@ def _mix(weights: Sequence[float], strategies: Sequence[np.ndarray]) -> np.ndarr
     return acc
 
 
-def _check_response(response: str, precision: float | None) -> None:
+def _check_response(response: str, precision: float | None) -> float | None:
+    """``precision`` read as a number (``None`` stays), checked against ``response``."""
+    if precision is not None:
+        precision = as_number(precision, "precision")
     if response not in ("exact_br", "qbr"):
         raise ValueError(f"unknown response kind {response!r}")
     if response == "qbr":
@@ -238,6 +246,7 @@ def _check_response(response: str, precision: float | None) -> None:
             raise ValueError("precision must be finite and >= 0 for the qbr response")
     elif precision is not None:
         raise ValueError("precision applies only to the qbr response")
+    return precision
 
 
 @dataclass(frozen=True)
@@ -245,7 +254,9 @@ class BestResponse:
     """Exact best response to uniform opponent play; ties broken uniformly."""
 
     def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
-        return _strategies(_respond_all(game, _uniform_profile(game), "exact_br", None))
+        return _strategies(
+            _respond_all(_eu_kernel(game.payoffs), _uniform_profile(game), "exact_br", None)
+        )
 
 
 @dataclass(frozen=True)
@@ -262,6 +273,7 @@ class EpsilonNash:
     no_nash_fallback: NoNashFallback = "error"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "epsilon", as_number(self.epsilon, "epsilon"))
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.no_nash_fallback not in ("error", "uniform"):
@@ -291,6 +303,7 @@ class LogitQBR:
     precision: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "precision", as_number(self.precision, "precision"))
         if not np.isfinite(self.precision) or self.precision < 0:
             raise ValueError("precision must be a finite nonnegative real")
 
@@ -321,15 +334,16 @@ class LevelK:
             raise ValueError("level weights must be nonnegative")
         if abs(sum(weights) - 1.0) > PROB_SUM_TOL:
             raise ValueError("level weights must sum to 1")
-        _check_response(self.response, self.precision)
+        object.__setattr__(self, "precision", _check_response(self.response, self.precision))
         object.__setattr__(self, "level_weights", weights)
         if self.level0 is not None:
             object.__setattr__(self, "level0", tuple(self.level0))
 
     def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
+        eu = _eu_kernel(game.payoffs)
         levels = [_level0_profile(game, self.level0)]
         for _ in range(len(self.level_weights) - 1):
-            levels.append(_respond_all(game, levels[-1], self.response, self.precision))
+            levels.append(_respond_all(eu, levels[-1], self.response, self.precision))
         return _strategies(
             _mix(self.level_weights, [lv[p] for lv in levels])
             for p in range(game.num_players)
@@ -359,16 +373,18 @@ class CognitiveHierarchy:
     precision: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "poisson_mean", as_number(self.poisson_mean, "poisson_mean"))
         if not np.isfinite(self.poisson_mean) or self.poisson_mean <= 0:
             raise ValueError("poisson_mean must be positive")
         object.__setattr__(self, "max_level", as_int(self.max_level, "max_level"))
         if self.max_level < 1:
             raise ValueError("max_level must be >= 1")
-        _check_response(self.response, self.precision)
+        object.__setattr__(self, "precision", _check_response(self.response, self.precision))
         if self.level0 is not None:
             object.__setattr__(self, "level0", tuple(self.level0))
 
     def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
+        eu = _eu_kernel(game.payoffs)
         levels = [_level0_profile(game, self.level0)]
         pmf = _truncated_poisson(self.poisson_mean, self.max_level + 1)
         for k in range(1, self.max_level + 1):
@@ -376,7 +392,7 @@ class CognitiveHierarchy:
             opponent_mix = [
                 _mix(share, [lv[p] for lv in levels]) for p in range(game.num_players)
             ]
-            levels.append(_respond_all(game, opponent_mix, self.response, self.precision))
+            levels.append(_respond_all(eu, opponent_mix, self.response, self.precision))
         return _strategies(levels[-1])
 
 
@@ -395,6 +411,8 @@ class NoisyIntrospection:
     max_depth: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "precision", as_number(self.precision, "precision"))
+        object.__setattr__(self, "decay", as_number(self.decay, "decay"))
         if not np.isfinite(self.precision) or self.precision < 0:
             raise ValueError("precision must be a finite nonnegative real")
         if not 0.0 < self.decay < 1.0:
@@ -404,9 +422,10 @@ class NoisyIntrospection:
             raise ValueError("max_depth must be >= 1")
 
     def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
+        eu = _eu_kernel(game.payoffs)
         profile = _uniform_profile(game)
         for depth in range(self.max_depth - 1, -1, -1):
-            profile = _respond_all(game, profile, "qbr", self.precision * self.decay**depth)
+            profile = _respond_all(eu, profile, "qbr", self.precision * self.decay**depth)
         return _strategies(profile)
 
 

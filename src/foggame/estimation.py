@@ -83,9 +83,10 @@ def load_observations(path: str | Path) -> tuple[Observation, ...]:
 
     Blank lines are ignored.  Malformed lines do not abort the scan; they are
     collected and reported together in a single error naming every offending
-    line number.
+    line number.  Equal games share one :class:`NormalFormGame` object.
     """
     observations: list[Observation] = []
+    games: dict[NormalFormGame, NormalFormGame] = {}
     bad: list[tuple[int, str]] = []
     with open(path) as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -95,6 +96,7 @@ def load_observations(path: str | Path) -> tuple[Observation, ...]:
             try:
                 record = json.loads(text)
                 game = NormalFormGame.from_dict(record["game"])
+                game = games.setdefault(game, game)
                 observations.append(Observation(game, record["player"], record["action"]))
             except (ValueError, KeyError, TypeError) as exc:
                 bad.append((line_number, str(exc)))
@@ -263,25 +265,31 @@ def check_bounds(bounds: Sequence[tuple[float, float]]) -> list[tuple[float, flo
 
 
 class _Tracker:
-    """Counts objective evaluations and remembers the best point ever seen."""
+    """Counts objective evaluations, computes each distinct θ once, and
+    remembers the best point ever seen."""
 
     def __init__(self, objective: Callable[[Sequence[float]], float]):
         self.objective = objective
         self.evaluations = 0
+        self.values: dict[tuple[float, ...], float] = {}
         self.best_theta: tuple[float, ...] | None = None
         self.best_value = -math.inf
 
     def __call__(self, theta: Sequence[float]) -> float:
         self.evaluations += 1
-        try:
-            value = self.objective(theta)
-        except ValueError:
-            # Box-gridding a simplex produces infeasible corners (all-zero
-            # weights); score them as hopeless instead of aborting the fit.
-            return -math.inf
+        key = tuple(float(x) for x in theta)
+        value = self.values.get(key)
+        if value is None:
+            try:
+                value = self.objective(key)
+            except ValueError:
+                # Box-gridding a simplex produces infeasible corners (all-zero
+                # weights); score them as hopeless instead of aborting the fit.
+                value = -math.inf
+            self.values[key] = value
         if value > self.best_value:
             self.best_value = value
-            self.best_theta = tuple(float(x) for x in theta)
+            self.best_theta = key
         return value
 
 
@@ -397,6 +405,7 @@ def fold_indices(
 ) -> list[np.ndarray]:
     """Seeded permutation split into k near-equal contiguous folds."""
     k = as_int(k, "k")
+    seed = as_int(seed, "seed")
     if k < 2:
         raise ValueError("k must be >= 2")
     if num_observations < k:
@@ -442,6 +451,8 @@ def sample_observations(
     the action from the model's predicted strategy for that seat.  Output is
     a pure function of (model, games, num_observations, seed).
     """
+    num_observations = as_int(num_observations, "num_observations")
+    seed = as_int(seed, "seed")
     if not games:
         raise ValueError("games must be nonempty")
     if num_observations < 1:

@@ -1,4 +1,4 @@
-"""Finite normal-form games: payoff tensors, pure Nash, and :func:`_eu_vector`,
+"""Finite normal-form games: payoff tensors, pure Nash, and :func:`_eu_kernel`,
 the one expected-utility contraction every model in :mod:`foggame.behavior` uses.
 """
 
@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -155,20 +155,39 @@ def _check_player(game: NormalFormGame, player: int) -> None:
         raise ValueError(f"player {player} out of range for {game.num_players} players")
 
 
-def _eu_vector(
-    payoffs: np.ndarray, player: int, arrays: Sequence[np.ndarray | None]
-) -> np.ndarray:
-    """Expected utility of each of ``player``'s actions, unchecked.
+def _eu_kernel(payoffs: np.ndarray) -> list[Callable[[Sequence], np.ndarray]]:
+    """One expected-utility function per player, prepared once per game.
 
-    ``arrays[j]`` is player j's weight vector; the owner's entry is not read,
-    and root-finding probes may step off the simplex.  Opponent axes are
-    contracted highest-first so the remaining axis indices stay put.
+    ``eu[i](arrays)`` is each of player i's actions' expected utility,
+    unchecked: ``arrays[j]`` is player j's weight vector (the owner's entry is
+    not read; root-finding probes may step off the simplex).  Opponent axes
+    are contracted highest-first, each step exactly as ``np.tensordot(t,
+    arrays[j], axes=(j, 0))`` does it, so the bits match; the first step's
+    transposed, flattened payoffs are built here, not per call.
     """
-    t = payoffs[player]
-    for j in range(len(arrays) - 1, -1, -1):
+    return [_player_eu(table, player) for player, table in enumerate(payoffs)]
+
+
+def _player_eu(table: np.ndarray, player: int):
+    steps, shape = [], table.shape  # (opponent axis, axes with it last, shape after)
+    for j in range(table.ndim - 1, -1, -1):
         if j != player:
-            t = np.tensordot(t, arrays[j], axes=(j, 0))
-    return t
+            order = [k for k in range(len(shape)) if k != j] + [j]
+            shape = shape[:j] + shape[j + 1 :]
+            steps.append((j, order, shape))
+    if not steps:
+        return lambda arrays: table
+    (j0, order, shape0), rest = steps[0], steps[1:]
+    first = table.transpose(order).reshape(-1, table.shape[j0])
+
+    def eu(arrays: Sequence[np.ndarray | None]) -> np.ndarray:
+        t = np.dot(first, arrays[j0].reshape(-1, 1)).reshape(shape0)
+        for j, order, shape in rest:
+            t = t.transpose(order)
+            t = np.dot(t.reshape(-1, t.shape[-1]), arrays[j].reshape(-1, 1)).reshape(shape)
+        return t
+
+    return eu
 
 
 def pure_nash(game: NormalFormGame) -> list[tuple[int, ...]]:

@@ -166,6 +166,23 @@ class TestQbrEquilibrium:
         with pytest.raises(ValueError):
             qbr_equilibrium(pd_game, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize(
+        "name, bad, rule",
+        [
+            ("precision", True, "a number"),
+            ("precision", "2", "a number"),
+            ("damping", "0.5", "a number"),
+            ("max_iters", 2.5, "an integer"),
+            ("max_iters", True, "an integer"),
+            ("tol", "1e-10", "a number"),
+        ],
+    )
+    def test_arguments_read_as_numbers(self, pd_game, name, bad, rule):
+        args = {"precision": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name}: must be {rule}, got {bad!r}"):
+            qbr_equilibrium(pd_game, **args)
+        assert qbr_equilibrium(pd_game, 1, max_iters=500.0) == qbr_equilibrium(pd_game, 1.0)
+
 
 class TestBestResponseModel:
     def test_dominant_action_point_mass(self, pd_game):
@@ -429,6 +446,26 @@ class TestNoisyIntrospection:
             NoisyIntrospection(1.0, 0.5, bad)
         model = NoisyIntrospection(1.0, 0.5, 3.0)
         assert model.max_depth == 3 and type(model.max_depth) is int
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("precision", lambda v: LogitQBR(v)),
+        ("epsilon", lambda v: EpsilonNash(v)),
+        ("precision", lambda v: LevelK((1.0,), response="qbr", precision=v)),
+        ("precision", lambda v: CognitiveHierarchy(1.5, 2, response="qbr", precision=v)),
+        ("poisson_mean", lambda v: CognitiveHierarchy(v, 2)),
+        ("precision", lambda v: NoisyIntrospection(v, 0.5, 3)),
+        ("decay", lambda v: NoisyIntrospection(1.0, v, 3)),
+    ],
+)
+def test_model_scalars_must_be_numbers(field, build):
+    for bad in ("0.5", True):
+        with pytest.raises(ValueError, match=f"^{field}: must be a number, got {bad!r}"):
+            build(bad)
+    value = getattr(build(np.float64(0.5)), field)
+    assert value == 0.5 and type(value) is float
 
 
 class TestSerialization:

@@ -29,7 +29,7 @@ from foggame.estimation import (
 from foggame.games import MixedStrategy
 from foggame.schema import as_json
 
-from conftest import random_game
+from conftest import random_game, two_player
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -103,6 +103,27 @@ class TestObservationIO:
         path.write_text(f"{json.dumps(record)}\n{json.dumps({**record, field: value})}\n")
         with pytest.raises(ValueError, match=f"lines: 2 .*{field}: must be an integer"):
             load_observations(path)
+
+    def test_equal_games_share_one_object(self, tmp_path, pd_game, asym_game):
+        games = (pd_game, asym_game, pd_game, asym_game, pd_game)
+        path = tmp_path / "obs.jsonl"
+        save_observations((Observation(g, 0, 1) for g in games), path)
+        loaded = load_observations(path)
+        assert [obs.game for obs in loaded] == list(games)
+        assert loaded[0].game is loaded[2].game is loaded[4].game
+        assert loaded[1].game is loaded[3].game
+        assert loaded[0].game is not loaded[1].game
+
+    def test_bad_line_after_shared_games_reported(self, tmp_path, pd_game):
+        good = json.dumps({"game": pd_game.to_dict(), "player": 0, "action": 1})
+        bad = json.dumps({"game": pd_game.to_dict(), "player": 2, "action": 1})
+        path = tmp_path / "obs.jsonl"
+        path.write_text(f"{good}\n{good}\n{bad}\n{good}\n")
+        with pytest.raises(ValueError) as err:
+            load_observations(path)
+        assert str(err.value) == (
+            "malformed observation lines: 3 (first error: player 2 out of range)"
+        )
 
     def test_integral_float_choice_accepted(self, tmp_path, pd_game):
         path = tmp_path / "obs.jsonl"
@@ -265,6 +286,32 @@ class TestFamilies:
 
 
 class TestFitMle:
+    def test_repeated_theta_counted_but_solved_once(self, monkeypatch):
+        # Action 1 gains exactly 1 (first game) or 2 (second game) over
+        # action 0 whatever the opponent plays, so all-action-1 data is more
+        # likely at every higher precision.  The best θ is then the top grid
+        # point, and the second golden-section cycle repeats the first.
+        games = [
+            two_player([[3.0, 0.0], [4.0, 1.0]], [[3.0, 4.0], [0.0, 1.0]]),
+            two_player([[2.0, 0.0], [4.0, 2.0]], [[2.0, 4.0], [0.0, 2.0]]),
+        ]
+        data = tuple(Observation(games[i % 2], i // 2 % 2, 1) for i in range(8))
+        solved = []
+        real = behavior.qbr_equilibrium
+
+        def counting(game, precision, *args, **kwargs):
+            solved.append((precision, game))
+            return real(game, precision, *args, **kwargs)
+
+        monkeypatch.setattr(behavior, "qbr_equilibrium", counting)
+        result = fit_mle(qbr_family(), data, [(0.0, 10.0)], SearchOptions(6, 2))
+        assert result.params == (10.0,)
+        assert result.evaluations == 18
+        thetas = {precision for precision, _ in solved}
+        # 6 grid points, then 2 interior probes and 2 shrink steps in cycle 1.
+        assert len(thetas) == 10
+        assert len(solved) == len(set(solved)) == 2 * len(thetas)
+
     def test_uniform_data_fits_near_zero(
         self, pennies_game, asym_game, coord_game
     ):
@@ -451,6 +498,13 @@ class TestCrossValidation:
             fold_indices(10, bad, 0)
         assert len(fold_indices(10, 2.0, 0)) == 2
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_fold_seed_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="^seed: must be an integer"):
+            fold_indices(10, 2, bad)
+        for a, b in zip(fold_indices(10, 2, 3.0), fold_indices(10, 2, 3)):
+            assert np.array_equal(a, b)
+
 
 class TestSampleObservations:
     def test_deterministic(self, pd_game, asym_game):
@@ -475,6 +529,19 @@ class TestSampleObservations:
             sample_observations(LogitQBR(0.0), [], 5)
         with pytest.raises(ValueError):
             sample_observations(LogitQBR(0.0), [pd_game], 0)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("num_observations", 2.5), ("num_observations", True), ("seed", 1.5), ("seed", True)],
+    )
+    def test_count_and_seed_must_be_integers(self, pd_game, field, bad):
+        args = {"num_observations": 3, "seed": 0, field: bad}
+        with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+            sample_observations(LogitQBR(1.0), [pd_game], **args)
+        model = LogitQBR(1.0)
+        assert sample_observations(model, [pd_game], 3.0, seed=2.0) == sample_observations(
+            model, [pd_game], 3, seed=2
+        )
 
 
 def test_fit_result_invariant_nonpositive(pennies_game):

@@ -17,9 +17,14 @@ from foggame.games import (
     pure_nash,
     save_game,
 )
-from foggame.games import _eu_vector
+from foggame.games import _eu_kernel
 
 from conftest import random_game, two_player
+
+
+def _eu(payoffs, player, arrays):
+    """``player``'s expected utilities through a freshly prepared kernel."""
+    return _eu_kernel(payoffs)[player](arrays)
 
 
 class TestMixedStrategy:
@@ -72,10 +77,10 @@ class TestBelief:
     def test_from_profile_skips_owner(self):
         game = random_game(np.random.default_rng(3), counts=(2, 3, 2))
         profile = [np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.5, 0.5])]
-        expected = _eu_vector(game.payoffs, 1, profile)
+        expected = _eu(game.payoffs, 1, profile)
         for owner_entry in (None, np.full(5, np.nan)):
             belief = [profile[0], owner_entry, profile[2]]
-            assert np.array_equal(_eu_vector(game.payoffs, 1, belief), expected)
+            assert np.array_equal(_eu(game.payoffs, 1, belief), expected)
 
 
 class TestNormalFormGame:
@@ -182,16 +187,16 @@ def _best_response_set(game, player, profile=None) -> list[int]:
 
 class TestExpectedUtility:
     def test_degenerate_belief_selects_column(self, pd_game):
-        assert _eu_vector(pd_game.payoffs, 0, [None, np.array([1.0, 0.0])])[1] == 5.0
+        assert _eu(pd_game.payoffs, 0, [None, np.array([1.0, 0.0])])[1] == 5.0
 
     def test_constant_payoff_expectation(self, tie_game):
-        eu = _eu_vector(tie_game.payoffs, 1, [np.full(2, 0.5), None])
+        eu = _eu(tie_game.payoffs, 1, [np.full(2, 0.5), None])
         assert eu[0] == pytest.approx(2.0)
 
     def test_brute_force_oracle_2x3(self):
         rng = np.random.default_rng(7)
         game = random_game(rng, counts=(2, 3))
-        eu = _eu_vector(game.payoffs, 0, [None, np.full(3, 1.0 / 3.0)])
+        eu = _eu(game.payoffs, 0, [None, np.full(3, 1.0 / 3.0)])
         for action in range(2):
             oracle = sum(
                 (1.0 / 3.0) * game.payoffs[0][action, j] for j in range(3)
@@ -202,7 +207,7 @@ class TestExpectedUtility:
         rng = np.random.default_rng(11)
         game = random_game(rng, counts=(2, 2, 2))
         marginals = (np.array([0.3, 0.7]), np.array([0.6, 0.4]))
-        eu = _eu_vector(game.payoffs, 1, [marginals[0], None, marginals[1]])
+        eu = _eu(game.payoffs, 1, [marginals[0], None, marginals[1]])
         for action in range(2):
             oracle = 0.0
             for a0 in range(2):
@@ -212,10 +217,10 @@ class TestExpectedUtility:
             assert eu[action] == pytest.approx(oracle, abs=1e-12)
 
     def test_linear_in_belief(self, asym_game):
-        e1 = _eu_vector(asym_game.payoffs, 0, [None, np.array([1.0, 0.0])])
-        e2 = _eu_vector(asym_game.payoffs, 0, [None, np.array([0.0, 1.0])])
+        e1 = _eu(asym_game.payoffs, 0, [None, np.array([1.0, 0.0])])
+        e2 = _eu(asym_game.payoffs, 0, [None, np.array([0.0, 1.0])])
         for t in (0.0, 0.25, 0.5, 1.0):
-            mixed = _eu_vector(asym_game.payoffs, 0, [None, np.array([1.0 - t, t])])
+            mixed = _eu(asym_game.payoffs, 0, [None, np.array([1.0 - t, t])])
             np.testing.assert_allclose(mixed, (1 - t) * e1 + t * e2, rtol=0.0, atol=1e-12)
 
 
@@ -389,14 +394,54 @@ def test_eu_kernel_matches_per_action_loop():
         num_players = int(rng.integers(2, 4))
         counts = tuple(int(n) for n in rng.integers(2, 6, size=num_players))
         game = random_game(rng, counts=counts)
+        eu = _eu_kernel(game.payoffs)
         arrays = [rng.dirichlet(np.ones(n)) for n in counts]
         for player in range(num_players):
             np.testing.assert_allclose(
-                _eu_vector(game.payoffs, player, arrays),
+                eu[player](arrays),
                 _per_action_eu(game, player, arrays),
                 rtol=0.0,
                 atol=1e-12,
             )
+
+
+def _tensordot_eu(payoffs: np.ndarray, player: int, arrays) -> np.ndarray:
+    """Oracle: opponent axes contracted highest-first with ``np.tensordot``."""
+    t = payoffs[player]
+    for j in range(len(arrays) - 1, -1, -1):
+        if j != player:
+            t = np.tensordot(t, arrays[j], axes=(j, 0))
+    return t
+
+
+def test_eu_kernel_matches_tensordot_bit_for_bit():
+    """Same bytes as tensordot on 1-4 players, 1-action players included, for
+    simplex weights, off-simplex probes and slices of one profile vector."""
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for case in range(300):
+        num_players = int(rng.integers(1, 5))
+        counts = tuple(int(n) for n in rng.integers(1, 5, size=num_players))
+        game = random_game(rng, counts=counts)
+        if case % 4 == 0:
+            game = NormalFormGame(counts, np.round(game.payoffs))
+        eu = _eu_kernel(game.payoffs)
+        for draw in range(3):
+            if draw == 0:
+                arrays = [rng.dirichlet(np.ones(n)) for n in counts]
+            elif draw == 1:
+                arrays = [rng.normal(0.3, 1.0, size=n) for n in counts]
+            else:
+                flat = rng.dirichlet(np.ones(sum(counts)))
+                edges = np.cumsum((0,) + counts)
+                arrays = [flat[a:b] for a, b in zip(edges, edges[1:])]
+            for player in range(num_players):
+                got = eu[player](arrays)
+                want = _tensordot_eu(game.payoffs, player, arrays)
+                assert got.shape == want.shape == (counts[player],)
+                assert got.tobytes() == want.tobytes()
+                checked += 1
+    assert checked > 1500
 
 
 @settings(max_examples=200, deadline=None)
@@ -410,8 +455,8 @@ def test_expected_utility_belief_linearity_property(data, t):
     w1 = rng.dirichlet(np.ones(2))
     w2 = rng.dirichlet(np.ones(2))
     mixed_w = (1 - t) * w1 + t * w2
-    left = _eu_vector(game.payoffs, 0, [None, mixed_w])
-    right = (1 - t) * _eu_vector(game.payoffs, 0, [None, w1]) + t * _eu_vector(
+    left = _eu(game.payoffs, 0, [None, mixed_w])
+    right = (1 - t) * _eu(game.payoffs, 0, [None, w1]) + t * _eu(
         game.payoffs, 0, [None, w2]
     )
     np.testing.assert_allclose(left, right, rtol=0.0, atol=1e-9)
