@@ -1,8 +1,7 @@
 """Bounded-rational choice models over normal-form games.
 
 Every model maps a game to a whole strategy profile (``predict_profile``),
-because each one solves or recurses over all players together; ``predict``
-picks one player's entry.  The family covers:
+solving or recursing over all players together.  The family covers:
 
 * ``BestResponse`` — exact best response to uniform opponent play, ties
   broken uniformly.
@@ -19,9 +18,9 @@ picks one player's entry.  The family covers:
 Every model takes its expected utilities from the one contraction kernel in
 :mod:`foggame.games`.  Inside this module a strategy profile is a list of
 float arrays, one per player; inputs are validated where they enter (model
-constructors, a user-supplied ``level0``, the player index of ``predict``)
-and :class:`~foggame.games.MixedStrategy` values are built only for the
-returned profile.
+constructors, and a user-supplied ``level0`` against the game) and
+:class:`~foggame.games.MixedStrategy` values are built only for the returned
+profile.
 
 All predictions are deterministic; sampling lives in :mod:`foggame.estimation`.
 """
@@ -39,7 +38,6 @@ from .games import (
     TIE_TOL,
     MixedStrategy,
     NormalFormGame,
-    _check_player,
     _eu_kernel,
     pure_nash,
 )
@@ -90,39 +88,37 @@ def _project_profile(x: np.ndarray, slices: Sequence[slice]) -> np.ndarray | Non
     return x
 
 
-def qbr_equilibrium(
-    game: NormalFormGame,
-    precision: float,
-    damping: float = 0.5,
-    max_iters: int = 10_000,
-    tol: float = 1e-10,
-) -> list[MixedStrategy]:
+# The QRE solver's step size, budget of response evaluations and residual target.
+_DAMPING = 0.5
+_MAX_ITERS = 10_000
+_TOL = 1e-10
+
+
+def _check_precision(value) -> float:
+    """``value`` as a float, required to be finite and nonnegative."""
+    precision = as_number(value, "precision")
+    if not math.isfinite(precision) or precision < 0.0:
+        raise ValueError("precision must be a finite nonnegative real")
+    return precision
+
+
+def qbr_equilibrium(game: NormalFormGame, precision: float) -> list[MixedStrategy]:
     """Damped fixed-point iteration for the logit quantal-response equilibrium.
 
     Starting from the uniform profile, each step moves every player's
-    mixture a ``damping`` fraction toward their logit response to the
+    mixture a ``_DAMPING`` fraction toward their logit response to the
     current profile.  Two safeguards handle games where the plain iteration
     cycles or spirals too slowly (adversarial payoffs at high precision):
     when the residual stops improving, the iterate is polished with a
     root-finder seeded at the best point so far, and failing that the step
     is halved and the search resumes from that best point.  The returned
-    profile always satisfies ``max |sigma - response(sigma)| < tol``;
+    profile always satisfies ``max |sigma - response(sigma)| < _TOL``;
     :class:`FixedPointError` carries the best iterate and its residual when
-    no such point is found within ``max_iters`` response evaluations.
+    no such point is found within ``_MAX_ITERS`` response evaluations.
     Deterministic throughout.
     """
-    lam = as_number(precision, "precision")
-    damping = as_number(damping, "damping")
-    max_iters = as_int(max_iters, "max_iters")
-    tol = as_number(tol, "tol")
-    if not np.isfinite(lam) or lam < 0.0:
-        raise ValueError("precision must be a finite nonnegative real")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    lam = _check_precision(precision)
+    max_iters, tol = _MAX_ITERS, _TOL
 
     slices = _profile_slices(game.action_counts)
     eu = _eu_kernel(game.payoffs)
@@ -134,7 +130,7 @@ def qbr_equilibrium(
         return [MixedStrategy(x[b]) for b in slices]
 
     x = np.concatenate(_uniform_profile(game))
-    step = damping
+    step = _DAMPING
     min_step = 1e-3
     stall_limit = 30
     best_x = x
@@ -188,6 +184,17 @@ ResponseKind = Literal["exact_br", "qbr"]
 NoNashFallback = Literal["error", "uniform"]
 
 
+def _check_level0(level0) -> Level0:
+    """``level0`` as a tuple of strategies (``None`` stays)."""
+    if level0 is None:
+        return None
+    if not isinstance(level0, (tuple, list)) or not all(
+        isinstance(s, MixedStrategy) for s in level0
+    ):
+        raise ValueError(f"level0: must be a sequence of MixedStrategy, got {level0!r}")
+    return tuple(level0)
+
+
 def _level0_profile(game: NormalFormGame, level0: Level0) -> list[np.ndarray]:
     """The level-0 profile as arrays, after checking it fits ``game``."""
     if level0 is None:
@@ -237,16 +244,15 @@ def _mix(weights: Sequence[float], strategies: Sequence[np.ndarray]) -> np.ndarr
 
 def _check_response(response: str, precision: float | None) -> float | None:
     """``precision`` read as a number (``None`` stays), checked against ``response``."""
-    if precision is not None:
-        precision = as_number(precision, "precision")
     if response not in ("exact_br", "qbr"):
         raise ValueError(f"unknown response kind {response!r}")
-    if response == "qbr":
-        if precision is None or not np.isfinite(precision) or precision < 0:
-            raise ValueError("precision must be finite and >= 0 for the qbr response")
-    elif precision is not None:
-        raise ValueError("precision applies only to the qbr response")
-    return precision
+    if response == "exact_br":
+        if precision is not None:
+            raise ValueError("precision applies only to the qbr response")
+        return None
+    if precision is None:
+        raise ValueError("precision must be finite and >= 0 for the qbr response")
+    return _check_precision(precision)
 
 
 @dataclass(frozen=True)
@@ -288,7 +294,7 @@ class EpsilonNash:
         profile = []
         for target, n in zip(equilibria[0], game.action_counts):
             if n == 1:
-                profile.append(MixedStrategy.point_mass(0, 1))
+                profile.append(MixedStrategy((1.0,)))
                 continue
             w = [self.epsilon / (n - 1)] * n
             w[target] = 1.0 - self.epsilon
@@ -303,9 +309,7 @@ class LogitQBR:
     precision: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "precision", as_number(self.precision, "precision"))
-        if not np.isfinite(self.precision) or self.precision < 0:
-            raise ValueError("precision must be a finite nonnegative real")
+        object.__setattr__(self, "precision", _check_precision(self.precision))
 
     def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
         return tuple(qbr_equilibrium(game, self.precision))
@@ -336,8 +340,7 @@ class LevelK:
             raise ValueError("level weights must sum to 1")
         object.__setattr__(self, "precision", _check_response(self.response, self.precision))
         object.__setattr__(self, "level_weights", weights)
-        if self.level0 is not None:
-            object.__setattr__(self, "level0", tuple(self.level0))
+        object.__setattr__(self, "level0", _check_level0(self.level0))
 
     def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
         eu = _eu_kernel(game.payoffs)
@@ -380,8 +383,7 @@ class CognitiveHierarchy:
         if self.max_level < 1:
             raise ValueError("max_level must be >= 1")
         object.__setattr__(self, "precision", _check_response(self.response, self.precision))
-        if self.level0 is not None:
-            object.__setattr__(self, "level0", tuple(self.level0))
+        object.__setattr__(self, "level0", _check_level0(self.level0))
 
     def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
         eu = _eu_kernel(game.payoffs)
@@ -411,10 +413,8 @@ class NoisyIntrospection:
     max_depth: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "precision", as_number(self.precision, "precision"))
+        object.__setattr__(self, "precision", _check_precision(self.precision))
         object.__setattr__(self, "decay", as_number(self.decay, "decay"))
-        if not np.isfinite(self.precision) or self.precision < 0:
-            raise ValueError("precision must be a finite nonnegative real")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie strictly inside (0, 1)")
         object.__setattr__(self, "max_depth", as_int(self.max_depth, "max_depth"))
@@ -437,13 +437,6 @@ BehavioralModel = Union[
     CognitiveHierarchy,
     NoisyIntrospection,
 ]
-
-
-def predict(model: BehavioralModel, game: NormalFormGame, player: int) -> MixedStrategy:
-    """``player``'s entry of the model's predicted profile; the player index
-    is checked before anything is solved."""
-    _check_player(game, player)
-    return model.predict_profile(game)[player]
 
 
 _MODEL_TAGS = {

@@ -39,14 +39,6 @@ class MixedStrategy:
             raise ValueError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "weights", weights)
 
-    @classmethod
-    def point_mass(cls, action: int, num_actions: int) -> "MixedStrategy":
-        if not 0 <= action < num_actions:
-            raise ValueError(f"action {action} out of range for {num_actions} actions")
-        w = [0.0] * num_actions
-        w[action] = 1.0
-        return cls(tuple(w))
-
     @property
     def num_actions(self) -> int:
         return len(self.weights)
@@ -83,6 +75,8 @@ class NormalFormGame:
         tensor.setflags(write=False)
         object.__setattr__(self, "action_counts", counts)
         object.__setattr__(self, "payoffs", tensor)
+        # The payoffs are read-only, so the hash is fixed; dict lookups reuse it.
+        object.__setattr__(self, "_hash", hash((counts, tensor.tobytes())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NormalFormGame):
@@ -92,7 +86,11 @@ class NormalFormGame:
         )
 
     def __hash__(self) -> int:
-        return hash((self.action_counts, self.payoffs.tobytes()))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt when unpickled, since a bytes hash differs between processes.
+        return NormalFormGame, (self.action_counts, self.payoffs)
 
     @property
     def num_players(self) -> int:
@@ -148,11 +146,6 @@ def save_game(game: NormalFormGame, path: str | Path) -> None:
 
 def load_game(path: str | Path) -> NormalFormGame:
     return NormalFormGame.from_dict(json.loads(Path(path).read_text()))
-
-
-def _check_player(game: NormalFormGame, player: int) -> None:
-    if not 0 <= player < game.num_players:
-        raise ValueError(f"player {player} out of range for {game.num_players} players")
 
 
 def _eu_kernel(payoffs: np.ndarray) -> list[Callable[[Sequence], np.ndarray]]:

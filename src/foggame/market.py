@@ -86,7 +86,7 @@ class FogScenario:
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         for name in ("budget", "utility_scale", "step_size", "noise_level",
                      "convergence_tol"):
-            as_number(getattr(self, name), name)
+            object.__setattr__(self, name, as_number(getattr(self, name), name))
         as_bool(self.averaging, "averaging")
         m = self.num_nodes
         if m < 1:

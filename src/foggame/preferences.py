@@ -15,7 +15,7 @@ from .games import NormalFormGame
 from .schema import as_number
 
 # Below ~0.28 the single-parameter weighting curve stops being monotone, so
-# the constructor rejects that region outright and double-checks on a grid.
+# the constructor rejects that region.
 WEIGHT_CURVE_MIN = 0.28
 
 
@@ -58,6 +58,9 @@ class ProspectParams:
     reference: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("gain_curvature", "loss_curvature", "loss_aversion",
+                     "weight_curvature", "reference"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name))
         if not 0.0 < self.gain_curvature <= 1.0:
             raise ValueError("gain_curvature must lie in (0, 1]")
         if not 0.0 < self.loss_curvature <= 1.0:
@@ -70,12 +73,6 @@ class ProspectParams:
             )
         if not np.isfinite(self.reference):
             raise ValueError("reference must be finite")
-        # Cheap guard: the admissible range is chosen so the weighting curve
-        # is strictly increasing; verify on a grid at construction time.
-        grid = np.linspace(0.0, 1.0, 101)
-        values = [_weight(p, self.weight_curvature) for p in grid]
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError("weighting curve not monotone for these parameters")
 
 
 def _weight(p: float, curve: float) -> float:
@@ -124,12 +121,10 @@ class SocialPrefParams:
     inequity_metric: InequityMetric = "range"
 
     def __post_init__(self) -> None:
-        weights = (
-            self.selfish_weight,
-            self.altruism_weight,
-            self.inequity_weight,
-            self.envy_weight,
-        )
+        names = ("selfish_weight", "altruism_weight", "inequity_weight", "envy_weight")
+        weights = tuple(as_number(getattr(self, name), name) for name in names)
+        for name, w in zip(names, weights):
+            object.__setattr__(self, name, w)
         if any(not np.isfinite(w) or w < 0 for w in weights):
             raise ValueError("social preference weights must be nonnegative")
         if all(w == 0 for w in weights):

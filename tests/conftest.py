@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from foggame.behavior import LevelK, predict
+from foggame.behavior import LevelK
 from foggame.games import NormalFormGame
 
 
@@ -88,4 +88,4 @@ def logit_choice(utilities, precision: float) -> tuple[float, ...]:
     the one player of a game with those payoffs."""
     u = np.asarray(utilities, dtype=float)
     model = LevelK(level_weights=(0.0, 1.0), response="qbr", precision=precision)
-    return predict(model, NormalFormGame((u.size,), u[None, :]), 0).weights
+    return model.predict_profile(NormalFormGame((u.size,), u[None, :]))[0].weights

@@ -20,7 +20,6 @@ from foggame.behavior import (
     LevelK,
     LogitQBR,
     NoisyIntrospection,
-    predict,
     qbr_equilibrium,
 )
 from foggame.cli import main
@@ -253,7 +252,7 @@ def test_iterated_reasoning_models_match_hand_recursions(corpus):
         l2 = [_br_oracle(u0, l1[1]), _br_oracle(u1.T, l1[0])]
         model = LevelK(level_weights=(0.0, 0.0, 1.0))
         for player in range(2):
-            got = predict(model, game, player).weights
+            got = model.predict_profile(game)[player].weights
             assert np.allclose(got, l2[player], atol=1e-10)
 
         # three levels responding to renormalized-Poisson mixtures below
@@ -270,7 +269,7 @@ def test_iterated_reasoning_models_match_hand_recursions(corpus):
             )
         ch = CognitiveHierarchy(poisson_mean=tau, max_level=3)
         for player in range(2):
-            got = predict(ch, game, player).weights
+            got = ch.predict_profile(game)[player].weights
             assert np.allclose(got, levels[3][player], atol=1e-10)
 
         # three logit steps with geometrically decaying precision
@@ -284,7 +283,7 @@ def test_iterated_reasoning_models_match_hand_recursions(corpus):
             ]
         ni = NoisyIntrospection(precision=lam0, decay=decay, max_depth=3)
         for player in range(2):
-            got = predict(ni, game, player).weights
+            got = ni.predict_profile(game)[player].weights
             assert np.allclose(got, profile[player], atol=1e-10)
 
 

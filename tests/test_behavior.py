@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foggame import behavior
 from foggame.behavior import (
     BestResponse,
     CognitiveHierarchy,
@@ -20,7 +21,6 @@ from foggame.behavior import (
     NoisyIntrospection,
     model_from_dict,
     model_to_dict,
-    predict,
     qbr_equilibrium,
 )
 from foggame.games import MixedStrategy
@@ -117,7 +117,7 @@ class TestQbrEquilibrium:
     def test_residual_by_substitution_corpus(self, corpus):
         for game in corpus:
             for lam in (0.0, 0.5, 2.0, 8.0):
-                profile = qbr_equilibrium(game, lam, tol=1e-10)
+                profile = qbr_equilibrium(game, lam)
                 p = np.asarray(profile[0].weights)
                 q = np.asarray(profile[1].weights)
                 r0 = _softmax_oracle(game.payoffs[0] @ q, lam)
@@ -138,10 +138,11 @@ class TestQbrEquilibrium:
             r1 = _softmax_oracle(p @ game.payoffs[1], 10.0)
             assert max(np.abs(r0 - p).max(), np.abs(r1 - q).max()) < 1e-10
 
-    def test_nonconvergence_error_carries_state(self, asym_game):
+    def test_nonconvergence_error_carries_state(self, asym_game, monkeypatch):
         # uniform start is far from the fixed point; two steps can't get there
-        with pytest.raises(FixedPointError) as err:
-            qbr_equilibrium(asym_game, 5.0, max_iters=2)
+        monkeypatch.setattr(behavior, "_MAX_ITERS", 2)
+        with pytest.raises(FixedPointError, match="^no fixed point within 2 iterations") as err:
+            qbr_equilibrium(asym_game, 5.0)
         assert isinstance(err.value.profile, list)
         assert all(isinstance(s, MixedStrategy) for s in err.value.profile)
         assert err.value.residual > 0
@@ -157,72 +158,56 @@ class TestQbrEquilibrium:
     def test_parameter_validation(self, pd_game):
         with pytest.raises(ValueError):
             qbr_equilibrium(pd_game, -1.0)
-        with pytest.raises(ValueError):
-            qbr_equilibrium(pd_game, 1.0, damping=0.0)
-        with pytest.raises(ValueError):
-            qbr_equilibrium(pd_game, 1.0, damping=1.5)
-        with pytest.raises(ValueError):
-            qbr_equilibrium(pd_game, 1.0, max_iters=0)
-        with pytest.raises(ValueError):
-            qbr_equilibrium(pd_game, 1.0, tol=0.0)
 
     @pytest.mark.parametrize(
         "name, bad, rule",
         [
             ("precision", True, "a number"),
             ("precision", "2", "a number"),
-            ("damping", "0.5", "a number"),
-            ("max_iters", 2.5, "an integer"),
-            ("max_iters", True, "an integer"),
-            ("tol", "1e-10", "a number"),
         ],
     )
     def test_arguments_read_as_numbers(self, pd_game, name, bad, rule):
         args = {"precision": 1.0, name: bad}
         with pytest.raises(ValueError, match=f"^{name}: must be {rule}, got {bad!r}"):
             qbr_equilibrium(pd_game, **args)
-        assert qbr_equilibrium(pd_game, 1, max_iters=500.0) == qbr_equilibrium(pd_game, 1.0)
 
 
 class TestBestResponseModel:
     def test_dominant_action_point_mass(self, pd_game):
-        assert predict(BestResponse(), pd_game, 0).weights == (0.0, 1.0)
-        assert predict(BestResponse(), pd_game, 1).weights == (0.0, 1.0)
+        assert BestResponse().predict_profile(pd_game)[0].weights == (0.0, 1.0)
+        assert BestResponse().predict_profile(pd_game)[1].weights == (0.0, 1.0)
 
     def test_tie_breaks_uniform(self, tie_game):
-        assert predict(BestResponse(), tie_game, 0).weights == (0.5, 0.5)
+        assert BestResponse().predict_profile(tie_game)[0].weights == (0.5, 0.5)
 
     def test_responds_to_uniform_opponents(self, asym_game):
         # vs uniform column mix: row EUs are (0.5, 2.0) -> row 1
-        assert predict(BestResponse(), asym_game, 0).weights == (0.0, 1.0)
+        assert BestResponse().predict_profile(asym_game)[0].weights == (0.0, 1.0)
 
 
 class TestEpsilonNash:
     def test_zero_epsilon_point_mass(self, asym_game):
-        out = predict(EpsilonNash(epsilon=0.0), asym_game, 0)
+        out = EpsilonNash(epsilon=0.0).predict_profile(asym_game)[0]
         assert out.weights == (1.0, 0.0)
 
     def test_three_action_split(self, dominant_3x2_game):
-        out = predict(EpsilonNash(epsilon=0.3), dominant_3x2_game, 0)
+        out = EpsilonNash(epsilon=0.3).predict_profile(dominant_3x2_game)[0]
         assert out.weights[0] == pytest.approx(0.7)
         assert out.weights[1] == pytest.approx(0.15)
         assert out.weights[2] == pytest.approx(0.15)
 
     def test_selects_lexicographically_first_equilibrium(self, coord_game):
         # equilibria (0,0) and (1,1); the first one selects action 0
-        out = predict(EpsilonNash(epsilon=0.2), coord_game, 0)
+        out = EpsilonNash(epsilon=0.2).predict_profile(coord_game)[0]
         assert out.weights == (0.8, 0.2)
 
     def test_no_nash_error(self, pennies_game):
         with pytest.raises(NoEquilibriumError):
-            predict(EpsilonNash(epsilon=0.1), pennies_game, 0)
+            EpsilonNash(epsilon=0.1).predict_profile(pennies_game)[0]
 
     def test_no_nash_uniform_fallback(self, pennies_game):
-        out = predict(
-            EpsilonNash(epsilon=0.1, no_nash_fallback="uniform"),
-            pennies_game,
-            0,
-        )
+        model = EpsilonNash(epsilon=0.1, no_nash_fallback="uniform")
+        out = model.predict_profile(pennies_game)[0]
         assert out.weights == (0.5, 0.5)
 
     def test_no_nash_uniform_fallback_three_actions(self):
@@ -248,7 +233,7 @@ class TestEpsilonNash:
         game = NormalFormGame(
             action_counts=(1, 1), payoffs=np.zeros((2, 1, 1))
         )
-        out = predict(EpsilonNash(epsilon=0.4), game, 0)
+        out = EpsilonNash(epsilon=0.4).predict_profile(game)[0]
         assert out.weights == (1.0,)
 
 
@@ -257,13 +242,13 @@ class TestLogitQBRModel:
         model = LogitQBR(precision=0.0)
         for game in corpus:
             for player in range(2):
-                assert predict(model, game, player).weights == (0.5, 0.5)
+                assert model.predict_profile(game)[player].weights == (0.5, 0.5)
 
     def test_prediction_is_equilibrium_component(self, asym_game):
         model = LogitQBR(precision=2.0)
         profile = qbr_equilibrium(asym_game, 2.0)
         for player in range(2):
-            assert predict(model, asym_game, player).weights == pytest.approx(
+            assert model.predict_profile(asym_game)[player].weights == pytest.approx(
                 profile[player].weights
             )
 
@@ -275,13 +260,13 @@ class TestLogitQBRModel:
 class TestLevelK:
     def test_pure_level0_uniform(self, asym_game):
         model = LevelK(level_weights=(1.0,))
-        assert predict(model, asym_game, 0).weights == (0.5, 0.5)
+        assert model.predict_profile(asym_game)[0].weights == (0.5, 0.5)
 
     def test_pure_level0_custom(self, asym_game):
         custom = (MixedStrategy((0.9, 0.1)), MixedStrategy((0.2, 0.8)))
         model = LevelK(level_weights=(1.0,), level0=custom)
-        assert predict(model, asym_game, 0).weights == (0.9, 0.1)
-        assert predict(model, asym_game, 1).weights == (0.2, 0.8)
+        assert model.predict_profile(asym_game)[0].weights == (0.9, 0.1)
+        assert model.predict_profile(asym_game)[1].weights == (0.2, 0.8)
 
     @pytest.mark.parametrize("bad", [("1",), (True,), (0.5, "0.5")])
     def test_level_weights_must_be_numbers(self, bad):
@@ -292,12 +277,12 @@ class TestLevelK:
     def test_dominant_action_any_level(self, pd_game):
         for weights in [(0.0, 1.0), (0.0, 0.0, 1.0)]:
             model = LevelK(level_weights=weights)
-            assert predict(model, pd_game, 0).weights == (0.0, 1.0)
+            assert model.predict_profile(pd_game)[0].weights == (0.0, 1.0)
 
     def test_pennies_level1_uniform(self, pennies_game):
         # vs uniform, every action ties; uniform tie-break keeps uniform
         model = LevelK(level_weights=(0.0, 1.0))
-        assert predict(model, pennies_game, 0).weights == (0.5, 0.5)
+        assert model.predict_profile(pennies_game)[0].weights == (0.5, 0.5)
 
     def test_level2_matches_hand_recursion(self, asym_game):
         # Hand recursion with raw numpy, independent of the library:
@@ -307,7 +292,7 @@ class TestLevelK:
         l2 = [_br_oracle(u0, l1[1]), _br_oracle(u1.T, l1[0])]
         model = LevelK(level_weights=(0.0, 0.0, 1.0))
         for player, oracle in enumerate(l2):
-            got = predict(model, asym_game, player).weights
+            got = model.predict_profile(asym_game)[player].weights
             assert np.allclose(got, oracle, atol=1e-10)
 
     def test_mixture_weights_combine_levels(self, asym_game):
@@ -317,7 +302,7 @@ class TestLevelK:
         oracle = 0.3 * l0 + 0.7 * l1
         model = LevelK(level_weights=(0.3, 0.7))
         assert np.allclose(
-            predict(model, asym_game, 0).weights, oracle, atol=1e-10
+            model.predict_profile(asym_game)[0].weights, oracle, atol=1e-10
         )
 
     def test_qbr_response_matches_softmax_recursion(self, asym_game):
@@ -330,7 +315,7 @@ class TestLevelK:
         ]
         model = LevelK(level_weights=(0.0, 1.0), response="qbr", precision=lam)
         for player, oracle in enumerate(l1):
-            got = predict(model, asym_game, player).weights
+            got = model.predict_profile(asym_game)[player].weights
             assert np.allclose(got, oracle, atol=1e-12)
 
     def test_validation(self):
@@ -349,7 +334,7 @@ class TestLevelK:
             level0=(MixedStrategy((1.0,)), MixedStrategy((0.5, 0.5))),
         )
         with pytest.raises(ValueError):
-            predict(model, asym_game, 0)
+            model.predict_profile(asym_game)[0]
 
 
 class TestCognitiveHierarchy:
@@ -357,14 +342,14 @@ class TestCognitiveHierarchy:
         ch = CognitiveHierarchy(poisson_mean=1.5, max_level=1)
         lk = LevelK(level_weights=(0.0, 1.0))
         for player in range(2):
-            assert predict(ch, asym_game, player).weights == pytest.approx(
-                predict(lk, asym_game, player).weights
+            assert ch.predict_profile(asym_game)[player].weights == pytest.approx(
+                lk.predict_profile(asym_game)[player].weights
             )
 
     def test_dominant_action_any_tau(self, pd_game):
         for tau in (0.5, 1.5, 4.0):
             ch = CognitiveHierarchy(poisson_mean=tau, max_level=3)
-            assert predict(ch, pd_game, 0).weights == (0.0, 1.0)
+            assert ch.predict_profile(pd_game)[0].weights == (0.0, 1.0)
 
     def test_hand_unrolled_truncated_poisson(self, asym_game):
         # Oracle: Poisson(1.5) pmf renormalized over strictly lower levels.
@@ -385,7 +370,7 @@ class TestCognitiveHierarchy:
             )
         ch = CognitiveHierarchy(poisson_mean=tau, max_level=3)
         for player in range(2):
-            got = predict(ch, asym_game, player).weights
+            got = ch.predict_profile(asym_game)[player].weights
             assert np.allclose(got, lv[3][player], atol=1e-10)
 
     @pytest.mark.parametrize("bad", [2.7, True, "2"])
@@ -405,14 +390,14 @@ class TestCognitiveHierarchy:
 class TestNoisyIntrospection:
     def test_zero_base_precision_uniform(self, asym_game):
         model = NoisyIntrospection(precision=0.0, decay=0.5, max_depth=4)
-        assert predict(model, asym_game, 0).weights == (0.5, 0.5)
+        assert model.predict_profile(asym_game)[0].weights == (0.5, 0.5)
 
     def test_depth_one_is_single_logit_step(self, asym_game):
         lam = 2.2
         model = NoisyIntrospection(precision=lam, decay=0.7, max_depth=1)
         u0 = asym_game.payoffs[0]
         oracle = _softmax_oracle(u0 @ np.array([0.5, 0.5]), lam)
-        got = predict(model, asym_game, 0).weights
+        got = model.predict_profile(asym_game)[0].weights
         assert np.allclose(got, oracle, atol=1e-12)
 
     def test_depth_three_hand_unrolled(self, asym_game):
@@ -427,7 +412,7 @@ class TestNoisyIntrospection:
             ]
         model = NoisyIntrospection(precision=lam0, decay=decay, max_depth=3)
         for player in range(2):
-            got = predict(model, asym_game, player).weights
+            got = model.predict_profile(asym_game)[player].weights
             assert np.allclose(got, profile[player], atol=1e-12)
 
     def test_validation(self):
@@ -468,6 +453,38 @@ def test_model_scalars_must_be_numbers(field, build):
     assert value == 0.5 and type(value) is float
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda level0: LevelK((1.0,), level0=level0),
+        lambda level0: CognitiveHierarchy(1.0, 2, level0=level0),
+    ],
+    ids=["LevelK", "CognitiveHierarchy"],
+)
+@pytest.mark.parametrize("bad", [[[0.5, 0.5], [0.5, 0.5]], 5, "uniform"])
+def test_level0_entries_must_be_strategies(build, bad):
+    with pytest.raises(ValueError, match="^level0: "):
+        build(bad)
+    level0 = [MixedStrategy((0.5, 0.5))] * 2
+    assert build(level0).level0 == tuple(level0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        LogitQBR,
+        lambda v: NoisyIntrospection(v, 0.5, 3),
+        lambda v: LevelK((1.0,), response="qbr", precision=v),
+        lambda v: qbr_equilibrium(two_player([[1.0]], [[1.0]]), v),
+    ],
+    ids=["LogitQBR", "NoisyIntrospection", "LevelK", "qbr_equilibrium"],
+)
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_precision_checked_alike(build, bad):
+    with pytest.raises(ValueError, match=r"^precision must be a finite nonnegative real$"):
+        build(bad)
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "model",
@@ -503,9 +520,7 @@ class TestSerialization:
         again = model_from_dict(data)
         assert again == model
         # behavioral equivalence too
-        assert predict(again, asym_game, 0).weights == predict(
-            model, asym_game, 0
-        ).weights
+        assert again.predict_profile(asym_game) == model.predict_profile(asym_game)
 
     @pytest.mark.parametrize(
         "model, expected",
@@ -586,7 +601,7 @@ class TestSerialization:
         for game in corpus:
             for model in models:
                 for player in range(2):
-                    out = predict(model, game, player)
+                    out = model.predict_profile(game)[player]
                     assert all(w >= 0 for w in out.weights)
                     assert sum(out.weights) == pytest.approx(1.0, abs=1e-9)
 
@@ -603,21 +618,6 @@ SIX_MODELS = [
 
 class TestPredictProfile:
     @pytest.mark.parametrize("model", SIX_MODELS, ids=lambda m: type(m).__name__)
-    @pytest.mark.parametrize("player", [-1, 2])
-    def test_player_checked_before_any_solve(self, model, player, asym_game, monkeypatch):
-        def solve(self, game):
-            raise AssertionError("the profile was computed before the player check")
-
-        monkeypatch.setattr(type(model), "predict_profile", solve)
-        with pytest.raises(ValueError, match=f"player {player} out of range for 2 players"):
-            predict(model, asym_game, player)
-
-    @pytest.mark.parametrize("player", [-1, 2])
-    def test_no_nash_game_reports_the_player(self, pennies_game, player):
-        with pytest.raises(ValueError, match=f"player {player} out of range for 2 players"):
-            predict(EpsilonNash(epsilon=0.1), pennies_game, player)
-
-    @pytest.mark.parametrize("model", SIX_MODELS, ids=lambda m: type(m).__name__)
     def test_predict_is_the_profile_entry(self, model):
         game = random_game(np.random.default_rng(11), counts=(2, 3, 2))
         if isinstance(model, EpsilonNash):
@@ -625,5 +625,4 @@ class TestPredictProfile:
         profile = model.predict_profile(game)
         assert isinstance(profile, tuple)
         assert [s.num_actions for s in profile] == [2, 3, 2]
-        for player in range(3):
-            assert predict(model, game, player) == profile[player]
+        assert all(isinstance(s, MixedStrategy) for s in profile)

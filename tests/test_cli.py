@@ -11,7 +11,7 @@ import pytest
 
 import foggame.cli as cli
 from foggame import behavior
-from foggame.behavior import EpsilonNash, LevelK, model_to_dict, predict
+from foggame.behavior import EpsilonNash, LevelK, model_to_dict
 from foggame.cli import (
     OUT_DIR_ENV,
     ConfigError,
@@ -785,7 +785,7 @@ class TestShippedArtifacts:
         game = load_game(self.repo_root / "data" / "example_game.json")
         model = model_from_dict(config["model"])
         for player in range(game.num_players):
-            oracle = predict(model, game, player).weights
+            oracle = model.predict_profile(game)[player].weights
             assert out["strategies"][player] == pytest.approx(oracle)
 
     def test_generator_script_reproduces_dataset(self, tmp_path, monkeypatch):
@@ -861,7 +861,7 @@ class TestPredict:
         assert main(["predict", path]) == 0
         out = json.loads(capsys.readouterr().out)
         for player in range(2):
-            oracle = predict(model, asym_game, player).weights
+            oracle = model.predict_profile(asym_game)[player].weights
             assert out["strategies"][player] == pytest.approx(oracle)
 
     def test_social_transform_applied(self, tmp_path, pd_game, capsys):
@@ -882,7 +882,7 @@ class TestPredict:
         params = SocialPrefParams(altruism_weight=1.0)
         transformed = transform_game_social(pd_game, [params, params])
         for player in range(2):
-            oracle = predict(model, transformed, player).weights
+            oracle = model.predict_profile(transformed)[player].weights
             assert out["strategies"][player] == pytest.approx(oracle)
 
     def test_lottery_valuation(self, tmp_path, capsys):

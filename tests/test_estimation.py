@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from foggame import behavior
-from foggame.behavior import EpsilonNash, FixedPointError, LevelK, LogitQBR, predict
+from foggame.behavior import EpsilonNash, FixedPointError, LevelK, LogitQBR
 from foggame.cli import main
 from foggame.estimation import (
     PROB_FLOOR,
@@ -166,7 +166,7 @@ class TestLogLikelihood:
         model = LogitQBR(precision=1.0)
         prod = 1.0
         for obs in observations:
-            prod *= predict(model, obs.game, obs.player).weights[obs.action]
+            prod *= model.predict_profile(obs.game)[obs.player].weights[obs.action]
         got = log_likelihood(qbr_family(), (1.0,), observations)
         assert got == pytest.approx(math.log(prod), abs=1e-10)
 
@@ -241,7 +241,7 @@ class TestFamilies:
         model = family.build((0.3,))
         assert isinstance(model, EpsilonNash)
         # uniform fallback keeps likelihood defined without a pure equilibrium
-        assert predict(model, pennies_game, 0).weights == (0.5, 0.5)
+        assert model.predict_profile(pennies_game)[0].weights == (0.5, 0.5)
 
     def test_level_k_family_normalizes_weights(self):
         family = level_k_family(2)

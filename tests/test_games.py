@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foggame.behavior import BestResponse, LevelK, predict
+from foggame.behavior import BestResponse, LevelK
 from foggame.games import (
     TIE_TOL,
     MixedStrategy,
@@ -17,6 +21,7 @@ from foggame.games import (
     pure_nash,
     save_game,
 )
+from foggame import games
 from foggame.games import _eu_kernel
 
 from conftest import random_game, two_player
@@ -55,14 +60,6 @@ class TestMixedStrategy:
             MixedStrategy(bad)
         s = MixedStrategy((np.float64(0.25), 0.75))
         assert s.weights == (0.25, 0.75) and type(s.weights[0]) is float
-
-    def test_point_mass(self):
-        s = MixedStrategy.point_mass(1, 3)
-        assert s.weights == (0.0, 1.0, 0.0)
-
-    def test_point_mass_out_of_range(self):
-        with pytest.raises(ValueError):
-            MixedStrategy.point_mass(3, 3)
 
     def test_as_array_is_copy(self):
         s = MixedStrategy((0.5, 0.5))
@@ -123,6 +120,27 @@ class TestNormalFormGame:
         assert clone == pd_game
         assert hash(clone) == hash(pd_game)
         assert clone in {pd_game}
+        # Equal games hash equal however they were built, and the hash is
+        # the value of the counts and payoff bytes.
+        again = NormalFormGame.from_dict(pd_game.to_dict())
+        assert again == pd_game and hash(again) == hash(pd_game)
+        assert hash(pd_game) == hash(((2, 2), pd_game.payoffs.tobytes()))
+
+    def test_unpickled_game_hashes_like_a_fresh_one(self, pd_game):
+        # bytes hashes are salted per process, so a pickled hash would go stale
+        script = (
+            "import pickle, sys; import numpy as np; from foggame.games import NormalFormGame; "
+            "g = pickle.loads(sys.stdin.buffer.read()); "
+            "fresh = NormalFormGame(g.action_counts, np.array(g.payoffs)); "
+            "print(g == fresh, hash(g) == hash(fresh), fresh in {g: 1})"
+        )
+        src = os.path.dirname(os.path.dirname(games.__file__))
+        env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(pd_game),
+            capture_output=True, env=env, check=True,
+        )
+        assert out.stdout.decode().split() == ["True", "True", "True"]
 
     def test_dict_round_trip(self, corpus):
         for game in corpus:
@@ -177,11 +195,11 @@ class TestNormalFormGame:
 def _best_response_set(game, player, profile=None) -> list[int]:
     """Support of the exact best response to ``profile`` (uniform play if None)."""
     if profile is None:
-        strategy = predict(BestResponse(), game, player)
+        strategy = BestResponse().predict_profile(game)[player]
     else:
         level0 = tuple(MixedStrategy(tuple(w)) for w in profile)
         model = LevelK(level_weights=(0.0, 1.0), level0=level0)
-        strategy = predict(model, game, player)
+        strategy = model.predict_profile(game)[player]
     return np.flatnonzero(strategy.as_array()).tolist()
 
 

@@ -138,6 +138,15 @@ class TestFogScenario:
             FogScenario(num_nodes=2, budget=5.0, price_floors=(1.0, True))
         with pytest.raises(ValueError, match="averaging"):
             FogScenario(num_nodes=1, budget=5.0, averaging=1)
+        fields = ("budget", "utility_scale", "step_size", "noise_level", "convergence_tol")
+        for field in fields:
+            with pytest.raises(ValueError, match=f"^{field}: must be a number, got True"):
+                FogScenario(**{"num_nodes": 1, "budget": 5.0, field: True})
+        scn = FogScenario(num_nodes=2, budget=10, utility_scale=2, step_size=np.int64(8),
+                          noise_level=0, convergence_tol=np.float32(0.5))
+        for field in fields:
+            assert type(getattr(scn, field)) is float
+        assert scn.budget == 10.0 and scn.convergence_tol == 0.5
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):

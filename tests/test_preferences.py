@@ -88,6 +88,23 @@ class TestProspectParams:
         with pytest.raises(ValueError):
             ProspectParams(weight_curvature=1.5)
 
+    def test_weight_curve_increasing_over_whole_safe_region(self):
+        grid = np.linspace(0.0, 1.0, 101)
+        for curve in np.linspace(0.28, 1.0, 2001)[1:]:
+            params = ProspectParams(weight_curvature=float(curve))
+            values = [pt_weight(float(p), params) for p in grid]
+            assert all(b > a for a, b in zip(values, values[1:])), curve
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("gain_curvature", True), ("loss_aversion", "3"), ("reference", "0")],
+    )
+    def test_values_must_be_numbers(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field}: must be a number, got {bad!r}"):
+            ProspectParams(**{field: bad})
+        params = ProspectParams(loss_aversion=3, reference=np.float64(1.0))
+        assert type(params.loss_aversion) is float and type(params.reference) is float
+
 
 class TestPtValue:
     def test_reference_maps_to_zero(self):
@@ -221,6 +238,15 @@ class TestSocialPrefParams:
     def test_rejects_unknown_metric(self):
         with pytest.raises(ValueError):
             SocialPrefParams(inequity_metric="gini")
+
+    @pytest.mark.parametrize(
+        "field, bad", [("selfish_weight", True), ("selfish_weight", "1"), ("envy_weight", "0")]
+    )
+    def test_weights_must_be_numbers(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field}: must be a number, got {bad!r}"):
+            SocialPrefParams(**{field: bad})
+        params = SocialPrefParams(selfish_weight=1, envy_weight=np.float64(0.5))
+        assert type(params.selfish_weight) is float and type(params.envy_weight) is float
 
 
 def _one_cell(base, params) -> list[float]:
