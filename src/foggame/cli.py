@@ -55,9 +55,9 @@ from .market import (
     FogScenario,
     NegotiationTrace,
     PriceRule,
+    _negotiate,
     compute_metrics,
     default_scenario,
-    run_negotiation,
     write_trace_csv,
 )
 from .preferences import (
@@ -265,39 +265,45 @@ def _family_from_model_block(model: dict) -> ModelFamily:
 
 
 def run_simulate(spec: ExperimentSpec) -> int:
-    """Run every (noise, averaging, seed) cell; write traces + summary."""
+    """Run every (noise, averaging, seed) cell together; write traces +
+    summary.  A cell that fails is recorded in the manifest and the rest
+    still run."""
     assert spec.scenario is not None
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(out / "resolved_config.json", _json_text(resolved_config(spec)))
 
-    cells = {
+    cells = sorted({
         (rho, averaging, seed)
         for rho in spec.noise_sweep
         for averaging in spec.averaging_sweep
         for seed in spec.seeds
-    }
+    })
+    try:
+        outcomes = _negotiate(spec.scenario, cells, spec.price_rule)
+    except Exception as exc:  # noqa: BLE001 — the fault of every cell
+        outcomes = [exc] * len(cells)
     manifest_cells = []
     traces: list[NegotiationTrace] = []
-    for rho, averaging, seed in sorted(cells):
+    for (rho, averaging, seed), outcome in zip(cells, outcomes):
         entry = {"noise_level": rho, "averaging": averaging, "seed": seed}
-        try:
-            scenario = dataclasses.replace(
-                spec.scenario, noise_level=rho, averaging=averaging
-            )
-            trace = run_negotiation(scenario, spec.price_rule, seed)
-            name = f"trace_{rho}_{str(averaging).lower()}_{seed}.csv"
-            _atomic_write_trace(trace, out / name)
-        except Exception as exc:  # noqa: BLE001 — keep going, record fault
-            entry.update(status="failed", error=str(exc))
+        name = f"trace_{rho}_{str(averaging).lower()}_{seed}.csv"
+        error = outcome if isinstance(outcome, Exception) else None
+        if error is None:
+            try:
+                _atomic_write_trace(outcome, out / name)
+            except Exception as exc:  # noqa: BLE001 — keep going, record fault
+                error = exc
+        if error is not None:
+            entry.update(status="failed", error=str(error))
         else:
-            traces.append(trace)
+            traces.append(outcome)
             entry.update(
                 status="ok",
                 file=name,
-                rounds=len(trace.rounds),
-                converged=trace.converged,
-                convergence_round=trace.convergence_round,
+                rounds=len(outcome.rounds),
+                converged=outcome.converged,
+                convergence_round=outcome.convergence_round,
             )
         manifest_cells.append(entry)
     failures = len(manifest_cells) - len(traces)

@@ -19,14 +19,19 @@ Noise is treated as execution noise: a node's adaptation state tracks its
 own computed (pre-noise) prices, while the announced price — what the user
 sees and pays — carries the perturbation and is projected back into
 ``[price_floor, price_cap]``.
+
+The (noise level, averaging, seed) cells of a simulate run advance together
+in one stacked kernel, and each cell gets the bits it would get alone;
+``run_negotiation`` is a batch of one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
-from typing import Callable, Iterable, Literal, Sequence, get_args
+from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -185,14 +190,21 @@ class _Market:
     """A validated scenario's constants as arrays, and the market formulas.
 
     The formulas are unchecked and take per-node vectors or (rounds x nodes)
-    arrays; the public functions below validate, then call them.
+    arrays; the public functions below validate, then call them.  With
+    ``cells``, each per-node constant is tiled to (cells x nodes), so the
+    stacked kernel's operands share one contiguous shape and every ufunc
+    takes NumPy's fast path.
     """
 
-    def __init__(self, s: FogScenario):
-        self.floors, self.caps = np.asarray(s.price_floors), np.asarray(s.price_caps)
-        self.alpha = np.asarray(s.utility_weights)
-        self.beta = np.asarray(s.quality_factors)
-        self.kappa, self.scale = np.asarray(s.margin_factors), s.utility_scale
+    def __init__(self, s: FogScenario, cells: int | None = None):
+        def per_node(values) -> np.ndarray:
+            vec = np.asarray(values)
+            return vec if cells is None else np.tile(vec, (cells, 1))
+
+        self.floors, self.caps = per_node(s.price_floors), per_node(s.price_caps)
+        self.alpha = per_node(s.utility_weights)
+        self.beta = per_node(s.quality_factors)
+        self.kappa, self.scale = per_node(s.margin_factors), s.utility_scale
         self.budget_alpha = s.budget * self.alpha
         self.total_weight = float(sum(s.utility_weights))
         self.step_size, self.probe = s.step_size, s.step_size * self.floors
@@ -272,7 +284,7 @@ class NegotiationTrace:
 
     def __post_init__(self) -> None:
         for name in ("prices", "demands", "gains", "utilities"):
-            array = np.array(getattr(self, name), dtype=float)
+            array = np.asarray(getattr(self, name), dtype=float).view()
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         shape = (len(self.utilities), self.scenario.num_nodes)
@@ -284,33 +296,162 @@ class NegotiationTrace:
         return range(1, len(self.utilities) + 1)
 
 
-def _averager(scenario: FogScenario) -> Callable[[np.ndarray, int], np.ndarray]:
-    """What an actor executes in round ``count``: its sample, or a mean.
+# Rounds per noise draw and overflow/convergence check, and per CSV write.
+_BLOCK_ROUNDS = 64
 
-    With two or more nodes a running sum over the count equals NumPy's mean
-    of the stacked samples bit for bit (NumPy adds them row by row); one
-    node's (t x 1) stack is summed pairwise, so it, like a window, takes the
-    mean of a row slice.
+
+def _negotiate(
+    scenario: FogScenario,
+    cells: Sequence[tuple[float, bool, int]],
+    price_rule: PriceRule,
+) -> list[NegotiationTrace | ValueError]:
+    """Run the (noise_level, averaging, seed) cells of one scenario together.
+
+    The cells advance round by round on one (rounds x 2 x cells x nodes)
+    state array, and every operation is elementwise per cell, so each cell
+    gets the bits it would get alone.  A cell draws its noise from its own
+    ``default_rng(seed)`` one block of rounds at a time, which consumes the
+    stream like one whole-run draw.  Overflow and convergence are settled
+    once per block from the stored rows: a cell ends at its first row with
+    a demand that is not finite or at its first converged row, whichever
+    comes first, and the rows computed after its end are dropped.  Returns,
+    per cell, its trace or the ``ValueError`` that ended it.
     """
-    if not scenario.averaging:
-        return lambda sample, count: sample
-    window = scenario.averaging_window
-    if window is None and scenario.num_nodes >= 2:
-        total = np.zeros(scenario.num_nodes)
+    if price_rule not in PRICE_RULES:
+        raise ValueError(f"unknown price rule {price_rule!r}")
+    scenarios = [
+        dataclasses.replace(scenario, noise_level=rho, averaging=averaging)
+        for rho, averaging, _ in cells
+    ]
+    rngs = [np.random.default_rng(seed) for _, _, seed in cells]
 
-        def running_mean(sample: np.ndarray, count: int) -> np.ndarray:
+    n, m, rounds = len(cells), scenario.num_nodes, scenario.max_rounds
+    k, stacked = _Market(scenario), _Market(scenario, n)
+    tol, window = scenario.convergence_tol, scenario.convergence_window
+    gradient = price_rule == "gradient_ascent"
+    averaged = np.repeat([[s.averaging] for s in scenarios], m, axis=1)
+    averaging = bool(averaged.any())
+    # With two or more nodes a running sum over the count equals NumPy's mean
+    # of the stacked samples bit for bit (NumPy adds them row by row).  One
+    # node's samples are summed pairwise, so it, like a window, takes the
+    # mean of a slice of a (cells x rounds x nodes) buffer, which NumPy
+    # reduces cell by cell exactly as it reduces one cell's own stack.
+    span = scenario.averaging_window
+    running = span is None and m >= 2
+    if averaging and running:
+        totals = (np.zeros((n, m)), np.zeros((n, m)))  # demands, prices
+    elif averaging:
+        samples = np.empty((2, n, rounds, m))
+
+    def executed(actor: int, sample: np.ndarray, t: int) -> np.ndarray:
+        """What each cell's actor executes in round t + 1: its sample, or a mean."""
+        if not averaging:
+            return sample
+        if running:
+            total = totals[actor]
             np.add(total, sample, out=total)
-            return total / count
+            mean = total / (t + 1)
+        else:
+            samples[actor, :, t] = sample
+            start = 0 if span is None else max(0, t + 1 - span)
+            mean = np.mean(samples[actor, :, start : t + 1], axis=1)
+        return np.where(averaged, mean, sample)
 
-        return running_mean
-    samples = np.empty((scenario.max_rounds, scenario.num_nodes))
+    # Row t holds the prices in force and the executed demands of round t + 1.
+    state = np.empty((rounds, 2, n, m))
+    state[0, 0] = scenario.initial_prices
+    intended = state[0, 0].copy()  # node-side pre-noise adaptation state
+    previous = intended_gain = None
+    ends: list[tuple[int, bool] | ValueError | None] = [None] * n
+    alive = np.ones(n, dtype=bool)
+    moved = np.zeros(n, dtype=int)  # each cell's last row that was not quiet
 
-    def slice_mean(sample: np.ndarray, count: int) -> np.ndarray:
-        samples[count - 1] = sample
-        start = 0 if window is None else max(0, count - window)
-        return np.mean(samples[start:count], axis=0)
+    # A cell's rows after its overflow turn NaN; they are dropped unread.
+    with np.errstate(invalid="ignore"):
+        for first in range(0, rounds, _BLOCK_ROUNDS):
+            last = min(first + _BLOCK_ROUNDS, rounds)
+            # Noise factors: row 0 for the demands, row 1 for the prices.
+            # Without noise every factor is exactly 1.
+            noise = np.empty((last - first, 2, n, m))
+            for j, (rng, s) in enumerate(zip(rngs, scenarios)):
+                rho = s.noise_level
+                noise[:, :, j] = rng.uniform(-rho, rho, size=(last - first, 2, m))
+            noise += 1.0
 
-    return slice_mean
+            for t in range(first, last):
+                c, r = state[t]
+                sample = stacked.demand(c) * noise[t - first, 0]
+                np.maximum(executed(0, sample, t), DEMAND_FLOOR, out=r)
+                if t + 1 == rounds:
+                    break
+                if not gradient:
+                    # foc_root: under r(c) = B w / (c W) the gain's slope
+                    # r (1 - kappa (c - f) / c) >= r f / c > 0, so the root
+                    # is the cap
+                    intended = stacked.caps
+                else:
+                    gain = stacked.gain(intended, r)
+                    if intended_gain is None:
+                        following = stacked.project(intended + stacked.probe)
+                    else:
+                        following = stacked.gradient_step(
+                            intended, previous, gain - intended_gain
+                        )
+                    previous, intended, intended_gain = intended, following, gain
+                sample = intended * noise[t - first, 1]
+                stacked.project(executed(1, sample, t), out=state[t + 1, 0])
+
+            # Row t is quiet when every price and demand moved by less than
+            # the tolerance since row t - 1; the cell has converged at row t
+            # once rows t - window + 2 .. t are all quiet.
+            rows = np.arange(first, last)[:, None]
+            low = max(first, 1)
+            before = state[low - 1 : last - 1]
+            change = np.abs(state[low:last] - before) / np.maximum(np.abs(before), 1e-12)
+            quiet = np.zeros((last - first, n), dtype=bool)
+            quiet[low - first :] = change.max(axis=(1, 3)) < tol
+            marks = np.where(quiet, -1, rows)
+            marks[0] = np.maximum(marks[0], moved)
+            moved_rows = np.maximum.accumulate(marks, axis=0)
+            moved = moved_rows[-1]
+            converged = (rows + 1 >= window) & (rows - moved_rows >= window - 1)
+            failed = ~np.isfinite(state[first:last, 1]).all(axis=2)
+            ending = failed | converged
+            ending[-1] |= last == rounds
+            for j in np.flatnonzero(alive & ending.any(axis=0)):
+                i = int(ending[:, j].argmax())
+                if not failed[i, j]:
+                    ends[j] = (first + i, bool(converged[i, j]))
+                elif np.isfinite(state[first + i, 0, j]).all():
+                    ends[j] = ValueError("demands must be finite")
+                else:
+                    # a price that is not finite makes its demand not finite too
+                    ends[j] = ValueError("prices must be finite and >= price_floors")
+                alive[j] = False
+            if not alive.any():
+                break
+
+    outcomes: list[NegotiationTrace | ValueError] = []
+    for j, (end, s, (_, _, seed)) in enumerate(zip(ends, scenarios, cells)):
+        if isinstance(end, ValueError):
+            outcomes.append(end)
+            continue
+        row, converged = end
+        prices, demands = state[: row + 1, 0, j], state[: row + 1, 1, j]
+        outcomes.append(
+            NegotiationTrace(
+                scenario=s,
+                price_rule=price_rule,
+                seed=seed,
+                prices=prices,
+                demands=demands,
+                gains=k.gain(prices, demands),
+                utilities=k.utility(prices, demands),
+                converged=converged,
+                convergence_round=row + 1 if converged else None,
+            )
+        )
+    return outcomes
 
 
 def run_negotiation(
@@ -334,72 +475,15 @@ def run_negotiation(
     the whole trailing window ``[t - convergence_window + 1, t]``.
 
     ``FogScenario`` has validated the inputs and projection keeps prices in
-    range, so each round checks only for overflow.  Output is a pure
-    function of ``(scenario, price_rule, seed)``.
+    range, so the loop checks only for overflow.  This is a batch of one
+    cell of the simulate kernel.  Output is a pure function of
+    ``(scenario, price_rule, seed)``.
     """
-    if price_rule not in PRICE_RULES:
-        raise ValueError(f"unknown price rule {price_rule!r}")
-    k = _Market(scenario)
-    m, rho = scenario.num_nodes, scenario.noise_level
-    tol, window = scenario.convergence_tol, scenario.convergence_window
-    gradient = price_rule == "gradient_ascent"
-    executed_demand, executed_price = _averager(scenario), _averager(scenario)
-    # Noise factors of round t + 1: row 0 for the demands, row 1 for the
-    # prices.  One block draw consumes the stream like per-round vector draws,
-    # and without noise every factor is exactly 1.
-    rng = np.random.default_rng(seed)
-    noise = 1.0 + rng.uniform(-rho, rho, size=(scenario.max_rounds, 2, m))
-
-    # Row t holds the prices in force and the executed demands of round t + 1.
-    state = np.empty((scenario.max_rounds, 2, m))
-    state[0, 0] = scenario.initial_prices
-    intended = state[0, 0].copy()  # node-side pre-noise adaptation state
-    previous = intended_gain = None
-    quiet, converged = 0, False
-
-    for t in range(scenario.max_rounds):
-        c, r = state[t]
-        sample = k.demand(c) * noise[t, 0]
-        np.maximum(executed_demand(sample, t + 1), DEMAND_FLOOR, out=r)
-        if not np.isfinite(r).all():
-            # a price that is not finite makes its demand not finite too
-            if not np.isfinite(c).all():
-                raise ValueError("prices must be finite and >= price_floors")
-            raise ValueError("demands must be finite")
-
-        if t:
-            last = state[t - 1]
-            change = np.abs(state[t] - last) / np.maximum(np.abs(last), 1e-12)
-            quiet = quiet + 1 if change.max() < tol else 0
-        converged = t + 1 >= window and quiet >= window - 1
-        if converged or t + 1 == scenario.max_rounds:
-            break
-
-        if not gradient:
-            # foc_root: under r(c) = B w / (c W) the gain's slope
-            # r (1 - kappa (c - f) / c) >= r f / c > 0, so the root is the cap
-            intended = k.caps
-        else:
-            gain = k.gain(intended, r)
-            if intended_gain is None:
-                following = k.project(intended + k.probe)
-            else:
-                following = k.gradient_step(intended, previous, gain - intended_gain)
-            previous, intended, intended_gain = intended, following, gain
-        k.project(executed_price(intended * noise[t, 1], t + 1), out=state[t + 1, 0])
-
-    prices, demands = state[: t + 1, 0], state[: t + 1, 1]
-    return NegotiationTrace(
-        scenario=scenario,
-        price_rule=price_rule,
-        seed=seed,
-        prices=prices,
-        demands=demands,
-        gains=k.gain(prices, demands),
-        utilities=k.utility(prices, demands),
-        converged=converged,
-        convergence_round=t + 1 if converged else None,
-    )
+    cell = (scenario.noise_level, scenario.averaging, seed)
+    (outcome,) = _negotiate(scenario, [cell], price_rule)
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -472,20 +556,20 @@ def write_trace_csv(trace: NegotiationTrace, path: str | Path) -> None:
     pinned, so the spelling stays until the reference digests are
     re-recorded.
     """
-    lines = [",".join(TRACE_COLUMNS)]
-    nodes = range(trace.scenario.num_nodes)
-    for t, prices, demands, utility, gains in zip(
-        trace.rounds,
-        trace.prices.tolist(),
-        trace.demands.tolist(),
-        trace.utilities.tolist(),
-        trace.gains.tolist(),
-    ):
-        utility = repr(utility)
-        lines.extend(
-            f"{t},{i},{prices[i]!r},{demands[i]!r},{utility},np.float64({gains[i]!r})"
-            for i in nodes
-        )
-    lines.append("")
+    m = trace.scenario.num_nodes
     with open(path, "w", newline="") as handle:
-        handle.write("\r\n".join(lines))
+        handle.write(",".join(TRACE_COLUMNS) + "\r\n")
+        # a block of rounds at a time: one repr pass per column, then one
+        # format per row
+        for first in range(0, len(trace.utilities), _BLOCK_ROUNDS):
+            block = slice(first, first + _BLOCK_ROUNDS)
+            rows = zip(
+                [f"{t},{i}" for t in trace.rounds[block] for i in range(m)],
+                map(repr, trace.prices[block].ravel().tolist()),
+                map(repr, trace.demands[block].ravel().tolist()),
+                [u for u in map(repr, trace.utilities[block].tolist()) for _ in range(m)],
+                map(repr, trace.gains[block].ravel().tolist()),
+            )
+            handle.write(
+                "".join(f"{key},{c},{r},{u},np.float64({g})\r\n" for key, c, r, u, g in rows)
+            )

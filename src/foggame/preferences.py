@@ -65,8 +65,8 @@ class ProspectParams:
             raise ValueError("gain_curvature must lie in (0, 1]")
         if not 0.0 < self.loss_curvature <= 1.0:
             raise ValueError("loss_curvature must lie in (0, 1]")
-        if self.loss_aversion < 1.0:
-            raise ValueError("loss_aversion must be >= 1")
+        if not 1.0 <= self.loss_aversion < np.inf:
+            raise ValueError("loss_aversion must be finite and >= 1")
         if not WEIGHT_CURVE_MIN < self.weight_curvature <= 1.0:
             raise ValueError(
                 f"weight_curvature must lie in ({WEIGHT_CURVE_MIN}, 1]"

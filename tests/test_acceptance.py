@@ -33,6 +33,8 @@ from foggame.estimation import (
 from foggame.games import pure_nash
 from foggame.market import (
     FogScenario,
+    NegotiationTrace,
+    _negotiate,
     default_scenario,
     instability_index,
     optimal_demand,
@@ -60,22 +62,28 @@ def rational_trace():
     return run_negotiation(default_scenario())
 
 
+def _seed_batch(noise_level: float, averaging: bool):
+    """One stacked kernel run over ``SEEDS``: the traces ``run_negotiation``
+    gives seed by seed, bit for bit (see ``tests/test_market.py``)."""
+    cells = [(noise_level, averaging, seed) for seed in SEEDS]
+    traces = _negotiate(default_scenario(), cells, "gradient_ascent")
+    assert all(isinstance(trace, NegotiationTrace) for trace in traces)
+    return traces
+
+
 @pytest.fixture(scope="module")
 def raw10_batch():
-    scenario = default_scenario(noise_level=0.10)
-    return [run_negotiation(scenario, seed=s) for s in SEEDS]
+    return _seed_batch(0.10, False)
 
 
 @pytest.fixture(scope="module")
 def raw05_batch():
-    scenario = default_scenario(noise_level=0.05)
-    return [run_negotiation(scenario, seed=s) for s in SEEDS]
+    return _seed_batch(0.05, False)
 
 
 @pytest.fixture(scope="module")
 def avg10_batch():
-    scenario = default_scenario(noise_level=0.10, averaging=True)
-    return [run_negotiation(scenario, seed=s) for s in SEEDS]
+    return _seed_batch(0.10, True)
 
 
 # ------------------------------------------------------------------ helpers

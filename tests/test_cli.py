@@ -344,14 +344,16 @@ class TestSimulate:
         assert not out_cfg.exists()
 
     def test_failed_cell_recorded_in_manifest(self, tmp_path, monkeypatch):
-        real = cli.run_negotiation
+        real = cli._negotiate
 
-        def flaky(scenario, price_rule, seed):
-            if seed == 1:
-                raise RuntimeError("synthetic fault")
-            return real(scenario, price_rule, seed)
+        def flaky(scenario, cells, price_rule):
+            outcomes = real(scenario, cells, price_rule)
+            return [
+                RuntimeError("synthetic fault") if seed == 1 else outcome
+                for (_, _, seed), outcome in zip(cells, outcomes)
+            ]
 
-        monkeypatch.setattr(cli, "run_negotiation", flaky)
+        monkeypatch.setattr(cli, "_negotiate", flaky)
         out = tmp_path / "out"
         path = write_config(tmp_path, simulate_config(out, seeds=[0, 1, 2]))
         assert main(["simulate", path]) == 3
@@ -366,6 +368,23 @@ class TestSimulate:
         assert (out / "trace_0.0_false_0.csv").exists()
         assert not (out / "trace_0.0_false_1.csv").exists()
         assert (out / "summary.json").exists()
+
+    def test_kernel_fault_fails_every_cell(self, tmp_path, monkeypatch):
+        def broken(scenario, cells, price_rule):
+            raise MemoryError("synthetic allocation failure")
+
+        monkeypatch.setattr(cli, "_negotiate", broken)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, simulate_config(out, seeds=[0, 1]))
+        assert main(["simulate", path]) == 3
+
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["num_failed"] == len(manifest["cells"]) == 2
+        for cell in manifest["cells"]:
+            assert cell["status"] == "failed"
+            assert cell["error"] == "synthetic allocation failure"
+        assert not list(out.glob("*.csv"))
+        assert not (out / "summary.json").exists()
 
     def test_overflowing_scenario_fails_its_cells(self, tmp_path):
         # demands overflow in the first round; each cell records the same
@@ -901,6 +920,21 @@ class TestPredict:
         )
         assert out["value"] == pytest.approx(oracle, abs=1e-12)
         assert out["value"] == pytest.approx(-5.387529248799424, abs=1e-11)
+
+    @pytest.mark.parametrize("loss_aversion", [float("nan"), float("inf"), 0.5])
+    def test_bad_loss_aversion_exits_2(self, tmp_path, capsys, loss_aversion):
+        path = write_config(
+            tmp_path,
+            {
+                "prospect": {"loss_aversion": loss_aversion},
+                "lottery": {"outcomes": [10.0, -5.0], "probs": [0.5, 0.5]},
+                "experiment": {"mode": "predict"},
+            },
+        )
+        assert main(["predict", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "prospect.loss_aversion" in captured.err
 
     def test_prospect_cannot_wrap_strategic_model(self, tmp_path, pd_game):
         path = write_config(

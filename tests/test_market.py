@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from foggame.market import (
     user_utility,
     write_trace_csv,
 )
-from foggame.market import _Market
+from foggame import market
+from foggame.market import _Market, _negotiate
 
 
 def _one_node(**overrides) -> FogScenario:
@@ -696,6 +699,113 @@ class TestDetectConvergence:
         for window in (1, 0, -3):
             with pytest.raises(ValueError, match="convergence_window"):
                 _one_node(convergence_window=window)
+
+
+def _alone(scenario: FogScenario, cell, price_rule: str):
+    """One cell run as a batch of one: its trace, or the error it raised."""
+    rho, averaging, seed = cell
+    alone = dataclasses.replace(scenario, noise_level=rho, averaging=averaging)
+    try:
+        return run_negotiation(alone, price_rule, seed)
+    except ValueError as exc:
+        return exc
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, ValueError) or isinstance(b, ValueError):
+        return type(a) is type(b) and str(a) == str(b)
+    return _same_trace(a, b) and a.scenario == b.scenario and a.seed == b.seed
+
+
+MIXED_CELLS = [
+    (rho, averaging, seed)
+    for rho in (0.0, 0.05, 0.1)
+    for averaging in (False, True)
+    for seed in (0, 1)
+]
+
+
+class TestStackedKernel:
+    """All cells of a simulate run advance together in ``_negotiate``."""
+
+    @pytest.mark.parametrize("price_rule", ["gradient_ascent", "foc_root"])
+    @pytest.mark.parametrize("window", [None, 5])
+    @pytest.mark.parametrize("num_nodes", [1, 4])
+    def test_each_cell_matches_its_batch_of_one(self, num_nodes, window, price_rule):
+        loop = dict(max_rounds=300, convergence_tol=1e-3, convergence_window=10,
+                    averaging_window=window)
+        if num_nodes == 1:
+            scn = _one_node(**loop)
+        else:
+            scn = default_scenario(**loop)
+        outcomes = _negotiate(scn, MIXED_CELLS, price_rule)
+        assert len(outcomes) == len(MIXED_CELLS)
+        for cell, trace in zip(MIXED_CELLS, outcomes):
+            assert _same_outcome(trace, _alone(scn, cell, price_rule)), cell
+            assert (trace.scenario.noise_level, trace.scenario.averaging) == cell[:2]
+            assert trace.convergence_round == _first_quiet_round(trace), cell
+            assert trace.converged or len(trace.rounds) == scn.max_rounds
+        # the traces are read-only views of one state array, not copies
+        assert len({id(t.prices.base) for t in outcomes}) == 1
+        assert any(t.converged for t in outcomes)
+        assert not all(t.converged for t in outcomes)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_size_changes_no_bit(self, block, monkeypatch):
+        scn = default_scenario(max_rounds=200, convergence_tol=1e-3,
+                               convergence_window=10)
+        expected = _negotiate(scn, MIXED_CELLS, "gradient_ascent")
+        monkeypatch.setattr(market, "_BLOCK_ROUNDS", block)
+        for a, b in zip(_negotiate(scn, MIXED_CELLS, "gradient_ascent"), expected):
+            assert _same_outcome(a, b)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_convergence_on_a_block_edge(self, offset):
+        # a pinned-price node is quiet from its second round on, so it
+        # converges at exactly ``convergence_window``: the last row of the
+        # first block, or the first row of the second
+        window = market._BLOCK_ROUNDS + offset
+        scn = _pinned_price_node(convergence_tol=1e-4, convergence_window=window,
+                                 max_rounds=3 * market._BLOCK_ROUNDS)
+        cells = [(0.0, False, 0), (0.0, True, 0), (0.1, False, 3), (0.1, True, 3)]
+        outcomes = _negotiate(scn, cells, "gradient_ascent")
+        for cell, trace in zip(cells, outcomes):
+            assert _same_outcome(trace, _alone(scn, cell, "gradient_ascent"))
+        assert [t.convergence_round for t in outcomes[:2]] == [window, window]
+        assert not outcomes[2].converged
+        assert len(outcomes[2].rounds) == scn.max_rounds
+
+    def test_overflowing_cell_fails_alone_and_quietly(self):
+        # demands sit near the largest float, so a raw noisy cell overflows
+        # in the round its noise pushes a demand past it; its later rows turn
+        # NaN and must neither touch the other cells nor raise new warnings
+        scn = FogScenario(num_nodes=2, budget=1e300, price_floors=1e-10,
+                          price_caps=3.34e-9, initial_prices=3.34e-9,
+                          max_rounds=100, convergence_tol=1e-3, convergence_window=10)
+        cells = [(rho, False, seed) for rho in (0.0, 0.1) for seed in range(8)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcomes = _negotiate(scn, cells, "gradient_ascent")
+            alone = [_alone(scn, cell, "gradient_ascent") for cell in cells]
+        assert {str(w.message) for w in caught} <= {"overflow encountered in multiply"}
+        failed = [isinstance(o, ValueError) for o in outcomes]
+        assert not any(failed[:8]) and any(failed[8:]) and not all(failed[8:])
+        for cell, a, b in zip(cells, outcomes, alone):
+            assert _same_outcome(a, b), cell
+            if isinstance(a, ValueError):
+                assert str(a) == "demands must be finite"
+
+    def test_overflow_in_every_cell(self):
+        # the first round's demand overflows whatever the noise or averaging
+        scn = FogScenario(num_nodes=2, budget=1e300, price_floors=1e-10,
+                          averaging_window=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for rule in ("gradient_ascent", "foc_root"):
+                for outcome in _negotiate(scn, MIXED_CELLS, rule):
+                    assert isinstance(outcome, ValueError)
+                    assert str(outcome) == "demands must be finite"
+        assert {str(w.message) for w in caught} == {"overflow encountered in divide"}
 
 
 class TestNegotiationTrace:

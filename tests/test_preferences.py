@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -74,8 +76,9 @@ class TestProspectParams:
 
     def test_loss_aversion_at_least_one(self):
         assert ProspectParams(loss_aversion=1.0).loss_aversion == 1.0
-        with pytest.raises(ValueError):
-            ProspectParams(loss_aversion=0.9)
+        for bad in (0.9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^loss_aversion must be finite and >= 1$"):
+                ProspectParams(loss_aversion=bad)
 
     def test_weight_curvature_safe_region(self):
         # below ~0.28 the curve stops being monotone and is rejected
