@@ -269,7 +269,9 @@ class NegotiationTrace:
 
     ``prices`` (in force), ``demands`` (executed) and ``gains`` are read-only
     (rounds x nodes) arrays and ``utilities`` holds the user's utility per
-    round.  ``rounds`` numbers the rows from 1.
+    round.  ``rounds`` numbers the rows from 1.  An array is kept as given
+    only when it and every array it views are read-only; any other is
+    copied, so no caller can change a trace.
     """
 
     scenario: FogScenario
@@ -284,8 +286,12 @@ class NegotiationTrace:
 
     def __post_init__(self) -> None:
         for name in ("prices", "demands", "gains", "utilities"):
-            array = np.asarray(getattr(self, name), dtype=float).view()
-            array.flags.writeable = False
+            array = base = np.asarray(getattr(self, name), dtype=float)
+            while isinstance(base, np.ndarray) and not base.flags.writeable:
+                base = base.base
+            if base is not None:
+                array = array.copy()
+                array.flags.writeable = False
             object.__setattr__(self, name, array)
         shape = (len(self.utilities), self.scenario.num_nodes)
         if not self.prices.shape == self.demands.shape == self.gains.shape == shape:
@@ -296,8 +302,11 @@ class NegotiationTrace:
         return range(1, len(self.utilities) + 1)
 
 
-# Rounds per noise draw and overflow/convergence check, and per CSV write.
+# Rounds per noise draw, and the most rounds the kernel runs before it
+# settles them.  Blocks start shorter and double, so that a cell that
+# converges early runs few rounds past its end.
 _BLOCK_ROUNDS = 64
+_FIRST_BLOCK_ROUNDS = 16
 
 
 def _negotiate(
@@ -307,14 +316,16 @@ def _negotiate(
 ) -> list[NegotiationTrace | ValueError]:
     """Run the (noise_level, averaging, seed) cells of one scenario together.
 
-    The cells advance round by round on one (rounds x 2 x cells x nodes)
-    state array, and every operation is elementwise per cell, so each cell
+    The live cells advance round by round on one stacked (actor x cells x
+    nodes) state, and every operation is elementwise per cell, so each cell
     gets the bits it would get alone.  A cell draws its noise from its own
     ``default_rng(seed)`` one block of rounds at a time, which consumes the
-    stream like one whole-run draw.  Overflow and convergence are settled
-    once per block from the stored rows: a cell ends at its first row with
-    a demand that is not finite or at its first converged row, whichever
-    comes first, and the rows computed after its end are dropped.  Returns,
+    stream like one whole-run draw.  The rows are settled at the end of
+    each block, or at once when a demand is not finite: a cell ends at its
+    first row with a demand that is not finite or at its first converged
+    row, whichever comes first, and leaves the stack with its own rows.  So
+    a cell runs at most one block past its convergence and not one round
+    past an overflow, and memory follows the rounds actually run.  Returns,
     per cell, its trace or the ``ValueError`` that ended it.
     """
     if price_rule not in PRICE_RULES:
@@ -330,7 +341,8 @@ def _negotiate(
     tol, window = scenario.convergence_tol, scenario.convergence_window
     gradient = price_rule == "gradient_ascent"
     averaged = np.repeat([[s.averaging] for s in scenarios], m, axis=1)
-    averaging = bool(averaged.any())
+    # whether any live cell averages, and whether they differ
+    averaging, mixed = bool(averaged.any()), not averaged.all()
     # With two or more nodes a running sum over the count equals NumPy's mean
     # of the stacked samples bit for bit (NumPy adds them row by row).  One
     # node's samples are summed pairwise, so it, like a window, takes the
@@ -338,10 +350,8 @@ def _negotiate(
     # reduces cell by cell exactly as it reduces one cell's own stack.
     span = scenario.averaging_window
     running = span is None and m >= 2
-    if averaging and running:
-        totals = (np.zeros((n, m)), np.zeros((n, m)))  # demands, prices
-    elif averaging:
-        samples = np.empty((2, n, rounds, m))
+    totals = np.zeros((2, n, m))  # demands, prices
+    samples = np.empty((2, n, 0, m))
 
     def executed(actor: int, sample: np.ndarray, t: int) -> np.ndarray:
         """What each cell's actor executes in round t + 1: its sample, or a mean."""
@@ -355,103 +365,126 @@ def _negotiate(
             samples[actor, :, t] = sample
             start = 0 if span is None else max(0, t + 1 - span)
             mean = np.mean(samples[actor, :, start : t + 1], axis=1)
-        return np.where(averaged, mean, sample)
+        return np.where(averaged, mean, sample) if mixed else mean
 
-    # Row t holds the prices in force and the executed demands of round t + 1.
-    state = np.empty((rounds, 2, n, m))
-    state[0, 0] = scenario.initial_prices
-    intended = state[0, 0].copy()  # node-side pre-noise adaptation state
-    previous = intended_gain = None
-    ends: list[tuple[int, bool] | ValueError | None] = [None] * n
-    alive = np.ones(n, dtype=bool)
-    moved = np.zeros(n, dtype=int)  # each cell's last row that was not quiet
+    def next_prices(r: np.ndarray, factor: np.ndarray, t: int, out=None):
+        """The prices each cell executes in round t + 2."""
+        nonlocal intended, previous, intended_gain
+        if not gradient:
+            # foc_root: under r(c) = B w / (c W) the gain's slope
+            # r (1 - kappa (c - f) / c) >= r f / c > 0, so the root is the cap
+            intended = stacked.caps
+        else:
+            gain = stacked.gain(intended, r)
+            if intended_gain is None:
+                following = stacked.project(intended + stacked.probe)
+            else:
+                following = stacked.gradient_step(intended, previous, gain - intended_gain)
+            previous, intended, intended_gain = intended, following, gain
+        return stacked.project(executed(1, intended * factor, t), out=out)
 
-    # A cell's rows after its overflow turn NaN; they are dropped unread.
-    with np.errstate(invalid="ignore"):
-        for first in range(0, rounds, _BLOCK_ROUNDS):
-            last = min(first + _BLOCK_ROUNDS, rounds)
-            # Noise factors: row 0 for the demands, row 1 for the prices.
-            # Without noise every factor is exactly 1.
-            noise = np.empty((last - first, 2, n, m))
-            for j, (rng, s) in enumerate(zip(rngs, scenarios)):
-                rho = s.noise_level
-                noise[:, :, j] = rng.uniform(-rho, rho, size=(last - first, 2, m))
-            noise += 1.0
-
-            for t in range(first, last):
-                c, r = state[t]
-                sample = stacked.demand(c) * noise[t - first, 0]
-                np.maximum(executed(0, sample, t), DEMAND_FLOOR, out=r)
-                if t + 1 == rounds:
-                    break
-                if not gradient:
-                    # foc_root: under r(c) = B w / (c W) the gain's slope
-                    # r (1 - kappa (c - f) / c) >= r f / c > 0, so the root
-                    # is the cap
-                    intended = stacked.caps
-                else:
-                    gain = stacked.gain(intended, r)
-                    if intended_gain is None:
-                        following = stacked.project(intended + stacked.probe)
-                    else:
-                        following = stacked.gradient_step(
-                            intended, previous, gain - intended_gain
-                        )
-                    previous, intended, intended_gain = intended, following, gain
-                sample = intended * noise[t - first, 1]
-                stacked.project(executed(1, sample, t), out=state[t + 1, 0])
-
-            # Row t is quiet when every price and demand moved by less than
-            # the tolerance since row t - 1; the cell has converged at row t
-            # once rows t - window + 2 .. t are all quiet.
-            rows = np.arange(first, last)[:, None]
-            low = max(first, 1)
-            before = state[low - 1 : last - 1]
-            change = np.abs(state[low:last] - before) / np.maximum(np.abs(before), 1e-12)
-            quiet = np.zeros((last - first, n), dtype=bool)
-            quiet[low - first :] = change.max(axis=(1, 3)) < tol
-            marks = np.where(quiet, -1, rows)
-            marks[0] = np.maximum(marks[0], moved)
-            moved_rows = np.maximum.accumulate(marks, axis=0)
-            moved = moved_rows[-1]
-            converged = (rows + 1 >= window) & (rows - moved_rows >= window - 1)
-            failed = ~np.isfinite(state[first:last, 1]).all(axis=2)
-            ending = failed | converged
-            ending[-1] |= last == rounds
-            for j in np.flatnonzero(alive & ending.any(axis=0)):
-                i = int(ending[:, j].argmax())
-                if not failed[i, j]:
-                    ends[j] = (first + i, bool(converged[i, j]))
-                elif np.isfinite(state[first + i, 0, j]).all():
-                    ends[j] = ValueError("demands must be finite")
-                else:
-                    # a price that is not finite makes its demand not finite too
-                    ends[j] = ValueError("prices must be finite and >= price_floors")
-                alive[j] = False
-            if not alive.any():
-                break
-
-    outcomes: list[NegotiationTrace | ValueError] = []
-    for j, (end, s, (_, _, seed)) in enumerate(zip(ends, scenarios, cells)):
-        if isinstance(end, ValueError):
-            outcomes.append(end)
-            continue
-        row, converged = end
-        prices, demands = state[: row + 1, 0, j], state[: row + 1, 1, j]
-        outcomes.append(
-            NegotiationTrace(
-                scenario=s,
-                price_rule=price_rule,
-                seed=seed,
-                prices=prices,
-                demands=demands,
-                gains=k.gain(prices, demands),
-                utilities=k.utility(prices, demands),
-                converged=converged,
-                convergence_round=row + 1 if converged else None,
-            )
+    def finished(j: int, parts: list[np.ndarray], row: int, converged: bool):
+        state = np.concatenate(parts, axis=1)  # the cell's own (2 x rows x nodes)
+        state.flags.writeable = False
+        prices, demands = state
+        return NegotiationTrace(
+            scenario=scenarios[j],
+            price_rule=price_rule,
+            seed=cells[j][2],
+            prices=prices,
+            demands=demands,
+            gains=k.gain(prices, demands),
+            utilities=k.utility(prices, demands),
+            converged=converged,
+            convergence_round=row + 1 if converged else None,
         )
-    return outcomes
+
+    live = np.arange(n)  # the cells still running, in stacking order
+    records: list[list[np.ndarray]] = [[] for _ in cells]  # their settled rows
+    outcomes: list[NegotiationTrace | ValueError | None] = [None] * n
+    upcoming = np.tile(np.asarray(scenario.initial_prices), (n, 1))
+    intended = upcoming.copy()  # node-side pre-noise adaptation state
+    previous = intended_gain = None
+    noise = np.empty((0, 2, n, m))
+    # The row before the block.  Row 0 has none, and whether it counts as
+    # quiet does not matter: it is each cell's first moved row either way.
+    before = np.ones((2, n, m))
+    moved = np.zeros(n, dtype=int)  # each cell's last row that was not quiet
+    first = 0  # the block's first row
+
+    while True:
+        if not len(noise):
+            # Noise factors: actor 0 for the demands, actor 1 for the prices.
+            # Without noise every factor is exactly 1.
+            size = min(_BLOCK_ROUNDS, max(_FIRST_BLOCK_ROUNDS, first), rounds - first)
+            noise = np.empty((size, 2, len(live), m))
+            for p, j in enumerate(live):
+                rho = scenarios[j].noise_level
+                noise[:, :, p] = rngs[j].uniform(-rho, rho, size=(size, 2, m))
+            noise += 1.0
+        size = len(noise)
+        if averaging and not running and samples.shape[2] < first + size:
+            grown = np.empty((2, len(live), min(rounds, max(first + size, 2 * first)), m))
+            grown[:, :, :first] = samples[:, :, :first]
+            samples = grown
+        # Row first + i holds the prices in force and the executed demands of
+        # round first + i + 1.
+        block = np.empty((2, size, len(live), m))
+        block[0, 0] = upcoming
+        for i in range(size):
+            t = first + i
+            c, r = block[:, i]
+            sample = stacked.demand(c) * noise[i, 0]
+            np.maximum(executed(0, sample, t), DEMAND_FLOOR, out=r)
+            if i + 1 == size or not np.isfinite(r).all():
+                break
+            next_prices(r, noise[i, 1], t, out=block[0, i + 1])
+
+        # Row t is quiet when every price and demand moved by less than the
+        # tolerance since row t - 1; the cell has converged at row t once
+        # rows t - window + 2 .. t are all quiet.  Only the last row can
+        # hold a demand that is not finite.
+        values = block[:, : i + 1]
+        rows = np.arange(first, t + 1)[:, None]
+        prior = np.concatenate([before[:, None], values[:, :-1]], axis=1)
+        change = np.abs(values - prior) / np.maximum(np.abs(prior), 1e-12)
+        quiet = change.max(axis=(0, 3)) < tol
+        moved_rows = np.maximum.accumulate(np.where(quiet, moved, rows), axis=0)
+        converged = (rows + 1 >= window) & (rows - moved_rows >= window - 1)
+        failed = ~np.isfinite(r).all(axis=1)
+        ending = converged.copy()
+        ending[-1] |= failed | (t + 1 == rounds)
+        ended = ending.any(axis=0)
+        for p in np.flatnonzero(ended):
+            j, row = live[p], int(ending[:, p].argmax())
+            if row == i and failed[p]:
+                # a price that is not finite makes its demand not finite too
+                outcomes[j] = ValueError(
+                    "demands must be finite"
+                    if np.isfinite(c[p]).all()
+                    else "prices must be finite and >= price_floors"
+                )
+            else:
+                parts = records[j] + [values[:, : row + 1, p]]
+                outcomes[j] = finished(j, parts, first + row, bool(converged[row, p]))
+            records[j] = []
+
+        keep = np.flatnonzero(~ended)
+        if not keep.size:
+            return outcomes
+        for p in keep:
+            records[live[p]].append(values[:, :, p].copy())
+        before, moved = values[:, -1], moved_rows[-1]
+        if keep.size < len(live):
+            live, stacked = live[keep], _Market(scenario, keep.size)
+            averaged, moved, before = averaged[keep], moved[keep], before[:, keep]
+            averaging, mixed = bool(averaged.any()), not averaged.all()
+            totals, samples = totals[:, keep], samples[:, keep]
+            noise, r, intended = noise[:, :, keep], r[keep], intended[keep]
+            if intended_gain is not None:
+                previous, intended_gain = previous[keep], intended_gain[keep]
+        upcoming = next_prices(r, noise[i, 1], t)
+        noise, first = noise[i + 1 :], t + 1
 
 
 def run_negotiation(
@@ -544,6 +577,8 @@ def compute_metrics(traces: Iterable[NegotiationTrace]) -> tuple[ConfigMetrics, 
 
 
 TRACE_COLUMNS = ("round", "node_id", "price", "demand", "user_utility", "fog_gain")
+# Rounds per write of a trace CSV.
+_CSV_ROUNDS = 64
 
 
 def write_trace_csv(trace: NegotiationTrace, path: str | Path) -> None:
@@ -559,10 +594,10 @@ def write_trace_csv(trace: NegotiationTrace, path: str | Path) -> None:
     m = trace.scenario.num_nodes
     with open(path, "w", newline="") as handle:
         handle.write(",".join(TRACE_COLUMNS) + "\r\n")
-        # a block of rounds at a time: one repr pass per column, then one
-        # format per row
-        for first in range(0, len(trace.utilities), _BLOCK_ROUNDS):
-            block = slice(first, first + _BLOCK_ROUNDS)
+        # a few rounds at a time, so the text of the whole trace is never
+        # held at once: one repr pass per column, then one format per row
+        for first in range(0, len(trace.utilities), _CSV_ROUNDS):
+            block = slice(first, first + _CSV_ROUNDS)
             rows = zip(
                 [f"{t},{i}" for t in trace.rounds[block] for i in range(m)],
                 map(repr, trace.prices[block].ravel().tolist()),

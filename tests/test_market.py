@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -745,8 +746,11 @@ class TestStackedKernel:
             assert (trace.scenario.noise_level, trace.scenario.averaging) == cell[:2]
             assert trace.convergence_round == _first_quiet_round(trace), cell
             assert trace.converged or len(trace.rounds) == scn.max_rounds
-        # the traces are read-only views of one state array, not copies
-        assert len({id(t.prices.base) for t in outcomes}) == 1
+        # each trace holds its own rows and nothing of the other cells'
+        for trace in outcomes:
+            own = (2, len(trace.rounds), scn.num_nodes)
+            assert trace.prices.base is trace.demands.base
+            assert trace.prices.base.shape == own
         assert any(t.converged for t in outcomes)
         assert not all(t.converged for t in outcomes)
 
@@ -762,8 +766,9 @@ class TestStackedKernel:
     @pytest.mark.parametrize("offset", [0, 1])
     def test_convergence_on_a_block_edge(self, offset):
         # a pinned-price node is quiet from its second round on, so it
-        # converges at exactly ``convergence_window``: the last row of the
-        # first block, or the first row of the second
+        # converges at exactly ``convergence_window``: the last row of a
+        # block (blocks of 16, 16 and 32 rounds end at round 64), or the first
+        # row of the next
         window = market._BLOCK_ROUNDS + offset
         scn = _pinned_price_node(convergence_tol=1e-4, convergence_window=window,
                                  max_rounds=3 * market._BLOCK_ROUNDS)
@@ -777,23 +782,49 @@ class TestStackedKernel:
 
     def test_overflowing_cell_fails_alone_and_quietly(self):
         # demands sit near the largest float, so a raw noisy cell overflows
-        # in the round its noise pushes a demand past it; its later rows turn
-        # NaN and must neither touch the other cells nor raise new warnings
+        # in the round its noise pushes a demand past it; it must leave the
+        # stack in that round, touch none of the other cells and raise no
+        # warning that the cells run one by one do not raise
         scn = FogScenario(num_nodes=2, budget=1e300, price_floors=1e-10,
                           price_caps=3.34e-9, initial_prices=3.34e-9,
                           max_rounds=100, convergence_tol=1e-3, convergence_window=10)
         cells = [(rho, False, seed) for rho in (0.0, 0.1) for seed in range(8)]
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as stacked:
             warnings.simplefilter("always")
             outcomes = _negotiate(scn, cells, "gradient_ascent")
+        with warnings.catch_warnings(record=True) as one_by_one:
+            warnings.simplefilter("always")
             alone = [_alone(scn, cell, "gradient_ascent") for cell in cells]
-        assert {str(w.message) for w in caught} <= {"overflow encountered in multiply"}
+        messages = {str(w.message) for w in stacked}
+        assert messages == {str(w.message) for w in one_by_one}
+        assert messages == {"overflow encountered in multiply"}
         failed = [isinstance(o, ValueError) for o in outcomes]
         assert not any(failed[:8]) and any(failed[8:]) and not all(failed[8:])
+        # the clean cells converge in the first block, the noisy ones fail
+        # or run on around them
+        assert [o.convergence_round for o in outcomes[:8]] == [10] * 8
         for cell, a, b in zip(cells, outcomes, alone):
             assert _same_outcome(a, b), cell
             if isinstance(a, ValueError):
                 assert str(a) == "demands must be finite"
+
+    def test_memory_follows_the_rounds_run(self):
+        # nothing is sized by max_rounds: cells that converge early run in
+        # a few blocks' memory, whatever the cap on rounds
+        cells = [(0.0, averaging, seed) for averaging in (False, True)
+                 for seed in range(30)]
+        for scn in (default_scenario(max_rounds=10**12, averaging_window=5),
+                    _one_node(max_rounds=10**12)):
+            tracemalloc.start()
+            try:
+                outcomes = _negotiate(scn, cells, "gradient_ascent")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000
+            for trace in outcomes:
+                assert trace.converged and len(trace.rounds) < 1000
+                assert trace.prices.base.shape == (2, len(trace.rounds), scn.num_nodes)
 
     def test_overflow_in_every_cell(self):
         # the first round's demand overflows whatever the noise or averaging
@@ -821,6 +852,19 @@ class TestNegotiationTrace:
                 array[0, 0] = 1.0
         with pytest.raises(ValueError):
             trace.utilities[0] = 1.0
+
+    def test_caller_arrays_cannot_change_a_trace(self):
+        trace = run_negotiation(default_scenario(noise_level=0.05, max_rounds=30))
+        given = {name: np.array(getattr(trace, name)) for name in TRACE_ARRAYS}
+        frozen_view = given["prices"].view()
+        frozen_view.flags.writeable = False  # read-only, but its base is not
+        copy = dataclasses.replace(trace, **given | {"prices": frozen_view})
+        for array in given.values():
+            array += 1.0
+        assert _same_trace(copy, trace)
+        # arrays that no writable array shares are kept as they are
+        kept = dataclasses.replace(trace)
+        assert all(getattr(kept, name) is getattr(trace, name) for name in TRACE_ARRAYS)
 
     def test_gains_and_utilities_follow_public_formulas(self):
         # the kernel computes gains and utilities for all rounds at once;
