@@ -41,7 +41,7 @@ from .games import (
     _eu_kernel,
     pure_nash,
 )
-from .schema import as_int, as_json, as_number, read, read_value
+from .schema import as_json, as_number, check_fields, read, read_value
 
 
 class NoEquilibriumError(ValueError):
@@ -184,17 +184,6 @@ ResponseKind = Literal["exact_br", "qbr"]
 NoNashFallback = Literal["error", "uniform"]
 
 
-def _check_level0(level0) -> Level0:
-    """``level0`` as a tuple of strategies (``None`` stays)."""
-    if level0 is None:
-        return None
-    if not isinstance(level0, (tuple, list)) or not all(
-        isinstance(s, MixedStrategy) for s in level0
-    ):
-        raise ValueError(f"level0: must be a sequence of MixedStrategy, got {level0!r}")
-    return tuple(level0)
-
-
 def _level0_profile(game: NormalFormGame, level0: Level0) -> list[np.ndarray]:
     """The level-0 profile as arrays, after checking it fits ``game``."""
     if level0 is None:
@@ -279,11 +268,9 @@ class EpsilonNash:
     no_nash_fallback: NoNashFallback = "error"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", as_number(self.epsilon, "epsilon"))
+        check_fields(self)
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        if self.no_nash_fallback not in ("error", "uniform"):
-            raise ValueError(f"unknown fallback {self.no_nash_fallback!r}")
 
     def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
         equilibria = pure_nash(game)
@@ -309,7 +296,8 @@ class LogitQBR:
     precision: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "precision", _check_precision(self.precision))
+        check_fields(self)
+        _check_precision(self.precision)
 
     def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
         return tuple(qbr_equilibrium(game, self.precision))
@@ -331,16 +319,14 @@ class LevelK:
     precision: float | None = None
 
     def __post_init__(self) -> None:
-        weights = tuple(as_number(w, "level_weights") for w in self.level_weights)
-        if not weights:
+        check_fields(self)
+        if not self.level_weights:
             raise ValueError("level_weights must be nonempty")
-        if any(w < 0 or not np.isfinite(w) for w in weights):
+        if any(w < 0 or not np.isfinite(w) for w in self.level_weights):
             raise ValueError("level weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > PROB_SUM_TOL:
+        if abs(sum(self.level_weights) - 1.0) > PROB_SUM_TOL:
             raise ValueError("level weights must sum to 1")
-        object.__setattr__(self, "precision", _check_response(self.response, self.precision))
-        object.__setattr__(self, "level_weights", weights)
-        object.__setattr__(self, "level0", _check_level0(self.level0))
+        _check_response(self.response, self.precision)
 
     def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
         eu = _eu_kernel(game.payoffs)
@@ -376,14 +362,12 @@ class CognitiveHierarchy:
     precision: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "poisson_mean", as_number(self.poisson_mean, "poisson_mean"))
+        check_fields(self)
         if not np.isfinite(self.poisson_mean) or self.poisson_mean <= 0:
             raise ValueError("poisson_mean must be positive")
-        object.__setattr__(self, "max_level", as_int(self.max_level, "max_level"))
         if self.max_level < 1:
             raise ValueError("max_level must be >= 1")
-        object.__setattr__(self, "precision", _check_response(self.response, self.precision))
-        object.__setattr__(self, "level0", _check_level0(self.level0))
+        _check_response(self.response, self.precision)
 
     def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:
         eu = _eu_kernel(game.payoffs)
@@ -413,11 +397,10 @@ class NoisyIntrospection:
     max_depth: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "precision", _check_precision(self.precision))
-        object.__setattr__(self, "decay", as_number(self.decay, "decay"))
+        check_fields(self)
+        _check_precision(self.precision)
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie strictly inside (0, 1)")
-        object.__setattr__(self, "max_depth", as_int(self.max_depth, "max_depth"))
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
 

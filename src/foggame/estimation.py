@@ -36,7 +36,7 @@ from .behavior import (
     _check_response,
 )
 from .games import MixedStrategy, NormalFormGame
-from .schema import as_int, as_number
+from .schema import as_int, as_number, check_fields
 
 PROB_FLOOR = 1e-12
 
@@ -56,8 +56,7 @@ class Observation:
     action: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "player", as_int(self.player, "player"))
-        object.__setattr__(self, "action", as_int(self.action, "action"))
+        check_fields(self)
         if not 0 <= self.player < self.game.num_players:
             raise ValueError(f"player {self.player} out of range")
         if not 0 <= self.action < self.game.action_counts[self.player]:
@@ -247,8 +246,7 @@ class SearchOptions:
     refine_iters: int = 40
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "grid_points", as_int(self.grid_points, "grid_points"))
-        object.__setattr__(self, "refine_iters", as_int(self.refine_iters, "refine_iters"))
+        check_fields(self)
         if self.grid_points < 3:
             raise ValueError("grid_points must be >= 3")
         if self.refine_iters < 0:

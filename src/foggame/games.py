@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .schema import as_int, as_number, as_object
+from .schema import as_int, as_number, as_object, check_fields, read_value
 
 # Actions whose expected utility is within TIE_TOL of the maximum count as
 # best responses; pure_nash applies the same slack to deviation checks.
@@ -28,16 +28,15 @@ class MixedStrategy:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(as_number(w, "weights") for w in self.weights)
-        if not weights:
+        check_fields(self)
+        if not self.weights:
             raise ValueError("MixedStrategy needs at least one action weight")
-        for w in weights:
+        for w in self.weights:
             if not np.isfinite(w) or w < -_WEIGHT_EPS or w > 1.0 + _WEIGHT_EPS:
                 raise ValueError(f"weight {w!r} outside [0, 1]")
-        total = sum(weights)
+        total = sum(self.weights)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "weights", weights)
 
     @property
     def num_actions(self) -> int:
@@ -60,7 +59,8 @@ class NormalFormGame:
     payoffs: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = tuple(as_int(n, "action_counts") for n in self.action_counts)
+        # payoffs take any array-like, which no field rule reads
+        counts = read_value(self.action_counts, tuple[int, ...], "action_counts")
         if not counts:
             raise ValueError("game needs at least one player")
         if any(n < 1 for n in counts):

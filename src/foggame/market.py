@@ -35,20 +35,21 @@ from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
-from .schema import as_bool, as_int, as_number
+from .schema import check_fields
 
 # Noisy demands are floored here so log-utility stays defined.
 DEMAND_FLOOR = 1e-9
+# The cap on max_rounds: a cell that never converges stops within about 30 s.
+ROUND_LIMIT = 10**6
 
 PriceRule = Literal["gradient_ascent", "foc_root"]
 PRICE_RULES = get_args(PriceRule)
 
 
-def _broadcast(value, n: int, name: str) -> tuple[float, ...]:
-    vec = (value,) * n if np.isscalar(value) else tuple(value)
+def _broadcast(value: tuple[float, ...] | float, n: int, name: str) -> tuple[float, ...]:
+    vec = (value,) * n if isinstance(value, float) else value
     if len(vec) != n:
         raise ValueError(f"{name} must have length {n}, got {len(vec)}")
-    vec = tuple(as_number(x, name) for x in vec)
     if any(not np.isfinite(x) for x in vec):
         raise ValueError(f"{name} must be finite")
     return vec
@@ -58,12 +59,12 @@ def _broadcast(value, n: int, name: str) -> tuple[float, ...]:
 class FogScenario:
     """Market constants plus loop controls for one negotiation.
 
-    Per-node fields accept a scalar (broadcast to all nodes) or a sequence
-    of length ``num_nodes``.  ``initial_prices`` defaults to the price
-    floors; ``price_caps`` defaults to ten times the floors.  With
+    Per-node fields accept a scalar (broadcast to all nodes) or a list,
+    tuple or array of length ``num_nodes``.  ``initial_prices`` defaults to
+    the price floors; ``price_caps`` defaults to ten times the floors.  With
     ``averaging`` on, ``averaging_window`` limits the mean to the last so
     many responses; ``None`` keeps the default cumulative mean over the
-    whole run.
+    whole run.  ``max_rounds`` is at most ``ROUND_LIMIT``.
     """
 
     num_nodes: int
@@ -84,15 +85,7 @@ class FogScenario:
     convergence_window: int = 20
 
     def __post_init__(self) -> None:
-        integers = ["num_nodes", "max_rounds", "convergence_window"]
-        if self.averaging_window is not None:
-            integers.append("averaging_window")
-        for name in integers:
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        for name in ("budget", "utility_scale", "step_size", "noise_level",
-                     "convergence_tol"):
-            object.__setattr__(self, name, as_number(getattr(self, name), name))
-        as_bool(self.averaging, "averaging")
+        check_fields(self)
         m = self.num_nodes
         if m < 1:
             raise ValueError("num_nodes must be >= 1")
@@ -138,6 +131,8 @@ class FogScenario:
             raise ValueError("averaging_window must be >= 1 when set")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        if self.max_rounds > ROUND_LIMIT:
+            raise ValueError(f"max_rounds must be <= {ROUND_LIMIT}")
         if not np.isfinite(self.convergence_tol) or self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be positive")
         if self.convergence_window < 2:

@@ -12,7 +12,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .games import NormalFormGame
-from .schema import as_number
+from .schema import check_fields
 
 # Below ~0.28 the single-parameter weighting curve stops being monotone, so
 # the constructor rejects that region.
@@ -27,20 +27,17 @@ class Lottery:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        outcomes = tuple(as_number(x, "outcomes") for x in self.outcomes)
-        probs = tuple(as_number(p, "probs") for p in self.probs)
-        if not outcomes:
+        check_fields(self)
+        if not self.outcomes:
             raise ValueError("lottery needs at least one outcome")
-        if len(outcomes) != len(probs):
+        if len(self.outcomes) != len(self.probs):
             raise ValueError("probs must have the same length as outcomes")
-        if not all(np.isfinite(outcomes)):
+        if not all(np.isfinite(self.outcomes)):
             raise ValueError("outcomes must be finite")
-        if any(p < 0 or p > 1 for p in probs):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {sum(probs)!r}, expected 1")
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "probs", probs)
+        if not all(0.0 <= p <= 1.0 for p in self.probs):  # so that NaN fails too
+            raise ValueError("probs must lie in [0, 1]")
+        if abs(sum(self.probs) - 1.0) > 1e-9:
+            raise ValueError(f"probabilities sum to {sum(self.probs)!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,7 @@ class ProspectParams:
     reference: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("gain_curvature", "loss_curvature", "loss_aversion",
-                     "weight_curvature", "reference"):
-            object.__setattr__(self, name, as_number(getattr(self, name), name))
+        check_fields(self)
         if not 0.0 < self.gain_curvature <= 1.0:
             raise ValueError("gain_curvature must lie in (0, 1]")
         if not 0.0 < self.loss_curvature <= 1.0:
@@ -121,16 +116,13 @@ class SocialPrefParams:
     inequity_metric: InequityMetric = "range"
 
     def __post_init__(self) -> None:
-        names = ("selfish_weight", "altruism_weight", "inequity_weight", "envy_weight")
-        weights = tuple(as_number(getattr(self, name), name) for name in names)
-        for name, w in zip(names, weights):
-            object.__setattr__(self, name, w)
+        check_fields(self)
+        weights = (self.selfish_weight, self.altruism_weight,
+                   self.inequity_weight, self.envy_weight)
         if any(not np.isfinite(w) or w < 0 for w in weights):
             raise ValueError("social preference weights must be nonnegative")
         if all(w == 0 for w in weights):
             raise ValueError("at least one social preference weight must be positive")
-        if self.inequity_metric not in ("range", "mean_deviation"):
-            raise ValueError(f"unknown inequity metric {self.inequity_metric!r}")
 
 
 def transform_game_social(

@@ -1,5 +1,5 @@
-"""JSON config blocks read through the dataclasses that define them, and
-written back by :func:`as_json`.
+"""JSON config blocks and library arguments read through the dataclasses
+that define them; :func:`as_json` writes them back.
 
 A block's allowed keys and defaults are the parameters of the dataclass (or
 factory function) that consumes it, and each value is read by the rule for
@@ -10,11 +10,17 @@ its annotated type:
 * ``bool`` — ``true`` or ``false``;
 * ``str`` — a string;
 * ``Literal[...]`` — one of the listed choices;
-* ``tuple[T, ...]`` and ``tuple[T, U]`` — a list, each item read as its type;
-* a dataclass — a nested object, read the same way;
+* ``tuple[T, ...]`` and ``tuple[T, U]`` — a list (or a tuple), each item read
+  as its type;
+* a dataclass — an instance as it is, else a nested object, read the same way;
+* any other class — an instance of it;
 * ``dict`` — an object, passed through;
 * ``X | Y`` — ``null`` for ``None``, a list for a tuple arm, else the first
   other arm.
+
+A NumPy array is read as its ``tolist()``.  The input dataclasses call
+:func:`check_fields` first in ``__post_init__``, so a library caller's bad
+value gets the same field-first message a config's does.
 
 Every error is a :class:`ConfigError` whose message starts with the key path,
 e.g. ``model.params.max_level: must be an integer, got 2.7``.  Range checks
@@ -32,6 +38,8 @@ import numbers
 import types
 from typing import Any, Callable, Literal, Mapping, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Config schema or invariant violation; maps to exit code 2."""
@@ -39,6 +47,8 @@ class ConfigError(ValueError):
 
 def as_number(value, key: str) -> float:
     """``value`` as a float; bools and non-numbers raise."""
+    if type(value) is float:  # the common case, without the slower ABC check
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ConfigError(f"{key}: must be a number, got {value!r}")
@@ -46,17 +56,12 @@ def as_number(value, key: str) -> float:
 
 def as_int(value, key: str) -> int:
     """``value`` as an int; bools, non-numbers and fractional numbers raise."""
+    if type(value) is int:  # the common case, without the slower ABC check
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
     raise ConfigError(f"{key}: must be an integer, got {value!r}")
-
-
-def as_bool(value, key: str) -> bool:
-    """``value`` itself if it is ``True`` or ``False``; anything else raises."""
-    if isinstance(value, bool):
-        return value
-    raise ConfigError(f"{key}: must be true or false, got {value!r}")
 
 
 def as_object(value, key: str) -> dict:
@@ -77,29 +82,38 @@ def _parameters(factory: Callable) -> dict[str, tuple[Any, bool]]:
     }
 
 
+@functools.cache
+def _form(hint) -> tuple[Any, tuple]:
+    """``hint``'s origin, with ``X | Y`` as ``Union``, and its arguments."""
+    origin = get_origin(hint)
+    return (Union if origin is types.UnionType else origin), get_args(hint)
+
+
 def read_value(value, hint, key: str):
     """``value`` read by the rule for type ``hint``; see the module docstring."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if hint is float:
         return as_number(value, key)
     if hint is int:
         return as_int(value, key)
     if hint is bool:
-        return as_bool(value, key)
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"{key}: must be true or false, got {value!r}")
     if hint is str:
         if isinstance(value, str):
             return value
         raise ConfigError(f"{key}: must be a string, got {value!r}")
     if hint is dict:
         return as_object(value, key)
-    if dataclasses.is_dataclass(hint):
-        return read(hint, value, key)
-    origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, types.UnionType):
+    origin, args = _form(hint)
+    if origin is Union:
         if value is None and type(None) in args:
             return None
         arms = [arm for arm in args if arm is not type(None)]
-        is_list = isinstance(value, list)
-        arm = next((a for a in arms if (get_origin(a) is tuple) == is_list), arms[0])
+        is_list = isinstance(value, (list, tuple))
+        arm = next((a for a in arms if (_form(a)[0] is tuple) == is_list), arms[0])
         return read_value(value, arm, key)
     if origin is Literal:
         if value in args:
@@ -107,14 +121,27 @@ def read_value(value, hint, key: str):
         choices = ", ".join(repr(choice) for choice in args)
         raise ConfigError(f"{key}: must be one of {choices}, got {value!r}")
     if origin is tuple:
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key}: must be a list, got {value!r}")
         if len(args) == 2 and args[1] is Ellipsis:
             return tuple(read_value(item, args[0], key) for item in value)
         if len(value) != len(args):
             raise ConfigError(f"{key}: must be a list of {len(args)} values, got {value!r}")
         return tuple(read_value(item, arm, key) for item, arm in zip(value, args))
+    if isinstance(hint, type):
+        if isinstance(value, hint):
+            return value
+        if dataclasses.is_dataclass(hint):
+            return read(hint, value, key)
+        raise ConfigError(f"{key}: must be a {hint.__name__}, got {value!r}")
     raise TypeError(f"{key}: no config rule for type {hint!r}")
+
+
+def check_fields(obj) -> None:
+    """Read every field of dataclass ``obj`` by its annotated type, in place,
+    so that its ``__post_init__`` range checks see the annotated types only."""
+    for name, (hint, _) in _parameters(type(obj)).items():
+        object.__setattr__(obj, name, read_value(getattr(obj, name), hint, name))
 
 
 def read_fields(

@@ -459,6 +459,11 @@ class TestConfigTypes:
         config["scenario"]["max_rounds"] = 10.5
         self._rejected(tmp_path, capsys, config, "max_rounds")
 
+    def test_max_rounds_beyond_the_limit(self, tmp_path, capsys):
+        config = simulate_config(tmp_path / "out")
+        config["scenario"]["max_rounds"] = 10**15
+        self._rejected(tmp_path, capsys, config, "scenario.max_rounds")
+
     def test_fractional_num_nodes(self, tmp_path, capsys):
         config = simulate_config(tmp_path / "out")
         config["scenario"]["num_nodes"] = 4.5
@@ -935,6 +940,20 @@ class TestPredict:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "prospect.loss_aversion" in captured.err
+
+    def test_nan_probs_exit_2(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "prospect": {},
+                "lottery": {"outcomes": [1.0, 2.0], "probs": [float("nan")] * 2},
+                "experiment": {"mode": "predict"},
+            },
+        )
+        assert main(["predict", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lottery.probs: must lie in [0, 1]\n"
 
     def test_prospect_cannot_wrap_strategic_model(self, tmp_path, pd_game):
         path = write_config(

@@ -13,6 +13,7 @@ from scipy.optimize import minimize
 
 from foggame.market import (
     DEMAND_FLOOR,
+    ROUND_LIMIT,
     TRACE_COLUMNS,
     FogScenario,
     NegotiationTrace,
@@ -813,8 +814,8 @@ class TestStackedKernel:
         # a few blocks' memory, whatever the cap on rounds
         cells = [(0.0, averaging, seed) for averaging in (False, True)
                  for seed in range(30)]
-        for scn in (default_scenario(max_rounds=10**12, averaging_window=5),
-                    _one_node(max_rounds=10**12)):
+        for scn in (default_scenario(max_rounds=ROUND_LIMIT, averaging_window=5),
+                    _one_node(max_rounds=ROUND_LIMIT)):
             tracemalloc.start()
             try:
                 outcomes = _negotiate(scn, cells, "gradient_ascent")

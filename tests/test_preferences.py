@@ -49,6 +49,11 @@ class TestLottery:
         with pytest.raises(ValueError):
             Lottery(outcomes=(), probs=())
 
+    @pytest.mark.parametrize("probs", [(math.nan, math.nan), (math.nan, 1.0)])
+    def test_nan_probs_rejected(self, probs):
+        with pytest.raises(ValueError, match=r"^probs must lie in \[0, 1\]"):
+            Lottery(outcomes=(1.0, 2.0), probs=probs)
+
     @pytest.mark.parametrize(
         "outcomes, probs, field",
         [((True,), (1,), "outcomes"), (("3",), ("1",), "outcomes"), ((3,), ("1",), "probs")],
