@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -383,7 +384,9 @@ def run_predict(spec: ExperimentSpec) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first call of main and reused: parsing leaves no state in it.
     parser = argparse.ArgumentParser(
         prog="foggame",
         description="Seeded market simulations, model fitting, and prediction.",

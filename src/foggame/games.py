@@ -59,19 +59,25 @@ class NormalFormGame:
     payoffs: np.ndarray
 
     def __post_init__(self) -> None:
-        # payoffs take any array-like, which no field rule reads
+        # payoffs take any array-like of integers or reals, which no field rule reads
         counts = read_value(self.action_counts, tuple[int, ...], "action_counts")
         if not counts:
             raise ValueError("game needs at least one player")
         if any(n < 1 for n in counts):
             raise ValueError("every player needs at least one action")
-        tensor = np.asarray(self.payoffs, dtype=float)
+        try:
+            tensor = np.asarray(self.payoffs)
+        except ValueError as exc:  # a ragged nested list
+            raise ValueError(f"payoffs: {exc}") from exc
+        if tensor.dtype.kind not in "iuf":
+            raise ValueError(f"payoffs: must be an array of real numbers, got dtype {tensor.dtype}")
+        # a C-ordered copy: the expected-utility sums run in this layout's order
+        tensor = tensor.astype(float, order="C")
         expected = (len(counts),) + counts
         if tensor.shape != expected:
             raise ValueError(f"payoff tensor shape {tensor.shape} != expected {expected}")
         if not np.all(np.isfinite(tensor)):
             raise ValueError("payoffs must be finite")
-        tensor = tensor.copy()
         tensor.setflags(write=False)
         object.__setattr__(self, "action_counts", counts)
         object.__setattr__(self, "payoffs", tensor)

@@ -429,6 +429,59 @@ class TestSimulate:
         assert not out.exists()
 
 
+class TestRepeatedMain:
+    """``main`` builds its parser once per process; no call leaks into the next."""
+
+    def _predict_config(self, tmp_path) -> str:
+        return write_config(tmp_path, {
+            "model": {"model": "level_k", "params": {"level_weights": [0.25, 0.5, 0.25]}},
+            "experiment": {"mode": "predict", "game": str(REPO / "data" / "example_game.json")},
+        })
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_bad_argv_leaves_next_call_unchanged(self, tmp_path, capsys):
+        path = self._predict_config(tmp_path)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+        alone = subprocess.run([sys.executable, "-m", "foggame.cli", "predict", path],
+                               env=env, capture_output=True, text=True)
+        assert alone.returncode == 0
+
+        cli._build_parser.cache_clear()
+        assert main(["predict", path]) == 0
+        first = capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["predict"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: foggame")
+        assert main(["predict", path]) == 0
+        assert capsys.readouterr() == first == (alone.stdout, "")
+
+    def test_dump_then_plain_call_runs(self, tmp_path, capsys):
+        path = self._predict_config(tmp_path)
+        assert main(["predict", path, "--dump-resolved-config"]) == 0
+        assert "experiment" in json.loads(capsys.readouterr().out)
+        assert main(["predict", path]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["strategies"]
+
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_out_flag_does_not_stick(self, tmp_path, monkeypatch, source):
+        flag, default = tmp_path / "flag", tmp_path / "default"
+        config = simulate_config(default)
+        if source == "env":
+            del config["experiment"]["out_dir"]
+            monkeypatch.setenv(OUT_DIR_ENV, str(default))
+        path = write_config(tmp_path, config)
+        assert main(["simulate", path, "--out", str(flag)]) == 0
+        written = sorted(p.name for p in flag.iterdir())
+        assert "manifest.json" in written and not default.exists()
+        assert main(["simulate", path]) == 0
+        assert sorted(p.name for p in default.iterdir()) == written
+        assert sorted(p.name for p in flag.iterdir()) == written
+
+
 class TestConfigTypes:
     """A value of the wrong type exits 2 and names its key; nothing runs."""
 

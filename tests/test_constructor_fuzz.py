@@ -3,7 +3,8 @@
 Each example builds one input dataclass from a valid base with one field
 changed to a value that its annotation or its range rules out: a wrong type,
 a bool or a string for a number, NaN or ±inf, a non-integral number for an
-integer, an empty list or a non-sequence.  The constructor must raise
+integer, an empty list, a non-sequence, or an array whose elements are not
+numbers.  The constructor must raise
 ``ValueError``, never ``TypeError`` or ``AttributeError``.  A second property
 builds each one from loosely typed valid values (NumPy scalars, integral
 floats, lists and arrays) and checks that every stored field has exactly its
@@ -60,15 +61,18 @@ BASES = {
     NormalFormGame: {"action_counts": (2, 2), "payoffs": GAME.payoffs},
 }
 HINTS = {cls: get_type_hints(cls) for cls in BASES}
-# payoffs take any array-like, so no value of another type is ruled out
-FIELDS = [(cls, f.name) for cls in BASES for f in dataclasses.fields(cls)
-          if (cls, f.name) != (NormalFormGame, "payoffs")]
+FIELDS = [(cls, f.name) for cls in BASES for f in dataclasses.fields(cls)]
 
 NON_SEQUENCES = st.sampled_from([{}, {"a": 1}, object()])
 NOT_NUMBERS = st.one_of(st.booleans(), st.text(max_size=3), NON_SEQUENCES)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 FRACTIONS = st.floats(allow_nan=True, allow_infinity=True).filter(
     lambda x: not float(x).is_integer()
+)
+# the payoffs' shape with elements that are not integers or reals
+NOT_NUMBER_ARRAYS = st.sampled_from(
+    [GAME.payoffs.astype(kind) for kind in (bool, str, object, complex)]
+    + [GAME.payoffs.astype(kind).tolist() for kind in (bool, str, complex)]
 )
 
 
@@ -101,6 +105,9 @@ def _bad(hint) -> st.SearchStrategy:
             if item is not MixedStrategy:  # an empty level-0 profile fails only against a game
                 choices.append(st.sampled_from([[], ()]))
             choices.append(st.lists(_bad(item), min_size=1, max_size=3))
+        elif arm is np.ndarray:
+            choices += [NOT_NUMBER_ARRAYS, st.integers(), st.text(max_size=3),
+                        st.lists(st.floats(), max_size=2), NON_SEQUENCES]
         elif isinstance(arm, type) and arm is not float:
             choices += [st.integers(), st.text(max_size=3), st.lists(st.floats(), max_size=2),
                         NON_SEQUENCES]

@@ -104,6 +104,25 @@ class TestNormalFormGame:
         assert game.action_counts == (2, 2)
         assert all(type(n) is int for n in game.action_counts)
 
+    @pytest.mark.parametrize("payoffs", [{}, object(), [[True, False]], [["1", "2.5"]],
+                                         [[1.0, [2.0]]], np.array([[1j, 0]])])
+    def test_payoffs_must_be_real_numbers(self, payoffs):
+        with pytest.raises(ValueError, match="^payoffs: "):
+            NormalFormGame((2,), payoffs)
+
+    @pytest.mark.parametrize("payoffs", [[[1, 2]], [[1, 2.5]], np.array([[1, 2]], dtype=np.uint8),
+                                         np.array([[1.0, 2.5]], dtype=np.float32)])
+    def test_integer_and_real_payoffs_load_as_floats(self, payoffs):
+        game = NormalFormGame((2,), payoffs)
+        assert game.payoffs.dtype == np.float64
+        assert game.payoffs.tolist() == np.asarray(payoffs, dtype=float).tolist()
+
+    def test_payoffs_are_stored_in_c_order(self):
+        payoffs = np.asfortranarray(np.arange(8.0).reshape(2, 2, 2))
+        game = NormalFormGame((2, 2), payoffs)
+        assert game.payoffs.flags.c_contiguous
+        assert np.array_equal(game.payoffs, payoffs)
+
     def test_rejects_zero_actions(self):
         with pytest.raises(ValueError):
             NormalFormGame(action_counts=(0, 2), payoffs=np.zeros((2, 0, 2)))
