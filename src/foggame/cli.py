@@ -24,6 +24,12 @@ written atomically (temp + rename) so re-runs are byte-identical and
 interrupted runs never leave half-written artifacts.  The default output
 directory comes from ``--out``, then the config, then the ``FOGGAME_OUT``
 environment variable, then ``./out``.
+
+``main(argv)`` may be called repeatedly in one process.  It builds its
+argument parser on the first call and reuses it, and each call writes the
+same outputs and returns the same exit code as a separate ``foggame`` process
+given that argv (a bad command line raises ``SystemExit(2)``, as argparse
+does).
 """
 
 from __future__ import annotations

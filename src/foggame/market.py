@@ -414,7 +414,8 @@ def _negotiate(
             size = min(_BLOCK_ROUNDS, max(_FIRST_BLOCK_ROUNDS, first), rounds - first)
             noise = np.empty((size, 2, len(live), m))
             for p, j in enumerate(live):
-                rho = scenarios[j].noise_level
+                # abs: NumPy rejects uniform(0.0, -0.0), so -0.0 draws as 0.0 does
+                rho = abs(scenarios[j].noise_level)
                 noise[:, :, p] = rngs[j].uniform(-rho, rho, size=(size, 2, m))
             noise += 1.0
         size = len(noise)

@@ -99,6 +99,12 @@ ROUND_TRIP_CONFIGS = {
 }
 
 
+def _src_env() -> dict:
+    """The environment of a child process that imports foggame from ``src``."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=2))
@@ -386,6 +392,15 @@ class TestSimulate:
         assert not list(out.glob("*.csv"))
         assert not (out / "summary.json").exists()
 
+    def test_negative_zero_noise_exits_0(self, tmp_path):
+        out_zero, out_neg = tmp_path / "zero", tmp_path / "neg"
+        assert main(["simulate", write_config(tmp_path, simulate_config(out_zero), "z.json")]) == 0
+        config = simulate_config(out_neg, noise_sweep=[-0.0])
+        config["scenario"]["noise_level"] = -0.0
+        assert main(["simulate", write_config(tmp_path, config, "n.json")]) == 0
+        assert (out_neg / "trace_-0.0_false_0.csv").read_bytes() == (
+            out_zero / "trace_0.0_false_0.csv").read_bytes()
+
     def test_overflowing_scenario_fails_its_cells(self, tmp_path):
         # demands overflow in the first round; each cell records the same
         # error the public demand check gives, and the run exits 3
@@ -443,10 +458,8 @@ class TestRepeatedMain:
 
     def test_bad_argv_leaves_next_call_unchanged(self, tmp_path, capsys):
         path = self._predict_config(tmp_path)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
         alone = subprocess.run([sys.executable, "-m", "foggame.cli", "predict", path],
-                               env=env, capture_output=True, text=True)
+                               env=_src_env(), capture_output=True, text=True)
         assert alone.returncode == 0
 
         cli._build_parser.cache_clear()
@@ -824,9 +837,7 @@ def test_cli_import_leaves_scipy_unloaded():
     # SciPy is loaded only when the QRE solver polishes an iterate, so a
     # simulate or non-QRE predict run never pays for importing it.
     code = "import sys, foggame.cli; sys.exit('scipy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode == 0
 
 
 class TestShippedArtifacts:

@@ -17,7 +17,8 @@ keep the exit-code contract:
 
 So that many examples fit in a few seconds, the fit reads 40 rows of the
 shipped dataset (two of its games) and searches a 3-point grid with 2
-refinement steps; a change moves these only as far as the values above.
+refinement steps; a change moves these only to the values above or to
+their defaults.
 """
 
 from __future__ import annotations
@@ -89,11 +90,15 @@ def _mutations(value, in_object: bool) -> list:
     return changes
 
 
+def _parent(config, path: tuple):
+    for key in path[:-1]:
+        config = config[key]
+    return config
+
+
 def _mutated(config: dict, path: tuple, change: tuple) -> dict:
     config = copy.deepcopy(config)
-    parent = config
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _parent(config, path)
     if change[0] == "set":
         parent[path[-1]] = change[1]
     elif change[0] == "drop":
@@ -119,9 +124,7 @@ def test_one_changed_config_value_exits_0_or_2(data, bases, tmp_path):
     name = data.draw(st.sampled_from(sorted(bases)), label="config")
     base = bases[name]
     path = data.draw(st.sampled_from(list(_paths(base))), label="path")
-    parent = base
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _parent(base, path)
     change = data.draw(st.sampled_from(_mutations(parent[path[-1]], isinstance(parent, dict))),
                        label="change")
     directory = Path(tempfile.mkdtemp(dir=tmp_path))

@@ -904,6 +904,12 @@ class TestRunNegotiation:
         expected = optimal_demand(trace.scenario, trace.prices[-1])
         assert np.allclose(trace.demands[-1], expected, rtol=1e-9)
 
+    def test_negative_zero_noise_runs_as_zero(self):
+        clean = run_negotiation(default_scenario())
+        trace = run_negotiation(default_scenario(noise_level=-0.0))
+        assert np.array_equal(trace.prices, clean.prices)
+        assert np.array_equal(trace.demands, clean.demands)
+
     def test_noise_free_budget_identity_every_round(self):
         trace = run_negotiation(default_scenario())
         budget = trace.scenario.budget
