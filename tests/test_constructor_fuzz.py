@@ -4,8 +4,8 @@ Each example builds one input dataclass from a valid base with one field
 changed to a value that its annotation or its range rules out: a wrong type,
 a bool or a string for a number, NaN or ±inf, a non-integral number for an
 integer, an empty list, a non-sequence, or an array whose elements are not
-numbers.  The constructor must raise
-``ValueError``, never ``TypeError`` or ``AttributeError``.  A second property
+numbers.  The constructor must raise ``ValueError``, never ``TypeError`` or
+``AttributeError``.  A second property
 builds each one from loosely typed valid values (NumPy scalars, integral
 floats, lists and arrays) and checks that every stored field has exactly its
 annotated type.
@@ -105,12 +105,11 @@ def _bad(hint) -> st.SearchStrategy:
             if item is not MixedStrategy:  # an empty level-0 profile fails only against a game
                 choices.append(st.sampled_from([[], ()]))
             choices.append(st.lists(_bad(item), min_size=1, max_size=3))
-        elif arm is np.ndarray:
-            choices += [NOT_NUMBER_ARRAYS, st.integers(), st.text(max_size=3),
-                        st.lists(st.floats(), max_size=2), NON_SEQUENCES]
         elif isinstance(arm, type) and arm is not float:
             choices += [st.integers(), st.text(max_size=3), st.lists(st.floats(), max_size=2),
                         NON_SEQUENCES]
+            if arm is np.ndarray:
+                choices.append(NOT_NUMBER_ARRAYS)
     return st.one_of(choices)
 
 
