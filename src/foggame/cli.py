@@ -1,35 +1,36 @@
 """Batch front end: seeded simulation sweeps, model fitting, prediction.
 
-One JSON config drives each run.  Top-level keys:
+One JSON config drives each run.  Its top-level blocks and the keys of its
+``experiment`` object (besides ``mode``) are the fields of one spec class per
+request shape, which holds only the keys its run reads:
 
-* ``scenario``   — market constants (the fields of ``FogScenario``); an
-  optional ``"preset": "default"`` starts from the stock four-node market.
-* ``model``      — behavioral model block (``{"model": "<tag>", "params": {...}}``).
-  For predict, ``params`` are the model class's fields; for fit, the
-  family's fixed structure (the parameters of its factory, e.g. ``num_levels``).
-* ``experiment`` — mode-specific plumbing (the ``ExperimentSpec`` fields that
-  are not blocks): seeds, sweeps, paths, output directory, search options.
-* ``prospect`` / ``social`` / ``lottery`` — optional utility-transform
-  blocks (``ProspectParams``, one or a list of ``SocialPrefParams``,
-  ``Lottery``), predict mode only.
+* simulate (:class:`SimulateSpec`): ``scenario`` (the fields of ``FogScenario``;
+  ``"preset": "default"`` starts from the stock market), ``seeds``,
+  ``out_dir``, ``noise_sweep``, ``averaging_sweep``, ``price_rule``;
+* fit (:class:`FitSpec`): ``model``, ``dataset``, ``out_dir``, ``folds``,
+  ``cv_seed``, ``bounds``, ``search``;
+* predict (:class:`PredictSpec`): ``model``, ``game``, ``social`` (one
+  ``SocialPrefParams`` or a list); or, given a ``prospect`` or ``lottery``
+  block (:class:`LotterySpec`), just those two.
 
-Every block is read through the dataclass that defines it (see
-:mod:`foggame.schema`): an unknown key is an error, and each value must have
-its field's type — a number, an integer, a boolean, a string or one of the
-field's listed choices.  Messages name the key, e.g. ``model.params.max_level``.
+A ``model`` block is ``{"model": "<tag>", "params": {...}}``, whose ``params``
+are the model class's fields in predict and the family factory's (e.g.
+``num_levels``) in fit.  Every block is read through the dataclass that
+defines it (:mod:`foggame.schema`): each value must have its field's type,
+and a key the request does not read, even one another mode reads, is unknown.
+Messages name the key: ``model.params.max_level: must be an integer, got
+2.7``, ``experiment.game: missing``, ``scenario: missing``.
 
-Exit codes: 0 success, 2 config/validation error, 3 runtime error.  All
-outputs are pure functions of the config (plus explicit flags); files are
-written atomically (temp + rename) so re-runs are byte-identical and
-interrupted runs never leave half-written artifacts.  The default output
-directory comes from ``--out``, then the config, then the ``FOGGAME_OUT``
-environment variable, then ``./out``.
+Exit codes: 0 success, 2 config/validation error, 3 runtime error.  Outputs
+are pure functions of the config (plus explicit flags), written atomically
+(temp + rename).  The output directory comes from ``--out``, then the config,
+then the ``FOGGAME_OUT`` environment variable, then ``./out``; predict only
+prints, so ``--out`` has nothing to override there.
 
-``main(argv)`` may be called repeatedly in one process.  It builds its
-argument parser on the first call and reuses it, and each call writes the
-same outputs and returns the same exit code as a separate ``foggame`` process
-given that argv (a bad command line raises ``SystemExit(2)``, as argparse
-does).
+``main(argv)`` may be called repeatedly in one process: the argument parser
+is built on the first call, and each call writes the same outputs and returns
+the same exit code as a separate ``foggame`` process given that argv (a bad
+command line raises ``SystemExit(2)``, as argparse does).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal, Sequence, get_args
+from typing import ClassVar, Literal, Sequence, get_args
 
 from .behavior import _level0_profile, model_from_dict
 from .estimation import (
@@ -74,7 +75,8 @@ from .preferences import (
     pt_evaluate,
     transform_game_social,
 )
-from .schema import ConfigError, as_json, as_object, build, read, read_fields
+from .schema import ConfigError, as_json, as_object, build, check_required, read
+from .schema import read_fields, read_value
 
 OUT_DIR_ENV = "FOGGAME_OUT"
 
@@ -88,51 +90,57 @@ _FIT_FAMILIES = {
     "level_k": level_k_family,
 }
 
+# Marks a spec field that is a top-level block; the rest are experiment keys.
 _BLOCK = {"block": True}
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """Fully resolved run description; equal specs run identically.
+class ModelBlock:
+    """A tagged model block: the model's tag and its ``params``."""
 
-    Fields with ``_BLOCK`` metadata are top-level config blocks; every other
-    field is an ``experiment`` key.  ``noise_sweep`` and ``averaging_sweep``
-    default to the scenario's own setting.  The checks here span fields and
-    blocks; each block's own values were checked when it was read.
-    """
+    model: str
+    params: dict = field(default_factory=dict)
 
-    mode: Mode
-    seeds: tuple[int, ...] = ()
+
+@dataclass(frozen=True)
+class SimulateSpec:
+    """A market sweep; the sweeps default to the scenario's own setting."""
+
+    mode: ClassVar[Mode] = "simulate"
+    scenario: FogScenario = field(metadata=_BLOCK)
+    seeds: tuple[int, ...]
     out_dir: str = "out"
     noise_sweep: tuple[float, ...] | None = None
     averaging_sweep: tuple[bool, ...] | None = None
     price_rule: PriceRule = "gradient_ascent"
-    dataset: str | None = None
-    game: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.noise_sweep is None:
+            object.__setattr__(self, "noise_sweep", (self.scenario.noise_level,))
+        if self.averaging_sweep is None:
+            object.__setattr__(self, "averaging_sweep", (self.scenario.averaging,))
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("experiment.seeds: must be nonempty, each >= 0")
+        if any(not 0.0 <= rho < 1.0 for rho in self.noise_sweep):
+            raise ConfigError("experiment.noise_sweep: values must lie in [0, 1)")
+
+
+@dataclass(frozen=True)
+class FitSpec:
+    """A maximum-likelihood fit, cross-validated when ``folds`` is set."""
+
+    mode: ClassVar[Mode] = "fit"
+    model: ModelBlock = field(metadata=_BLOCK)
+    dataset: str
+    out_dir: str = "out"
     folds: int | None = None
     cv_seed: int = 0
     bounds: tuple[tuple[float, float], ...] | None = None
     search: SearchOptions = SearchOptions()
-    scenario: FogScenario | None = field(default=None, metadata=_BLOCK)
-    model: dict | None = field(default=None, metadata=_BLOCK)
-    prospect: ProspectParams | None = field(default=None, metadata=_BLOCK)
-    social: tuple[SocialPrefParams, ...] | None = field(default=None, metadata=_BLOCK)
-    lottery: Lottery | None = field(default=None, metadata=_BLOCK)
 
     def __post_init__(self) -> None:
-        if self.scenario is not None:
-            if self.noise_sweep is None:
-                object.__setattr__(self, "noise_sweep", (self.scenario.noise_level,))
-            if self.averaging_sweep is None:
-                object.__setattr__(self, "averaging_sweep", (self.scenario.averaging,))
-        if any(seed < 0 for seed in self.seeds):
-            raise ConfigError("experiment.seeds: must be >= 0")
-        if any(not 0.0 <= rho < 1.0 for rho in self.noise_sweep or ()):
-            raise ConfigError("experiment.noise_sweep: values must lie in [0, 1)")
-        for key in ("dataset", "game"):
-            value = getattr(self, key)
-            if value is not None and not Path(value).exists():
-                raise ConfigError(f"experiment.{key}: path {value!r} does not exist")
+        if not Path(self.dataset).exists():
+            raise ConfigError(f"experiment.dataset: path {self.dataset!r} does not exist")
         if self.folds is not None and self.folds < 2:
             raise ConfigError("experiment.folds: must be >= 2")
         if self.cv_seed < 0:
@@ -142,41 +150,35 @@ class ExperimentSpec:
                 check_bounds(self.bounds)
             except ValueError as exc:
                 raise ConfigError(f"experiment.bounds: {exc}") from exc
-        if self.model is not None and "model" not in self.model:
-            raise ConfigError("model.model: missing variant tag")
+
+
+@dataclass(frozen=True)
+class PredictSpec:
+    """Per-player strategies on a game, after any social transform."""
+
+    mode: ClassVar[Mode] = "predict"
+    model: ModelBlock = field(metadata=_BLOCK)
+    game: str
+    social: tuple[SocialPrefParams, ...] | None = field(default=None, metadata=_BLOCK)
+
+    def __post_init__(self) -> None:
+        if not Path(self.game).exists():
+            raise ConfigError(f"experiment.game: path {self.game!r} does not exist")
         if self.social == ():
             raise ConfigError("social: expected an object or nonempty list of objects")
-        for key in ("prospect", "social", "lottery"):
-            if getattr(self, key) is not None and self.mode != "predict":
-                raise ConfigError(f"{key}: only supported in predict mode")
-        if self.mode == "simulate":
-            if not self.seeds:
-                raise ConfigError("experiment.seeds: must be nonempty for simulate")
-            if self.scenario is None:
-                raise ConfigError("scenario: required for simulate")
-        if self.mode == "fit":
-            if self.dataset is None:
-                raise ConfigError("experiment.dataset: required for fit")
-            if self.model is None:
-                raise ConfigError("model: required for fit")
-        if self.mode == "predict":
-            strategic = self.model is not None or self.game is not None
-            if strategic and self.prospect is not None:
-                raise ConfigError(
-                    "prospect: cannot be combined with a strategic model block; "
-                    "prospect valuation applies to exogenous lotteries only"
-                )
-            if strategic:
-                if self.model is None or self.game is None:
-                    raise ConfigError("model: predict needs both model and experiment.game")
-            elif self.prospect is not None or self.lottery is not None:
-                if self.prospect is None or self.lottery is None:
-                    raise ConfigError("lottery: predict needs both prospect and lottery")
-            else:
-                raise ConfigError(
-                    "model: predict needs either model + experiment.game "
-                    "or prospect + lottery"
-                )
+
+
+@dataclass(frozen=True)
+class LotterySpec:
+    """The prospect-theory value of an exogenous lottery."""
+
+    mode: ClassVar[Mode] = "predict"
+    prospect: ProspectParams = field(metadata=_BLOCK)
+    lottery: Lottery = field(metadata=_BLOCK)
+
+
+Spec = SimulateSpec | FitSpec | PredictSpec | LotterySpec
+_SPECS = {"simulate": SimulateSpec, "fit": FitSpec, "predict": PredictSpec}
 
 
 def _scenario_from_config(block) -> FogScenario:
@@ -188,11 +190,12 @@ def _scenario_from_config(block) -> FogScenario:
     return build(factory, read_fields(FogScenario, fields, "scenario"), "scenario")
 
 
-def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
+def parse_config(path: str | Path, mode: str | None = None) -> Spec:
     """Load, validate, and default-fill a config file.
 
     ``mode`` (from the subcommand) overrides the config's own ``mode`` key;
-    having both is fine only when they agree.
+    having both is fine only when they agree.  A predict config with a
+    ``prospect`` or ``lottery`` block is a :class:`LotterySpec`.
     """
     path = Path(path)
     try:
@@ -204,36 +207,33 @@ def parse_config(path: str | Path, mode: str | None = None) -> ExperimentSpec:
     raw = dict(as_object(raw, "config root"))
     experiment = dict(as_object(raw.pop("experiment", {}), "experiment"))
 
-    config_mode = experiment.get("mode")
-    if mode is None:
-        mode = config_mode
-    elif config_mode is not None and config_mode != mode:
-        raise ConfigError(
-            f"experiment.mode: config says {config_mode!r} but the "
-            f"{mode!r} command was invoked"
-        )
-    experiment["mode"] = mode
-    if experiment.get("out_dir") in (None, ""):
+    config_mode = experiment.pop("mode", mode)
+    if mode is not None and config_mode != mode:
+        raise ConfigError(f"experiment.mode: config says {config_mode!r} but the "
+                          f"{mode!r} command was invoked")
+    spec = _SPECS[read_value(config_mode, Mode, "experiment.mode")]
+    if spec is PredictSpec and ("prospect" in raw or "lottery" in raw):
+        spec = LotterySpec
+    fields = dataclasses.fields(spec)
+    blocks = {f.name for f in fields if f.metadata}
+    keys = {f.name for f in fields} - blocks
+    if "out_dir" in keys and experiment.get("out_dir") in (None, ""):
         experiment["out_dir"] = os.environ.get(OUT_DIR_ENV) or "out"
     if isinstance(raw.get("social"), dict):
         raw["social"] = [raw["social"]]
 
-    fields = dataclasses.fields(ExperimentSpec)
-    blocks = {f.name for f in fields if f.metadata}
-    return ExperimentSpec(
-        **read_fields(ExperimentSpec, experiment, "experiment",
-                      names={f.name for f in fields} - blocks),
-        **read_fields(ExperimentSpec, raw, "", names=blocks,
-                      decoders={"scenario": _scenario_from_config}),
-    )
+    block_kwargs = read_fields(spec, raw, "", names=blocks,
+                               decoders={"scenario": _scenario_from_config})
+    kwargs = read_fields(spec, experiment, "experiment", names=keys)
+    check_required(spec, block_kwargs, "", blocks)
+    check_required(spec, kwargs, "experiment", keys)
+    return spec(**block_kwargs, **kwargs)
 
 
-def resolved_config(spec: ExperimentSpec) -> dict:
-    """Spec as a config document; parsing it back yields an equal spec.
-
-    Fields left unset (``None``) are left out.
-    """
-    config: dict = {"experiment": {}}
+def resolved_config(spec: Spec) -> dict:
+    """Spec as a config document, unset (``None``) fields left out;
+    parsing it back yields an equal spec."""
+    config: dict = {"experiment": {"mode": spec.mode}}
     for f in dataclasses.fields(spec):
         value = getattr(spec, f.name)
         if value is not None:
@@ -258,24 +258,19 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _family_from_model_block(model: dict) -> ModelFamily:
-    """Family to fit, from a tagged model block.
-
-    For fitting, ``params`` carries the family's fixed structure (e.g.
-    ``num_levels``), not fitted values; any other key is an error.
-    """
-    tag = model["model"]
-    factory = _FIT_FAMILIES.get(tag) if isinstance(tag, str) else None
+def _family_from_model_block(model: ModelBlock) -> ModelFamily:
+    """Family to fit, from a tagged model block; ``params`` is its fixed
+    structure (e.g. ``num_levels``), not fitted values."""
+    factory = _FIT_FAMILIES.get(model.model)
     if factory is None:
-        raise ConfigError(f"model.model: {tag!r} is not a fittable family")
-    return read(factory, model.get("params", {}), "model.params")
+        raise ConfigError(f"model.model: {model.model!r} is not a fittable family")
+    return read(factory, model.params, "model.params")
 
 
-def run_simulate(spec: ExperimentSpec) -> int:
+def run_simulate(spec: SimulateSpec) -> int:
     """Run every (noise, averaging, seed) cell together; write traces +
     summary.  A cell that fails is recorded in the manifest and the rest
     still run."""
-    assert spec.scenario is not None
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(out / "resolved_config.json", _json_text(resolved_config(spec)))
@@ -325,9 +320,8 @@ def run_simulate(spec: ExperimentSpec) -> int:
     return 0 if failures == 0 else 3
 
 
-def run_fit(spec: ExperimentSpec) -> int:
+def run_fit(spec: FitSpec) -> int:
     """Fit the configured family to the dataset; write and print the result."""
-    assert spec.model is not None and spec.dataset is not None
     family = _family_from_model_block(spec.model)
     try:
         data = load_observations(spec.dataset)
@@ -358,19 +352,18 @@ def run_fit(spec: ExperimentSpec) -> int:
     return 0
 
 
-def run_predict(spec: ExperimentSpec) -> int:
+def run_predict(spec: PredictSpec | LotterySpec) -> int:
     """Print per-player predicted strategies (or a lottery valuation)."""
-    if spec.lottery is not None and spec.prospect is not None:
+    if isinstance(spec, LotterySpec):
         payload = {"value": pt_evaluate(spec.lottery, spec.prospect)}
         sys.stdout.write(_json_text(payload))
         return 0
-    assert spec.model is not None and spec.game is not None
     try:
         game = load_game(spec.game)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"experiment.game: {exc}") from exc
     try:
-        model = model_from_dict(spec.model)
+        model = model_from_dict(as_json(spec.model))
     except ValueError as exc:
         raise ConfigError(f"model.{exc}") from exc
     if spec.social is not None:
@@ -414,7 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = parse_config(args.config, mode=args.command)
-        if args.out:
+        if args.out and hasattr(spec, "out_dir"):
             spec = dataclasses.replace(spec, out_dir=args.out)
         if args.dump_resolved_config:
             sys.stdout.write(_json_text(resolved_config(spec)))

@@ -176,13 +176,18 @@ def read_fields(
     return kwargs
 
 
+def check_required(factory: Callable, kwargs: dict, key: str, names=None) -> None:
+    """Raise for a required parameter of ``factory`` (in ``names``, if given) not in ``kwargs``."""
+    for name, (_, required) in _parameters(factory).items():
+        if required and name not in kwargs and (names is None or name in names):
+            raise ConfigError(f"{key}.{name}: missing" if key else f"{name}: missing")
+
+
 def build(factory: Callable, kwargs: dict, key: str):
     """``factory(**kwargs)``, with a missing parameter or a failed range check
     reported as a :class:`ConfigError` under its key path."""
+    check_required(factory, kwargs, key)
     params = _parameters(factory)
-    for name, (_, required) in params.items():
-        if required and name not in kwargs:
-            raise ConfigError(f"{key}.{name}: missing")
     try:
         return factory(**kwargs)
     except ConfigError:

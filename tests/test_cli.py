@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
@@ -120,6 +121,15 @@ def simulate_config(out_dir: Path, **experiment) -> dict:
     }
 
 
+def fit_config(**experiment) -> dict:
+    """A logit-QBR fit of the shipped dataset, with ``experiment`` keys added."""
+    return {
+        "model": {"model": "logit_qbr"},
+        "experiment": {"mode": "fit", "dataset": str(REPO / "data" / "qbr_lambda2.jsonl"),
+                       **experiment},
+    }
+
+
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path, monkeypatch):
         monkeypatch.delenv(OUT_DIR_ENV, raising=False)
@@ -139,7 +149,10 @@ class TestParseConfig:
         assert spec.price_rule == "gradient_ascent"
         assert spec.noise_sweep == (0.0,)
         assert spec.averaging_sweep == (False,)
-        assert spec.search == SearchOptions(grid_points=11, refine_iters=40)
+        fit = parse_config(write_config(tmp_path, fit_config(), name="fit.json"))
+        assert fit.out_dir == "out"
+        assert (fit.folds, fit.cv_seed, fit.bounds) == (None, 0, None)
+        assert fit.search == SearchOptions(grid_points=11, refine_iters=40)
 
     def test_invariant_violation_names_key(self, tmp_path):
         path = write_config(
@@ -172,10 +185,7 @@ class TestParseConfig:
                 {"experiment": {"mode": "predict", "gpus": 8}},
                 "experiment.gpus",
             ),
-            (
-                {"experiment": {"mode": "predict", "search": {"steps": 5}}},
-                "experiment.search.steps",
-            ),
+            (fit_config(search={"steps": 5}), "experiment.search.steps"),
         ]:
             path = write_config(tmp_path, payload)
             with pytest.raises(ConfigError) as err:
@@ -283,6 +293,119 @@ class TestParseConfig:
         path.write_text("{nope")
         with pytest.raises(ConfigError):
             parse_config(path)
+
+
+LEVEL_K = {"model": "level_k", "params": {"level_weights": [0.25, 0.5, 0.25]}}
+
+# One config per request shape, each with only the keys its run reads.
+REQUESTS = {
+    "simulate": lambda out: simulate_config(out),
+    "fit": lambda out: fit_config(out_dir=str(out)),
+    "predict": lambda out: {
+        "model": LEVEL_K,
+        "experiment": {"mode": "predict", "game": str(REPO / "data" / "example_game.json")},
+    },
+    "lottery": lambda out: {
+        "prospect": {},
+        "lottery": {"outcomes": [1.0, -1.0], "probs": [0.5, 0.5]},
+        "experiment": {"mode": "predict"},
+    },
+}
+
+# (request shape, path of a key only another shape reads, a value for it)
+CROSS_SHAPE_KEYS = [
+    ("simulate", "experiment.dataset", "data/qbr_lambda2.jsonl"),
+    ("simulate", "experiment.folds", 3),
+    ("simulate", "experiment.search", {"grid_points": 5}),
+    ("simulate", "model", LEVEL_K),
+    ("fit", "experiment.seeds", [0]),
+    ("fit", "experiment.price_rule", "foc_root"),
+    ("fit", "scenario", {"preset": "default"}),
+    ("fit", "social", {"altruism_weight": 0.5}),
+    ("predict", "experiment.seeds", [0]),
+    ("predict", "experiment.folds", 3),
+    ("predict", "experiment.out_dir", "o"),
+    ("predict", "scenario", {"preset": "default"}),
+    ("lottery", "experiment.game", "data/example_game.json"),
+    ("lottery", "model", LEVEL_K),
+    ("lottery", "social", {"altruism_weight": 0.5}),
+]
+
+
+def _request(shape: str, out: Path) -> dict:
+    return copy.deepcopy(REQUESTS[shape](out))
+
+
+def _mode(config: dict) -> str:
+    return config["experiment"]["mode"]
+
+
+class TestRequestShapes:
+    """Each request shape accepts exactly the keys its run reads."""
+
+    @pytest.mark.parametrize("shape, key, value", CROSS_SHAPE_KEYS,
+                             ids=[f"{shape}-{key}" for shape, key, _ in CROSS_SHAPE_KEYS])
+    def test_key_another_shape_reads_exits_2(self, tmp_path, capsys, shape, key, value):
+        config = _request(shape, tmp_path / "out")
+        *parents, name = key.split(".")
+        (config[parents[0]] if parents else config)[name] = value
+        assert main([_mode(config), write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr() == ("", f"error: {key}: unknown key\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("shape", ["fit", "predict"])
+    def test_unknown_model_block_key_exits_2(self, tmp_path, capsys, shape):
+        config = _request(shape, tmp_path / "out")
+        config["model"] = {**config["model"], "colour": 3}
+        assert main([_mode(config), write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr() == ("", "error: model.colour: unknown key\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("shape, key", [
+        ("simulate", "scenario"),
+        ("simulate", "experiment.seeds"),
+        ("fit", "model"),
+        ("fit", "experiment.dataset"),
+        ("fit", "model.model"),
+        ("predict", "model"),
+        ("predict", "experiment.game"),
+        ("predict", "model.model"),
+        ("lottery", "lottery"),
+        ("lottery", "prospect"),
+    ])
+    def test_missing_key_named_by_its_path(self, tmp_path, capsys, shape, key):
+        config = _request(shape, tmp_path / "out")
+        *parents, name = key.split(".")
+        del (config[parents[0]] if parents else config)[name]
+        assert main([_mode(config), write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr() == ("", f"error: {key}: missing\n")
+
+    @pytest.mark.parametrize("name, blocks, keys", [
+        ("simulate_default", {"scenario"},
+         {"mode", "seeds", "out_dir", "noise_sweep", "averaging_sweep", "price_rule"}),
+        ("fit_qbr", {"model"}, {"mode", "dataset", "out_dir", "cv_seed", "bounds", "search"}),
+        ("predict_levelk", {"model"}, {"mode", "game"}),
+    ], ids=["simulate_default", "fit_qbr", "predict_levelk"])
+    def test_resolved_config_holds_only_keys_the_run_reads(
+            self, monkeypatch, capsys, name, blocks, keys):
+        monkeypatch.chdir(REPO)
+        config = f"configs/{name}.json"
+        assert main([_mode(json.loads(Path(config).read_text())), config,
+                     "--dump-resolved-config"]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        assert set(dumped) == blocks | {"experiment"}
+        assert set(dumped["experiment"]) == keys
+        if name == "predict_levelk":
+            assert dumped == json.loads(Path(config).read_text())
+
+    def test_out_flag_has_nothing_to_override_in_predict(self, tmp_path, capsys):
+        config = _request("predict", tmp_path / "out")
+        path = write_config(tmp_path, config)
+        assert main(["predict", path]) == 0
+        plain = capsys.readouterr()
+        assert main(["predict", path, "--out", str(tmp_path / "flag")]) == 0
+        assert capsys.readouterr() == plain
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 class TestSimulate:
@@ -500,7 +623,7 @@ class TestConfigTypes:
 
     def _rejected(self, tmp_path, capsys, config, key):
         path = write_config(tmp_path, config)
-        assert main(["simulate", path]) == 2
+        assert main([config["experiment"]["mode"], path]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -550,7 +673,7 @@ class TestConfigTypes:
         self._rejected(tmp_path, capsys, config, "experiment.averaging_sweep")
 
     def test_fractional_search_option(self, tmp_path, capsys):
-        config = simulate_config(tmp_path / "out", search={"grid_points": 7.5})
+        config = fit_config(out_dir=str(tmp_path / "out"), search={"grid_points": 7.5})
         self._rejected(tmp_path, capsys, config, "experiment.search.grid_points")
 
     def test_integral_float_accepted(self, tmp_path):

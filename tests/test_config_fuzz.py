@@ -15,6 +15,10 @@ keep the exit-code contract:
   block that was changed;
 * on 0, neither stdout nor any file the run wrote holds NaN or an infinity.
 
+A second test adds to one of these configs a key that only another mode's
+spec class reads, drawn from those classes' fields, with any value; the run
+must exit 2 with ``error: <key path>: unknown key``.
+
 So that many examples fit in a few seconds, the fit reads 40 rows of the
 shipped dataset (two of its games) and searches a 3-point grid with 2
 refinement steps; a change moves these only to the values above or to
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -36,7 +41,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from foggame.cli import main, parse_config, resolved_config
+from foggame.cli import (
+    FitSpec,
+    LotterySpec,
+    PredictSpec,
+    SimulateSpec,
+    main,
+    parse_config,
+    resolved_config,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -108,6 +121,14 @@ def _mutated(config: dict, path: tuple, change: tuple) -> dict:
     return config
 
 
+def _other_mode_fields(mode: str) -> list[dataclasses.Field]:
+    """The spec fields that only modes other than ``mode`` read."""
+    specs = (SimulateSpec, FitSpec, PredictSpec, LotterySpec)
+    own = {f.name for spec in specs if spec.mode == mode for f in dataclasses.fields(spec)}
+    other = {f.name: f for spec in specs if spec.mode != mode for f in dataclasses.fields(spec)}
+    return [other[name] for name in sorted(other.keys() - own)]
+
+
 def _run(config: dict, mode: str, directory: Path) -> tuple[int, str, str]:
     path = directory / "config.json"
     path.write_text(json.dumps(config))
@@ -139,3 +160,21 @@ def test_one_changed_config_value_exits_0_or_2(data, bases, tmp_path):
     else:
         outputs = [stdout] + [f.read_text() for f in directory.rglob("*") if f.is_file()]
         assert not any(NON_FINITE.search(text) for text in outputs)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_key_another_mode_reads_exits_2(data, bases, tmp_path):
+    config = copy.deepcopy(bases[data.draw(st.sampled_from(sorted(bases)), label="config")])
+    mode = config["experiment"]["mode"]
+    key = data.draw(st.sampled_from(_other_mode_fields(mode)), label="key")
+    value = data.draw(st.sampled_from(VALUES), label="value")
+    (config if key.metadata else config["experiment"])[key.name] = value
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+
+    code, stdout, stderr = _run(config, mode, directory)
+
+    path = key.name if key.metadata else f"experiment.{key.name}"
+    assert (code, stdout, stderr) == (2, "", f"error: {path}: unknown key\n")
+    assert not (directory / "out").exists()
