@@ -176,7 +176,7 @@ def read_fields(
     return kwargs
 
 
-def check_required(factory: Callable, kwargs: dict, key: str, names=None) -> None:
+def check_required(factory: Callable, kwargs: dict, key: str, names: set | None = None) -> None:
     """Raise for a required parameter of ``factory`` (in ``names``, if given) not in ``kwargs``."""
     for name, (_, required) in _parameters(factory).items():
         if required and name not in kwargs and (names is None or name in names):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import foggame.cli as cli
-from foggame import behavior
+from foggame import behavior, estimation
 from foggame.behavior import EpsilonNash, LevelK, model_to_dict
 from foggame.cli import (
     OUT_DIR_ENV,
@@ -900,6 +900,16 @@ class TestFitConfigValues:
                        {"model": "level_k", "params": {
                            "num_levels": 2, "response": "exact_br", "precision": 5.0}},
                        "model.params.precision")
+
+    @pytest.mark.parametrize("key", ["grid_points", "refine_iters"])
+    def test_search_beyond_its_cap_exits_2_before_fitting(
+            self, tmp_path, capsys, monkeypatch, observation_file, key):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("the fit evaluated the likelihood")
+
+        monkeypatch.setattr(estimation, "log_likelihood", evaluated)
+        self._rejected(tmp_path, capsys, observation_file, {"model": "logit_qbr"},
+                       f"error: experiment.search.{key}: must be <= ", search={key: 10**6})
 
 
 # Bad model parameter -> (value, predict model block, fit model block or None).
