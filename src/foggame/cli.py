@@ -43,11 +43,12 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Literal, Sequence, get_args
+from typing import Annotated, ClassVar, Literal, Sequence, get_args
 
 from .behavior import _level0_profile, model_from_dict
 from .estimation import (
     PROB_FLOOR,
+    Bounds,
     ModelFamily,
     SearchOptions,
     check_bounds,
@@ -62,6 +63,7 @@ from .games import load_game
 from .market import (
     FogScenario,
     NegotiationTrace,
+    NoiseLevel,
     PriceRule,
     _negotiate,
     compute_metrics,
@@ -75,7 +77,7 @@ from .preferences import (
     pt_evaluate,
     transform_game_social,
 )
-from .schema import ConfigError, as_json, as_object, build, check_required, read
+from .schema import ConfigError, Range, as_json, as_object, build, check_required, read
 from .schema import read_fields, read_value
 
 OUT_DIR_ENV = "FOGGAME_OUT"
@@ -108,9 +110,9 @@ class SimulateSpec:
 
     mode: ClassVar[Mode] = "simulate"
     scenario: FogScenario = field(metadata=_BLOCK)
-    seeds: tuple[int, ...]
+    seeds: tuple[Annotated[int, Range(ge=0)], ...]
     out_dir: str = "out"
-    noise_sweep: tuple[float, ...] | None = None
+    noise_sweep: tuple[NoiseLevel, ...] | None = None
     averaging_sweep: tuple[bool, ...] | None = None
     price_rule: PriceRule = "gradient_ascent"
 
@@ -119,42 +121,45 @@ class SimulateSpec:
             object.__setattr__(self, "noise_sweep", (self.scenario.noise_level,))
         if self.averaging_sweep is None:
             object.__setattr__(self, "averaging_sweep", (self.scenario.averaging,))
-        if not self.seeds or min(self.seeds) < 0:
-            raise ConfigError("experiment.seeds: must be nonempty, each >= 0")
-        if any(not 0.0 <= rho < 1.0 for rho in self.noise_sweep):
-            raise ConfigError("experiment.noise_sweep: values must lie in [0, 1)")
+        if not self.seeds:
+            raise ConfigError("experiment.seeds: must be nonempty")
 
 
 @dataclass(frozen=True)
 class FitSpec:
-    """A maximum-likelihood fit, cross-validated when ``folds`` is set."""
+    """A maximum-likelihood fit, cross-validated when ``folds`` is set;
+    ``family``, the family the model block names, is built with the spec."""
 
     mode: ClassVar[Mode] = "fit"
     model: ModelBlock = field(metadata=_BLOCK)
     dataset: str
     out_dir: str = "out"
-    folds: int | None = None
-    cv_seed: int = 0
-    bounds: tuple[tuple[float, float], ...] | None = None
+    folds: Annotated[int, Range(ge=2)] | None = None
+    cv_seed: Annotated[int, Range(ge=0)] = 0
+    bounds: Bounds | None = None
     search: SearchOptions = SearchOptions()
 
     def __post_init__(self) -> None:
         if not Path(self.dataset).exists():
             raise ConfigError(f"experiment.dataset: path {self.dataset!r} does not exist")
-        if self.folds is not None and self.folds < 2:
-            raise ConfigError("experiment.folds: must be >= 2")
-        if self.cv_seed < 0:
-            raise ConfigError("experiment.cv_seed: must be >= 0")
         if self.bounds is not None:
             try:
                 check_bounds(self.bounds)
             except ValueError as exc:
                 raise ConfigError(f"experiment.bounds: {exc}") from exc
+        family = _family_from_model_block(self.model)
+        if self.bounds is not None and len(self.bounds) != family.num_params:
+            raise ConfigError(
+                f"experiment.bounds: family {family.name!r} has "
+                f"{family.num_params} parameters, got {len(self.bounds)} bounds"
+            )
+        object.__setattr__(self, "family", family)
 
 
 @dataclass(frozen=True)
 class PredictSpec:
-    """Per-player strategies on a game, after any social transform."""
+    """Per-player strategies on a game, after any social transform;
+    ``behavior``, the model the model block names, is built with the spec."""
 
     mode: ClassVar[Mode] = "predict"
     model: ModelBlock = field(metadata=_BLOCK)
@@ -166,6 +171,11 @@ class PredictSpec:
             raise ConfigError(f"experiment.game: path {self.game!r} does not exist")
         if self.social == ():
             raise ConfigError("social: expected an object or nonempty list of objects")
+        try:
+            behavior = model_from_dict(as_json(self.model))
+        except ValueError as exc:
+            raise ConfigError(f"model.{exc}") from exc
+        object.__setattr__(self, "behavior", behavior)
 
 
 @dataclass(frozen=True)
@@ -190,12 +200,13 @@ def _scenario_from_config(block) -> FogScenario:
     return build(factory, read_fields(FogScenario, fields, "scenario"), "scenario")
 
 
-def parse_config(path: str | Path, mode: str | None = None) -> Spec:
+def parse_config(path: str | Path, mode: str | None = None, out: str | None = None) -> Spec:
     """Load, validate, and default-fill a config file.
 
     ``mode`` (from the subcommand) overrides the config's own ``mode`` key;
-    having both is fine only when they agree.  A predict config with a
-    ``prospect`` or ``lottery`` block is a :class:`LotterySpec`.
+    having both is fine only when they agree.  ``out`` (from ``--out``)
+    overrides the config's ``out_dir``, where the spec has one.  A predict
+    config with a ``prospect`` or ``lottery`` block is a :class:`LotterySpec`.
     """
     path = Path(path)
     try:
@@ -225,6 +236,8 @@ def parse_config(path: str | Path, mode: str | None = None) -> Spec:
     block_kwargs = read_fields(spec, raw, "", names=blocks,
                                decoders={"scenario": _scenario_from_config})
     kwargs = read_fields(spec, experiment, "experiment", names=keys)
+    if out and "out_dir" in keys:
+        kwargs["out_dir"] = out
     check_required(spec, block_kwargs, "", blocks)
     check_required(spec, kwargs, "experiment", keys)
     return spec(**block_kwargs, **kwargs)
@@ -322,7 +335,7 @@ def run_simulate(spec: SimulateSpec) -> int:
 
 def run_fit(spec: FitSpec) -> int:
     """Fit the configured family to the dataset; write and print the result."""
-    family = _family_from_model_block(spec.model)
+    family = spec.family
     try:
         data = load_observations(spec.dataset)
     except (OSError, ValueError) as exc:
@@ -335,11 +348,6 @@ def run_fit(spec: FitSpec) -> int:
             f"{spec.folds} observations, dataset has {len(data)}"
         )
     bounds = spec.bounds if spec.bounds is not None else family.bounds
-    if len(bounds) != family.num_params:
-        raise ConfigError(
-            f"experiment.bounds: family {family.name!r} has "
-            f"{family.num_params} parameters, got {len(bounds)} bounds"
-        )
     result = fit_mle(family, data, bounds, spec.search)
     if spec.folds is not None:
         cv = cross_validate(family, data, spec.folds, bounds, spec.search, spec.cv_seed)
@@ -362,10 +370,7 @@ def run_predict(spec: PredictSpec | LotterySpec) -> int:
         game = load_game(spec.game)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"experiment.game: {exc}") from exc
-    try:
-        model = model_from_dict(as_json(spec.model))
-    except ValueError as exc:
-        raise ConfigError(f"model.{exc}") from exc
+    model = spec.behavior
     if spec.social is not None:
         params = spec.social
         if len(params) == 1 and game.num_players > 1:
@@ -406,9 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        spec = parse_config(args.config, mode=args.command)
-        if args.out and hasattr(spec, "out_dir"):
-            spec = dataclasses.replace(spec, out_dir=args.out)
+        spec = parse_config(args.config, mode=args.command, out=args.out)
         if args.dump_resolved_config:
             sys.stdout.write(_json_text(resolved_config(spec)))
             return 0

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Annotated, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,11 +32,12 @@ from .behavior import (
     LevelK,
     LogitQBR,
     NoNashFallback,
+    Precision,
     ResponseKind,
     _check_response,
 )
 from .games import MixedStrategy, NormalFormGame
-from .schema import as_int, as_number, check_fields
+from .schema import Finite, Range, as_int, check_fields, read_value
 
 PROB_FLOOR = 1e-12
 
@@ -52,14 +53,14 @@ class Observation:
     """One observed discrete choice."""
 
     game: NormalFormGame
-    player: int
-    action: int
+    player: Annotated[int, Range(ge=0)]
+    action: Annotated[int, Range(ge=0)]
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not 0 <= self.player < self.game.num_players:
+        if self.player >= self.game.num_players:
             raise ValueError(f"player {self.player} out of range")
-        if not 0 <= self.action < self.game.action_counts[self.player]:
+        if self.action >= self.game.action_counts[self.player]:
             raise ValueError(
                 f"action {self.action} out of range for player {self.player}"
             )
@@ -153,20 +154,28 @@ def epsilon_nash_family(no_nash_fallback: NoNashFallback = "uniform") -> ModelFa
     return ModelFamily("epsilon_nash", ("epsilon",), build, bounds=(_UNIT_BOUNDS,))
 
 
+# The cap on level_k_family's num_levels.  The fit grid has grid_points **
+# num_params points: on a 2-core Xeon one level-k likelihood of the shipped
+# 1000 rows takes about 2 ms at any level count, so the default 11-point grid
+# takes about 6 minutes at 5 levels (161,051 points), 11 times that with a
+# fitted precision.  The budget over both keys is still open.
+NUM_LEVELS_LIMIT = 5
+NumLevels = Annotated[int, Range(ge=1, le=NUM_LEVELS_LIMIT)]
+
+
 def level_k_family(
-    num_levels: int,
+    num_levels: NumLevels,
     response: ResponseKind = "exact_br",
-    precision: float | None = None,
+    precision: Precision | None = None,
 ) -> ModelFamily:
-    """Mixture over reasoning levels 0..num_levels-1.
+    """Mixture over reasoning levels 0..num_levels-1, at most ``NUM_LEVELS_LIMIT``.
 
     Parameters are the level weights (a simplex group, renormalized inside
     ``build``) plus a trailing precision parameter when ``response`` is
     ``"qbr"`` and no fixed ``precision`` is supplied.
     """
-    num_levels = as_int(num_levels, "num_levels")
-    if num_levels < 1:
-        raise ValueError("num_levels must be >= 1")
+    num_levels = read_value(num_levels, NumLevels, "num_levels")
+    precision = read_value(precision, Precision | None, "precision")
     fit_precision = response == "qbr" and precision is None
     if not fit_precision:
         _check_response(response, precision)
@@ -252,26 +261,21 @@ class SearchOptions:
     """Grid points per axis and golden-section steps of :func:`fit_mle`,
     capped at ``GRID_POINTS_LIMIT`` and ``REFINE_ITERS_LIMIT``."""
 
-    grid_points: int = 11
-    refine_iters: int = 40
+    grid_points: Annotated[int, Range(ge=3, le=GRID_POINTS_LIMIT)] = 11
+    refine_iters: Annotated[int, Range(ge=0, le=REFINE_ITERS_LIMIT)] = 40
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be >= 3")
-        if self.grid_points > GRID_POINTS_LIMIT:
-            raise ValueError(f"grid_points must be <= {GRID_POINTS_LIMIT}")
-        if self.refine_iters < 0:
-            raise ValueError("refine_iters must be >= 0")
-        if self.refine_iters > REFINE_ITERS_LIMIT:
-            raise ValueError(f"refine_iters must be <= {REFINE_ITERS_LIMIT}")
 
 
-def check_bounds(bounds: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+Bounds = tuple[tuple[Finite, Finite], ...]
+
+
+def check_bounds(bounds: Bounds) -> list[tuple[float, float]]:
     """``(low, high)`` pairs as floats; each must be finite with low <= high."""
-    checked = [(as_number(lo, "bounds"), as_number(hi, "bounds")) for lo, hi in bounds]
+    checked = list(read_value(bounds, Bounds, "bounds"))
     for lo, hi in checked:
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        if lo > hi:
             raise ValueError(f"invalid bound ({lo}, {hi}): must be finite with low <= high")
     return checked
 
@@ -416,10 +420,8 @@ def fold_indices(
     num_observations: int, k: int, seed: int
 ) -> list[np.ndarray]:
     """Seeded permutation split into k near-equal contiguous folds."""
-    k = as_int(k, "k")
+    k = read_value(k, Annotated[int, Range(ge=2)], "k")
     seed = as_int(seed, "seed")
-    if k < 2:
-        raise ValueError("k must be >= 2")
     if num_observations < k:
         raise ValueError(
             f"dataset of {num_observations} observations cannot form {k} folds"
@@ -463,12 +465,11 @@ def sample_observations(
     the action from the model's predicted strategy for that seat.  Output is
     a pure function of (model, games, num_observations, seed).
     """
-    num_observations = as_int(num_observations, "num_observations")
+    num_observations = read_value(num_observations, Annotated[int, Range(ge=1)],
+                                  "num_observations")
     seed = as_int(seed, "seed")
     if not games:
         raise ValueError("games must be nonempty")
-    if num_observations < 1:
-        raise ValueError("num_observations must be >= 1")
     rng = np.random.default_rng(seed)
     cache: dict[NormalFormGame, list[np.ndarray]] = {}
     observations = []

@@ -7,11 +7,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Annotated, Callable, Sequence
 
 import numpy as np
 
-from .schema import as_int, as_number, as_object, check_fields, read_value
+from .schema import Range, as_int, as_number, as_object, check_fields, read_value
 
 # Actions whose expected utility is within TIE_TOL of the maximum count as
 # best responses; pure_nash applies the same slack to deviation checks.
@@ -20,20 +20,19 @@ TIE_TOL = 1e-9
 PROB_SUM_TOL = 1e-9
 _WEIGHT_EPS = 1e-12
 
+ActionCount = Annotated[int, Range(ge=1)]
+
 
 @dataclass(frozen=True)
 class MixedStrategy:
     """Probability distribution over a single player's actions."""
 
-    weights: tuple[float, ...]
+    weights: tuple[Annotated[float, Range(ge=-_WEIGHT_EPS, le=1 + _WEIGHT_EPS)], ...]
 
     def __post_init__(self) -> None:
         check_fields(self)
         if not self.weights:
             raise ValueError("MixedStrategy needs at least one action weight")
-        for w in self.weights:
-            if not np.isfinite(w) or w < -_WEIGHT_EPS or w > 1.0 + _WEIGHT_EPS:
-                raise ValueError(f"weight {w!r} outside [0, 1]")
         total = sum(self.weights)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
@@ -55,16 +54,14 @@ class NormalFormGame:
     action profile.
     """
 
-    action_counts: tuple[int, ...]
+    action_counts: tuple[ActionCount, ...]
     payoffs: np.ndarray
 
     def __post_init__(self) -> None:
         # payoffs take any array-like of integers or reals, which no field rule reads
-        counts = read_value(self.action_counts, tuple[int, ...], "action_counts")
+        counts = read_value(self.action_counts, tuple[ActionCount, ...], "action_counts")
         if not counts:
             raise ValueError("game needs at least one player")
-        if any(n < 1 for n in counts):
-            raise ValueError("every player needs at least one action")
         try:
             tensor = np.asarray(self.payoffs)
         except ValueError as exc:  # a ragged nested list

@@ -31,16 +31,25 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
-from typing import Iterable, Literal, Sequence, get_args
+from typing import Annotated, Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
-from .schema import check_fields
+from .schema import Finite, Range, check_fields
 
 # Noisy demands are floored here so log-utility stays defined.
 DEMAND_FLOOR = 1e-9
 # The cap on max_rounds: a cell that never converges stops within about 30 s.
 ROUND_LIMIT = 10**6
+# The cap on num_nodes.  On a 2-core Xeon a noisy 2000-round cell of 1000
+# nodes runs in 0.23 s and writes a 190 MB trace CSV in 6.5 s; the CSV grows
+# linearly with the nodes (0.7 MB at 4).
+NODE_LIMIT = 1000
+
+Positive = Annotated[float, Range(gt=0)]
+# A noise level, shared by the scenario and a simulate run's noise sweep.
+NoiseLevel = Annotated[float, Range(ge=0, lt=1)]
+Margin = Annotated[float, Range(gt=0, le=1)]
 
 PriceRule = Literal["gradient_ascent", "foc_root"]
 PRICE_RULES = get_args(PriceRule)
@@ -50,8 +59,6 @@ def _broadcast(value: tuple[float, ...] | float, n: int, name: str) -> tuple[flo
     vec = (value,) * n if isinstance(value, float) else value
     if len(vec) != n:
         raise ValueError(f"{name} must have length {n}, got {len(vec)}")
-    if any(not np.isfinite(x) for x in vec):
-        raise ValueError(f"{name} must be finite")
     return vec
 
 
@@ -64,48 +71,34 @@ class FogScenario:
     the price floors; ``price_caps`` defaults to ten times the floors.  With
     ``averaging`` on, ``averaging_window`` limits the mean to the last so
     many responses; ``None`` keeps the default cumulative mean over the
-    whole run.  ``max_rounds`` is at most ``ROUND_LIMIT``.
+    whole run.  ``num_nodes`` is at most ``NODE_LIMIT`` and ``max_rounds`` at
+    most ``ROUND_LIMIT``.
     """
 
-    num_nodes: int
-    budget: float
-    utility_scale: float = 1.0
-    utility_weights: tuple[float, ...] | float = 1.0
-    quality_factors: tuple[float, ...] | float = 1.0
-    price_floors: tuple[float, ...] | float = 1.0
-    margin_factors: tuple[float, ...] | float = 0.5
-    initial_prices: tuple[float, ...] | float | None = None
-    price_caps: tuple[float, ...] | float | None = None
-    step_size: float = 8.0
-    noise_level: float = 0.0
+    num_nodes: Annotated[int, Range(ge=1, le=NODE_LIMIT)]
+    budget: Positive
+    utility_scale: Positive = 1.0
+    utility_weights: tuple[Positive, ...] | Positive = 1.0
+    quality_factors: tuple[Positive, ...] | Positive = 1.0
+    price_floors: tuple[Positive, ...] | Positive = 1.0
+    margin_factors: tuple[Margin, ...] | Margin = 0.5
+    initial_prices: tuple[Finite, ...] | Finite | None = None
+    price_caps: tuple[Finite, ...] | Finite | None = None
+    step_size: Positive = 8.0
+    noise_level: NoiseLevel = 0.0
     averaging: bool = False
-    averaging_window: int | None = None
-    max_rounds: int = 2000
-    convergence_tol: float = 1e-4
-    convergence_window: int = 20
+    averaging_window: Annotated[int, Range(ge=1)] | None = None
+    max_rounds: Annotated[int, Range(ge=1, le=ROUND_LIMIT)] = 2000
+    convergence_tol: Positive = 1e-4
+    convergence_window: Annotated[int, Range(ge=2)] = 20
 
     def __post_init__(self) -> None:
         check_fields(self)
         m = self.num_nodes
-        if m < 1:
-            raise ValueError("num_nodes must be >= 1")
-        if not np.isfinite(self.budget) or self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if not np.isfinite(self.utility_scale) or self.utility_scale <= 0:
-            raise ValueError("utility_scale must be positive")
-
         weights = _broadcast(self.utility_weights, m, "utility_weights")
         quality = _broadcast(self.quality_factors, m, "quality_factors")
         floors = _broadcast(self.price_floors, m, "price_floors")
         margins = _broadcast(self.margin_factors, m, "margin_factors")
-        if any(x <= 0 for x in weights):
-            raise ValueError("utility_weights must be positive")
-        if any(x <= 0 for x in quality):
-            raise ValueError("quality_factors must be positive")
-        if any(x <= 0 for x in floors):
-            raise ValueError("price_floors must be positive")
-        if any(not 0 < x <= 1 for x in margins):
-            raise ValueError("margin_factors must lie in (0, 1]")
 
         if self.price_caps is None:
             caps = tuple(10.0 * f for f in floors)
@@ -122,21 +115,6 @@ class FogScenario:
             raise ValueError(
                 "initial_prices must lie between price_floors and price_caps"
             )
-
-        if not np.isfinite(self.step_size) or self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if not 0.0 <= self.noise_level < 1.0:
-            raise ValueError("noise_level must lie in [0, 1)")
-        if self.averaging_window is not None and self.averaging_window < 1:
-            raise ValueError("averaging_window must be >= 1 when set")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.max_rounds > ROUND_LIMIT:
-            raise ValueError(f"max_rounds must be <= {ROUND_LIMIT}")
-        if not np.isfinite(self.convergence_tol) or self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
-        if self.convergence_window < 2:
-            raise ValueError("convergence_window must be >= 2")
 
         object.__setattr__(self, "utility_weights", weights)
         object.__setattr__(self, "quality_factors", quality)

@@ -7,24 +7,27 @@ preferences in one array computation over the whole payoff tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Annotated, Literal, Sequence
 
 import numpy as np
 
 from .games import NormalFormGame
-from .schema import check_fields
+from .schema import Finite, Range, check_fields
 
 # Below ~0.28 the single-parameter weighting curve stops being monotone, so
 # the constructor rejects that region.
 WEIGHT_CURVE_MIN = 0.28
+
+Curvature = Annotated[float, Range(gt=0, le=1)]
+Weight = Annotated[float, Range(ge=0)]
 
 
 @dataclass(frozen=True)
 class Lottery:
     """Finite lottery: outcome values with matching probabilities."""
 
-    outcomes: tuple[float, ...]
-    probs: tuple[float, ...]
+    outcomes: tuple[Finite, ...]
+    probs: tuple[Annotated[float, Range(ge=0, le=1)], ...]
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -32,10 +35,6 @@ class Lottery:
             raise ValueError("lottery needs at least one outcome")
         if len(self.outcomes) != len(self.probs):
             raise ValueError("probs must have the same length as outcomes")
-        if not all(np.isfinite(self.outcomes)):
-            raise ValueError("outcomes must be finite")
-        if not all(0.0 <= p <= 1.0 for p in self.probs):  # so that NaN fails too
-            raise ValueError("probs must lie in [0, 1]")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {sum(self.probs)!r}, expected 1")
 
@@ -48,26 +47,14 @@ class ProspectParams:
     defaults, not claims about any particular dataset.
     """
 
-    gain_curvature: float = 0.88
-    loss_curvature: float = 0.88
-    loss_aversion: float = 2.25
-    weight_curvature: float = 0.61
-    reference: float = 0.0
+    gain_curvature: Curvature = 0.88
+    loss_curvature: Curvature = 0.88
+    loss_aversion: Annotated[float, Range(ge=1)] = 2.25
+    weight_curvature: Annotated[float, Range(gt=WEIGHT_CURVE_MIN, le=1)] = 0.61
+    reference: Finite = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not 0.0 < self.gain_curvature <= 1.0:
-            raise ValueError("gain_curvature must lie in (0, 1]")
-        if not 0.0 < self.loss_curvature <= 1.0:
-            raise ValueError("loss_curvature must lie in (0, 1]")
-        if not 1.0 <= self.loss_aversion < np.inf:
-            raise ValueError("loss_aversion must be finite and >= 1")
-        if not WEIGHT_CURVE_MIN < self.weight_curvature <= 1.0:
-            raise ValueError(
-                f"weight_curvature must lie in ({WEIGHT_CURVE_MIN}, 1]"
-            )
-        if not np.isfinite(self.reference):
-            raise ValueError("reference must be finite")
 
 
 def _weight(p: float, curve: float) -> float:
@@ -109,18 +96,16 @@ InequityMetric = Literal["range", "mean_deviation"]
 class SocialPrefParams:
     """Linear blend of own payoff, altruism, inequity aversion, and envy."""
 
-    selfish_weight: float = 1.0
-    altruism_weight: float = 0.0
-    inequity_weight: float = 0.0
-    envy_weight: float = 0.0
+    selfish_weight: Weight = 1.0
+    altruism_weight: Weight = 0.0
+    inequity_weight: Weight = 0.0
+    envy_weight: Weight = 0.0
     inequity_metric: InequityMetric = "range"
 
     def __post_init__(self) -> None:
         check_fields(self)
         weights = (self.selfish_weight, self.altruism_weight,
                    self.inequity_weight, self.envy_weight)
-        if any(not np.isfinite(w) or w < 0 for w in weights):
-            raise ValueError("social preference weights must be nonnegative")
         if all(w == 0 for w in weights):
             raise ValueError("at least one social preference weight must be positive")
 

@@ -16,15 +16,20 @@ its annotated type:
 * any other class — an instance of it;
 * ``dict`` — an object, passed through;
 * ``X | Y`` — ``null`` for ``None``, a list for a tuple arm, else the first
-  other arm.
+  other arm;
+* ``Annotated[T, Range(...)]`` — read as ``T``, then checked against the
+  :class:`Range`: within each bound given, and finite if it is a float.
 
 A NumPy array is read as its ``tolist()``.  The input dataclasses call
 :func:`check_fields` first in ``__post_init__``, so a library caller's bad
 value gets the same field-first message a config's does.
 
 Every error is a :class:`ConfigError` whose message starts with the key path,
-e.g. ``model.params.max_level: must be an integer, got 2.7``.  Range checks
-stay in the constructors, which guard library callers too; a constructor's
+e.g. ``model.params.max_level: must be an integer, got 2.7`` or
+``scenario.budget: must be > 0, got -1.0``.  A range is declared beside its
+type, ``budget: Annotated[float, Range(gt=0)]``, and a per-node field
+declares it on its elements.  Only checks that span fields (caps against
+floors, weights that sum to one) stay in the constructors; a constructor's
 ``ValueError`` is reported under the parameter its message starts with, or
 else under the block.
 """
@@ -34,9 +39,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import math
 import numbers
+import operator
 import types
-from typing import Any, Callable, Literal, Mapping, Union, get_args, get_origin, get_type_hints
+from typing import (Annotated, Any, Callable, Literal, Mapping, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -71,10 +79,40 @@ def as_object(value, key: str) -> dict:
     raise ConfigError(f"{key}: must be a JSON object, got {value!r}")
 
 
+_BOUNDS = (("gt", ">", operator.gt), ("ge", ">=", operator.ge),
+           ("lt", "<", operator.lt), ("le", "<=", operator.le))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)  # identity hash: _form's cache hashes every hint
+class Range:
+    """A number's allowed range, declared in its annotation as
+    ``Annotated[float, Range(gt=0)]``; a ranged float must also be finite."""
+
+    gt: float | None = None
+    ge: float | None = None
+    lt: float | None = None
+    le: float | None = None
+
+    def check(self, value, key: str):
+        """``value`` itself if it lies in the range, else a :class:`ConfigError`
+        naming the first bound it breaks (NaN breaks every bound)."""
+        for name, symbol, holds in _BOUNDS:
+            bound = getattr(self, name)
+            if bound is not None and not holds(value, bound):
+                raise ConfigError(f"{key}: must be {symbol} {bound}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value!r}")
+        return value
+
+
+Finite = Annotated[float, Range()]
+_ANNOTATED = type(Finite)
+
+
 @functools.cache
 def _parameters(factory: Callable) -> dict[str, tuple[Any, bool]]:
     """Parameter name -> (annotated type, whether it is required)."""
-    hints = get_type_hints(factory)
+    hints = get_type_hints(factory, include_extras=True)
     return {
         name: (hints.get(name), p.default is inspect.Parameter.empty)
         for name, p in inspect.signature(factory).parameters.items()
@@ -93,6 +131,8 @@ def read_value(value, hint, key: str):
     """``value`` read by the rule for type ``hint``; see the module docstring."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
+    if type(hint) is _ANNOTATED:  # Annotated[T, Range(...)]
+        return hint.__metadata__[0].check(read_value(value, hint.__origin__, key), key)
     if hint is float:
         return as_number(value, key)
     if hint is int:
@@ -138,8 +178,8 @@ def read_value(value, hint, key: str):
 
 
 def check_fields(obj) -> None:
-    """Read every field of dataclass ``obj`` by its annotated type, in place,
-    so that its ``__post_init__`` range checks see the annotated types only."""
+    """Read every field of dataclass ``obj`` by its annotated type and range,
+    in place, so that its ``__post_init__`` checks see checked values only."""
     for name, (hint, _) in _parameters(type(obj)).items():
         object.__setattr__(obj, name, read_value(getattr(obj, name), hint, name))
 
@@ -184,8 +224,8 @@ def check_required(factory: Callable, kwargs: dict, key: str, names: set | None 
 
 
 def build(factory: Callable, kwargs: dict, key: str):
-    """``factory(**kwargs)``, with a missing parameter or a failed range check
-    reported as a :class:`ConfigError` under its key path."""
+    """``factory(**kwargs)``, with a missing parameter or a failed check that
+    spans fields reported as a :class:`ConfigError` under its key path."""
     check_required(factory, kwargs, key)
     params = _parameters(factory)
     try:

@@ -481,7 +481,7 @@ def test_level0_entries_must_be_strategies(build, bad):
 )
 @pytest.mark.parametrize("bad", [math.nan, -1.0])
 def test_precision_checked_alike(build, bad):
-    with pytest.raises(ValueError, match=r"^precision must be a finite nonnegative real$"):
+    with pytest.raises(ValueError, match=f"^precision: must be >= 0, got {bad!r}$"):
         build(bad)
 
 

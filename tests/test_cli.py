@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import foggame.cli as cli
-from foggame import behavior, estimation
+from foggame import behavior, estimation, market
 from foggame.behavior import EpsilonNash, LevelK, model_to_dict
 from foggame.cli import (
     OUT_DIR_ENV,
@@ -946,6 +946,72 @@ def test_bad_model_param_named_alike_in_predict_and_fit(tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+def _never(what: str):
+    def reached(*args, **kwargs):
+        raise AssertionError(f"the run reached {what}")
+
+    return reached
+
+
+class TestWorkCaps:
+    """A count beyond its cap exits 2 naming the key, before any work."""
+
+    def _rejected(self, tmp_path, capsys, config, mode, message):
+        path = write_config(tmp_path, config)
+        assert main([mode, path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model, key, limit", [
+        ("cognitive_hierarchy", "max_level", behavior.LEVEL_LIMIT),
+        ("noisy_introspection", "max_depth", behavior.DEPTH_LIMIT),
+    ])
+    def test_predict_recursion_beyond_its_cap(self, tmp_path, capsys, monkeypatch,
+                                              model, key, limit):
+        cls = behavior._TAG_MODELS[model]
+        monkeypatch.setattr(cls, "predict_profile", _never("the model"))
+        params = {"poisson_mean": 1.5} if key == "max_level" else {"precision": 1.0, "decay": 0.5}
+        config = {"model": {"model": model, "params": {**params, key: limit + 1}},
+                  "experiment": {"mode": "predict",
+                                 "game": str(REPO / "data" / "example_game.json")}}
+        self._rejected(tmp_path, capsys, config, "predict",
+                       f"model.params.{key}: must be <= {limit}, got {limit + 1}")
+
+    def test_fit_levels_beyond_their_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(estimation, "log_likelihood", _never("the likelihood"))
+        limit = estimation.NUM_LEVELS_LIMIT
+        config = fit_config()
+        config["model"] = {"model": "level_k", "params": {"num_levels": limit + 1}}
+        self._rejected(tmp_path, capsys, config, "fit",
+                       f"model.params.num_levels: must be <= {limit}, got {limit + 1}")
+
+    def test_simulate_nodes_beyond_their_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_negotiate", _never("the market kernel"))
+        limit = market.NODE_LIMIT
+        config = simulate_config(tmp_path / "out")
+        config["scenario"] = {"num_nodes": limit + 1, "budget": 10.0}
+        self._rejected(tmp_path, capsys, config, "simulate",
+                       f"scenario.num_nodes: must be <= {limit}, got {limit + 1}")
+
+
+@pytest.mark.parametrize("mode, model, bounds, message", [
+    ("predict", {"model": "nope", "params": {"x": 1}}, None,
+     "model.model: unknown model tag 'nope'"),
+    ("fit", {"model": "level_k", "params": {"num_levels": 2, "levels": 9}}, None,
+     "model.params.levels: unknown key"),
+    ("fit", {"model": "level_k", "params": {"num_levels": 2}}, [[0.0, 1.0]],
+     "experiment.bounds: family 'level_k_2' has 2 parameters, got 1 bounds"),
+])
+def test_dump_checks_the_model_block(tmp_path, capsys, mode, model, bounds, message):
+    experiment = ({"game": str(REPO / "data" / "example_game.json")} if mode == "predict"
+                  else {"dataset": str(REPO / "data" / "qbr_lambda2.jsonl")})
+    if bounds is not None:
+        experiment["bounds"] = bounds
+    config = {"model": model, "experiment": {"mode": mode, **experiment}}
+    assert main([mode, write_config(tmp_path, config), "--dump-resolved-config"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("mode, key", [("predict", "game"), ("fit", "dataset")])
 def test_directory_as_input_path_exits_2(tmp_path, capsys, mode, key):
     config = {
@@ -1150,7 +1216,7 @@ class TestPredict:
         assert main(["predict", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: lottery.probs: must lie in [0, 1]\n"
+        assert captured.err == "error: lottery.probs: must be >= 0, got nan\n"
 
     def test_prospect_cannot_wrap_strategic_model(self, tmp_path, pd_game):
         path = write_config(

@@ -10,6 +10,14 @@ builds each one from loosely typed valid values (NumPy scalars, integral
 floats, lists and arrays) and checks that every stored field has exactly its
 annotated type.
 
+A third test reads each number's declared range (``Annotated[T, Range(...)]``)
+and tries, on every scalar and tuple-element field, each bound, one step past
+it (``math.nextafter`` for a float, 1 for an integer), NaN and ±inf.  A value
+outside the range must raise ``ValueError`` starting with the field name; a
+value inside it must not be refused by its range.  A guard test requires
+every integer and float in the input dataclasses, the ``cli`` spec classes
+and the fit family factories to declare a range.
+
 The annotations are read here with plain ``typing`` calls, independently of
 :mod:`foggame.schema`.
 """
@@ -19,13 +27,15 @@ from __future__ import annotations
 import dataclasses
 import math
 import types
-from typing import Literal, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foggame
+from foggame import cli
 from foggame.behavior import (
     CognitiveHierarchy,
     EpsilonNash,
@@ -166,3 +176,108 @@ def test_stored_values_have_their_annotated_types(data):
     built = cls(**kwargs)
     for f in dataclasses.fields(built):
         assert _has_type(getattr(built, f.name), HINTS[cls][f.name]), f.name
+
+
+# Bound name -> (comparison the value must pass, direction of one step past it)
+_BOUND_RULES = {"gt": (lambda x, b: x > b, -1), "ge": (lambda x, b: x >= b, -1),
+                "lt": (lambda x, b: x < b, 1), "le": (lambda x, b: x <= b, 1)}
+
+
+def _range_of(hint):
+    """``(number type, range)`` of an ``Annotated[int | float, range]`` hint, else None."""
+    if get_origin(hint) is not Annotated:
+        return None
+    base, *metadata = get_args(hint)
+    ranges = [m for m in metadata if all(hasattr(m, name) for name in _BOUND_RULES)]
+    return (base, ranges[0]) if ranges else None
+
+
+def _in_range(value, base, rng) -> bool:
+    if base is int and not (isinstance(value, int) or float(value).is_integer()):
+        return False
+    if not all(getattr(rng, name) is None or holds(value, getattr(rng, name))
+               for name, (holds, _) in _BOUND_RULES.items()):
+        return False
+    return base is int or math.isfinite(value)
+
+
+def _range_cases():
+    """(constructor, field, value, whether the value is in its range)."""
+    cases = []
+    for cls in BASES:
+        for name, hint in get_type_hints(cls, include_extras=True).items():
+            arms, _ = _arms(hint)
+            for arm in arms:
+                in_tuple = get_origin(arm) is tuple
+                ranged = _range_of(get_args(arm)[0] if in_tuple else arm)
+                if ranged is None:
+                    continue
+                base, rng = ranged
+                values = [math.nan, math.inf, -math.inf]
+                for bound_name, (_, direction) in _BOUND_RULES.items():
+                    bound = getattr(rng, bound_name)
+                    if bound is not None:
+                        past = (bound + direction if base is int
+                                else math.nextafter(bound, direction * math.inf))
+                        values += [bound, past]
+                for value in values:
+                    value = base(value) if base is int and math.isfinite(value) else value
+                    if in_tuple:
+                        given = BASES[cls].get(name, ())
+                        value = (value,) + tuple(given[1:] if isinstance(given, tuple) else ())
+                        inside = _in_range(value[0], base, rng)
+                    else:
+                        inside = _in_range(value, base, rng)
+                    cases.append(pytest.param(cls, name, value, inside,
+                                              id=f"{cls.__name__}.{name}={value!r}"))
+    return cases
+
+
+@pytest.mark.parametrize("cls, name, value, inside", _range_cases())
+def test_each_bound_and_one_step_past_it(cls, name, value, inside):
+    if not inside:
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            cls(**{**BASES[cls], name: value})
+        return
+    try:
+        cls(**{**BASES[cls], name: value})
+    except ValueError as exc:  # refused for a rule that spans fields
+        assert not str(exc).startswith(f"{name}: must be"), exc
+
+
+# Records a run returns, not arguments it reads.
+OUTPUTS = {foggame.FitResult, foggame.ModelFamily, foggame.NegotiationTrace}
+INPUTS = ([getattr(foggame, name) for name in foggame.__all__
+           if dataclasses.is_dataclass(getattr(foggame, name))]
+          + [cli.SimulateSpec, cli.FitSpec, cli.PredictSpec, cli.LotterySpec])
+
+
+def _unranged(hint, path: str, seen: set) -> list[str]:
+    """The paths of the int and float leaves below ``hint`` that declare no
+    range, walking into dataclasses not yet ``seen``."""
+    if get_origin(hint) is Annotated:
+        return [] if _range_of(hint) else _unranged(get_args(hint)[0], path, seen)
+    if hint in (int, float):
+        return [path]
+    if get_origin(hint) in (Union, types.UnionType, tuple):
+        return [leaf for arg in get_args(hint) if arg is not Ellipsis
+                for leaf in _unranged(arg, path, seen)]
+    if dataclasses.is_dataclass(hint) and hint not in seen:
+        seen.add(hint)
+        return _walk(hint, seen)
+    return []
+
+
+def _walk(factory, seen: set) -> list[str]:
+    """``_unranged`` over the parameters of a dataclass or function."""
+    return [leaf for name, hint in get_type_hints(factory, include_extras=True).items()
+            if name != "return"
+            for leaf in _unranged(hint, f"{factory.__name__}.{name}", seen)]
+
+
+def test_every_number_declares_its_range():
+    seen = set(OUTPUTS)
+    unranged = [leaf for cls in INPUTS for leaf in _unranged(cls, cls.__name__, seen)]
+    unranged += [leaf for family in cli._FIT_FAMILIES.values() for leaf in _walk(family, seen)]
+    assert len(seen) > 15
+    assert unranged == []
