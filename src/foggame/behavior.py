@@ -34,7 +34,7 @@ from typing import Annotated, Callable, Literal, Sequence, Union
 import numpy as np
 
 from .games import (
-    PROB_SUM_TOL,
+    SUMS_TO_ONE,
     TIE_TOL,
     MixedStrategy,
     NormalFormGame,
@@ -239,7 +239,7 @@ def _check_response(response: str, precision: float | None) -> None:
     if response == "exact_br" and precision is not None:
         raise ValueError("precision applies only to the qbr response")
     if response == "qbr" and precision is None:
-        raise ValueError("precision must be finite and >= 0 for the qbr response")
+        raise ValueError("precision must be set for the qbr response")
 
 
 @dataclass(frozen=True)
@@ -308,17 +308,13 @@ class LevelK:
     opponents playing their level k-1 strategies.
     """
 
-    level_weights: tuple[Annotated[float, Range(ge=0)], ...]
+    level_weights: Annotated[tuple[Annotated[float, Range(ge=0)], ...], SUMS_TO_ONE]
     level0: Level0 = None
     response: ResponseKind = "exact_br"
     precision: Precision | None = None
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not self.level_weights:
-            raise ValueError("level_weights must be nonempty")
-        if abs(sum(self.level_weights) - 1.0) > PROB_SUM_TOL:
-            raise ValueError("level weights must sum to 1")
         _check_response(self.response, self.precision)
 
     def predict_profile(self, game: NormalFormGame) -> tuple[MixedStrategy, ...]:

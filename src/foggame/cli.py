@@ -51,7 +51,6 @@ from .estimation import (
     Bounds,
     ModelFamily,
     SearchOptions,
-    check_bounds,
     cross_validate,
     epsilon_nash_family,
     fit_mle,
@@ -77,7 +76,7 @@ from .preferences import (
     pt_evaluate,
     transform_game_social,
 )
-from .schema import ConfigError, Range, as_json, as_object, build, check_required, read
+from .schema import ConfigError, Items, Range, as_json, as_object, build, check_required, read
 from .schema import read_fields, read_value
 
 OUT_DIR_ENV = "FOGGAME_OUT"
@@ -110,10 +109,10 @@ class SimulateSpec:
 
     mode: ClassVar[Mode] = "simulate"
     scenario: FogScenario = field(metadata=_BLOCK)
-    seeds: tuple[Annotated[int, Range(ge=0)], ...]
+    seeds: Annotated[tuple[Annotated[int, Range(ge=0)], ...], Items()]
     out_dir: str = "out"
-    noise_sweep: tuple[NoiseLevel, ...] | None = None
-    averaging_sweep: tuple[bool, ...] | None = None
+    noise_sweep: Annotated[tuple[NoiseLevel, ...], Items()] | None = None
+    averaging_sweep: Annotated[tuple[bool, ...], Items()] | None = None
     price_rule: PriceRule = "gradient_ascent"
 
     def __post_init__(self) -> None:
@@ -121,8 +120,6 @@ class SimulateSpec:
             object.__setattr__(self, "noise_sweep", (self.scenario.noise_level,))
         if self.averaging_sweep is None:
             object.__setattr__(self, "averaging_sweep", (self.scenario.averaging,))
-        if not self.seeds:
-            raise ConfigError("experiment.seeds: must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -142,11 +139,6 @@ class FitSpec:
     def __post_init__(self) -> None:
         if not Path(self.dataset).exists():
             raise ConfigError(f"experiment.dataset: path {self.dataset!r} does not exist")
-        if self.bounds is not None:
-            try:
-                check_bounds(self.bounds)
-            except ValueError as exc:
-                raise ConfigError(f"experiment.bounds: {exc}") from exc
         family = _family_from_model_block(self.model)
         if self.bounds is not None and len(self.bounds) != family.num_params:
             raise ConfigError(
@@ -164,13 +156,12 @@ class PredictSpec:
     mode: ClassVar[Mode] = "predict"
     model: ModelBlock = field(metadata=_BLOCK)
     game: str
-    social: tuple[SocialPrefParams, ...] | None = field(default=None, metadata=_BLOCK)
+    social: Annotated[tuple[SocialPrefParams, ...], Items()] | None = field(
+        default=None, metadata=_BLOCK)
 
     def __post_init__(self) -> None:
         if not Path(self.game).exists():
             raise ConfigError(f"experiment.game: path {self.game!r} does not exist")
-        if self.social == ():
-            raise ConfigError("social: expected an object or nonempty list of objects")
         try:
             behavior = model_from_dict(as_json(self.model))
         except ValueError as exc:

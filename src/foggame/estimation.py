@@ -37,7 +37,7 @@ from .behavior import (
     _check_response,
 )
 from .games import MixedStrategy, NormalFormGame
-from .schema import Finite, Range, as_int, check_fields, read_value
+from .schema import Finite, Items, Range, as_int, check_fields, read_value
 
 PROB_FLOOR = 1e-12
 
@@ -268,16 +268,7 @@ class SearchOptions:
         check_fields(self)
 
 
-Bounds = tuple[tuple[Finite, Finite], ...]
-
-
-def check_bounds(bounds: Bounds) -> list[tuple[float, float]]:
-    """``(low, high)`` pairs as floats; each must be finite with low <= high."""
-    checked = list(read_value(bounds, Bounds, "bounds"))
-    for lo, hi in checked:
-        if lo > hi:
-            raise ValueError(f"invalid bound ({lo}, {hi}): must be finite with low <= high")
-    return checked
+Bounds = tuple[Annotated[tuple[Finite, Finite], Items(ordered=True)], ...]
 
 
 class _Tracker:
@@ -343,7 +334,7 @@ def _golden_max(
 def fit_mle(
     family: ModelFamily,
     data: Sequence[Observation],
-    bounds: Sequence[tuple[float, float]],
+    bounds: Bounds,
     search: SearchOptions = SearchOptions(),
 ) -> FitResult:
     """Maximize the dataset log-likelihood over the family's parameter box.
@@ -358,7 +349,7 @@ def fit_mle(
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    box = check_bounds(bounds)
+    box = read_value(bounds, Bounds, "bounds")
     if len(box) != family.num_params:
         raise ValueError(f"expected {family.num_params} bounds, got {len(box)}")
 
@@ -434,7 +425,7 @@ def cross_validate(
     family: ModelFamily,
     data: Sequence[Observation],
     k: int,
-    bounds: Sequence[tuple[float, float]],
+    bounds: Bounds,
     search: SearchOptions = SearchOptions(),
     seed: int = 0,
 ) -> float:
@@ -468,8 +459,7 @@ def sample_observations(
     num_observations = read_value(num_observations, Annotated[int, Range(ge=1)],
                                   "num_observations")
     seed = as_int(seed, "seed")
-    if not games:
-        raise ValueError("games must be nonempty")
+    games = read_value(games, Annotated[tuple[NormalFormGame, ...], Items()], "games")
     rng = np.random.default_rng(seed)
     cache: dict[NormalFormGame, list[np.ndarray]] = {}
     observations = []

@@ -11,31 +11,28 @@ from typing import Annotated, Callable, Sequence
 
 import numpy as np
 
-from .schema import Range, as_int, as_number, as_object, check_fields, read_value
+from .schema import Items, Range, as_number, as_object, check_fields, read_value
 
 # Actions whose expected utility is within TIE_TOL of the maximum count as
 # best responses; pure_nash applies the same slack to deviation checks.
 TIE_TOL = 1e-9
-# Mixed-strategy weights must sum to one within this.
+# Probability vectors (strategies, level weights, lottery probs) sum to one within this.
 PROB_SUM_TOL = 1e-9
+SUMS_TO_ONE = Items(total=1, slack=PROB_SUM_TOL)
 _WEIGHT_EPS = 1e-12
+_Weight = Annotated[float, Range(ge=-_WEIGHT_EPS, le=1 + _WEIGHT_EPS)]
 
-ActionCount = Annotated[int, Range(ge=1)]
+ActionCounts = Annotated[tuple[Annotated[int, Range(ge=1)], ...], Items()]
 
 
 @dataclass(frozen=True)
 class MixedStrategy:
     """Probability distribution over a single player's actions."""
 
-    weights: tuple[Annotated[float, Range(ge=-_WEIGHT_EPS, le=1 + _WEIGHT_EPS)], ...]
+    weights: Annotated[tuple[_Weight, ...], SUMS_TO_ONE]
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not self.weights:
-            raise ValueError("MixedStrategy needs at least one action weight")
-        total = sum(self.weights)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
 
     @property
     def num_actions(self) -> int:
@@ -54,14 +51,12 @@ class NormalFormGame:
     action profile.
     """
 
-    action_counts: tuple[ActionCount, ...]
+    action_counts: ActionCounts
     payoffs: np.ndarray
 
     def __post_init__(self) -> None:
         # payoffs take any array-like of integers or reals, which no field rule reads
-        counts = read_value(self.action_counts, tuple[ActionCount, ...], "action_counts")
-        if not counts:
-            raise ValueError("game needs at least one player")
+        counts = read_value(self.action_counts, ActionCounts, "action_counts")
         try:
             tensor = np.asarray(self.payoffs)
         except ValueError as exc:  # a ragged nested list
@@ -113,12 +108,10 @@ class NormalFormGame:
         """Inverse of :meth:`to_dict`; ``payoffs`` needs exactly the keys
         ``"0"``…``"N-1"``, each a list of numbers.  Raises ``ValueError``."""
         try:
-            counts = tuple(as_int(n, "action_counts") for n in data["action_counts"])
+            counts = read_value(data["action_counts"], ActionCounts, "action_counts")
             raw = as_object(data["payoffs"], "payoffs")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed game record: {exc}") from exc
-        if not counts:
-            raise ValueError("game needs at least one player")
         keys = [str(p) for p in range(len(counts))]
         unknown = [k for k in raw if k not in keys]
         if unknown:

@@ -11,8 +11,8 @@ from typing import Annotated, Literal, Sequence
 
 import numpy as np
 
-from .games import NormalFormGame
-from .schema import Finite, Range, check_fields
+from .games import SUMS_TO_ONE, NormalFormGame
+from .schema import Finite, Items, Range, check_fields
 
 # Below ~0.28 the single-parameter weighting curve stops being monotone, so
 # the constructor rejects that region.
@@ -26,17 +26,13 @@ Weight = Annotated[float, Range(ge=0)]
 class Lottery:
     """Finite lottery: outcome values with matching probabilities."""
 
-    outcomes: tuple[Finite, ...]
-    probs: tuple[Annotated[float, Range(ge=0, le=1)], ...]
+    outcomes: Annotated[tuple[Finite, ...], Items()]
+    probs: Annotated[tuple[Annotated[float, Range(ge=0, le=1)], ...], SUMS_TO_ONE]
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not self.outcomes:
-            raise ValueError("lottery needs at least one outcome")
         if len(self.outcomes) != len(self.probs):
             raise ValueError("probs must have the same length as outcomes")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {sum(self.probs)!r}, expected 1")
 
 
 @dataclass(frozen=True)

@@ -18,20 +18,24 @@ its annotated type:
 * ``X | Y`` — ``null`` for ``None``, a list for a tuple arm, else the first
   other arm;
 * ``Annotated[T, Range(...)]`` — read as ``T``, then checked against the
-  :class:`Range`: within each bound given, and finite if it is a float.
+  :class:`Range`: within each bound given, and finite if it is a float;
+* ``Annotated[tuple[T, ...], Items(...)]`` — read as the tuple, then checked
+  against the :class:`Items` rule: nonempty, a sum, an order.
 
 A NumPy array is read as its ``tolist()``.  The input dataclasses call
 :func:`check_fields` first in ``__post_init__``, so a library caller's bad
 value gets the same field-first message a config's does.
 
 Every error is a :class:`ConfigError` whose message starts with the key path,
-e.g. ``model.params.max_level: must be an integer, got 2.7`` or
-``scenario.budget: must be > 0, got -1.0``.  A range is declared beside its
-type, ``budget: Annotated[float, Range(gt=0)]``, and a per-node field
-declares it on its elements.  Only checks that span fields (caps against
-floors, weights that sum to one) stay in the constructors; a constructor's
-``ValueError`` is reported under the parameter its message starts with, or
-else under the block.
+e.g. ``model.params.max_level: must be an integer, got 2.7``,
+``scenario.budget: must be > 0, got -1.0``, ``experiment.seeds: must be
+nonempty``, ``lottery.probs: must sum to 1, got 0.8`` or ``experiment.bounds:
+must be in nondecreasing order, got [5.0, 1.0]``.  A rule is declared beside
+its type, ``budget: Annotated[float, Range(gt=0)]``, and a per-node field
+declares its range on its elements.  Only checks that span fields (lengths
+against ``num_nodes``, caps against floors) stay in the constructors; a
+constructor's ``ValueError`` is reported under the parameter its message
+starts with, or else under the block.
 """
 
 from __future__ import annotations
@@ -105,6 +109,26 @@ class Range:
         return value
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class Items:
+    """A tuple's rule, declared as ``Annotated[tuple[float, ...], Items(total=1)]``:
+    nonempty, summing to ``total`` within ``slack`` if given, nondecreasing if ``ordered``."""
+
+    total: float | None = None
+    slack: float = 0.0
+    ordered: bool = False
+
+    def check(self, value: tuple, key: str) -> tuple:
+        """``value`` itself if it keeps the rule, else a :class:`ConfigError`."""
+        if not value:
+            raise ConfigError(f"{key}: must be nonempty")
+        if self.total is not None and abs(sum(value) - self.total) > self.slack:
+            raise ConfigError(f"{key}: must sum to {self.total}, got {sum(value)!r}")
+        if self.ordered and any(a > b for a, b in zip(value, value[1:])):
+            raise ConfigError(f"{key}: must be in nondecreasing order, got {list(value)!r}")
+        return value
+
+
 Finite = Annotated[float, Range()]
 _ANNOTATED = type(Finite)
 
@@ -131,7 +155,7 @@ def read_value(value, hint, key: str):
     """``value`` read by the rule for type ``hint``; see the module docstring."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
-    if type(hint) is _ANNOTATED:  # Annotated[T, Range(...)]
+    if type(hint) is _ANNOTATED:  # Annotated[T, Range(...)] or Annotated[T, Items(...)]
         return hint.__metadata__[0].check(read_value(value, hint.__origin__, key), key)
     if hint is float:
         return as_number(value, key)
@@ -178,7 +202,7 @@ def read_value(value, hint, key: str):
 
 
 def check_fields(obj) -> None:
-    """Read every field of dataclass ``obj`` by its annotated type and range,
+    """Read every field of dataclass ``obj`` by its annotated type and rule,
     in place, so that its ``__post_init__`` checks see checked values only."""
     for name, (hint, _) in _parameters(type(obj)).items():
         object.__setattr__(obj, name, read_value(getattr(obj, name), hint, name))

@@ -455,6 +455,16 @@ def test_model_scalars_must_be_numbers(field, build):
 
 @pytest.mark.parametrize(
     "build",
+    [lambda: LevelK((1.0,), response="qbr"), lambda: CognitiveHierarchy(1.5, 2, response="qbr")],
+    ids=["LevelK", "CognitiveHierarchy"],
+)
+def test_qbr_response_needs_a_precision(build):
+    with pytest.raises(ValueError, match="^precision must be set for the qbr response$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
     [
         lambda level0: LevelK((1.0,), level0=level0),
         lambda level0: CognitiveHierarchy(1.0, 2, level0=level0),

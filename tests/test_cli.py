@@ -1012,6 +1012,54 @@ def test_dump_checks_the_model_block(tmp_path, capsys, mode, model, bounds, mess
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+# A broken tuple rule: (mode, blocks, experiment keys, message).
+TUPLE_RULES = {
+    "empty_noise_sweep": ("simulate", {"scenario": {"preset": "default"}},
+                          {"seeds": [0], "noise_sweep": []},
+                          "experiment.noise_sweep: must be nonempty"),
+    "empty_averaging_sweep": ("simulate", {"scenario": {"preset": "default"}},
+                              {"seeds": [0], "averaging_sweep": []},
+                              "experiment.averaging_sweep: must be nonempty"),
+    "level_weights_sum": ("predict", {"model": {"model": "level_k",
+                                                "params": {"level_weights": [0.5, 0.3]}}},
+                          {"game": str(REPO / "data" / "example_game.json")},
+                          "model.params.level_weights: must sum to 1, got 0.8"),
+    "lottery_probs_sum": ("predict", {"prospect": {}, "lottery": {"outcomes": [1.0, 2.0],
+                                                                  "probs": [0.5, 0.3]}},
+                          {}, "lottery.probs: must sum to 1, got 0.8"),
+    "empty_social": ("predict", {"model": {"model": "best_response"}, "social": []},
+                     {"game": str(REPO / "data" / "example_game.json")},
+                     "social: must be nonempty"),
+    "reversed_bounds": ("fit", {"model": {"model": "logit_qbr"}},
+                        {"dataset": str(REPO / "data" / "qbr_lambda2.jsonl"),
+                         "bounds": [[5.0, 1.0]]},
+                        "experiment.bounds: must be in nondecreasing order, got [5.0, 1.0]"),
+}
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["run", "dump"])
+@pytest.mark.parametrize("case", sorted(TUPLE_RULES))
+def test_broken_tuple_rule_exits_2_naming_its_field(tmp_path, capsys, case, dump):
+    mode, blocks, experiment, message = TUPLE_RULES[case]
+    out = tmp_path / "out"
+    config = {**blocks, "experiment": {"mode": mode, **experiment}}
+    if mode != "predict":
+        config["experiment"]["out_dir"] = str(out)
+    argv = [mode, write_config(tmp_path, config)] + ["--dump-resolved-config"] * dump
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_qbr_response_without_precision_exits_2(tmp_path, capsys):
+    model = {"model": "level_k", "params": {"level_weights": [0.5, 0.5], "response": "qbr"}}
+    config = {"model": model, "experiment": {
+        "mode": "predict", "game": str(REPO / "data" / "example_game.json")}}
+    assert main(["predict", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: model.params.precision: must be set for the qbr response\n")
+
+
 @pytest.mark.parametrize("mode, key", [("predict", "game"), ("fit", "dataset")])
 def test_directory_as_input_path_exits_2(tmp_path, capsys, mode, key):
     config = {

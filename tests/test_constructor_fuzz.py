@@ -18,6 +18,12 @@ value inside it must not be refused by its range.  A guard test requires
 every integer and float in the input dataclasses, the ``cli`` spec classes
 and the fit family factories to declare a range.
 
+A fourth test reads each tuple's declared rule (``Annotated[tuple[...],
+Items(...)]``, on a field or on its elements, as in ``fit_mle``'s bounds)
+and breaks it: an empty tuple, a sum off by twice its slack when it has a
+total, and a reversed pair when it is ordered.  Each must raise
+``ValueError`` starting with the field name and naming the rule.
+
 The annotations are read here with plain ``typing`` calls, independently of
 :mod:`foggame.schema`.
 """
@@ -43,7 +49,7 @@ from foggame.behavior import (
     LogitQBR,
     NoisyIntrospection,
 )
-from foggame.estimation import Observation, SearchOptions
+from foggame.estimation import Observation, SearchOptions, fit_mle, qbr_family
 from foggame.games import MixedStrategy, NormalFormGame
 from foggame.market import FogScenario
 from foggame.preferences import Lottery, ProspectParams, SocialPrefParams
@@ -192,6 +198,14 @@ def _range_of(hint):
     return (base, ranges[0]) if ranges else None
 
 
+def _items_of(hint):
+    """The tuple rule of an ``Annotated[tuple[...], Items(...)]`` hint, else None."""
+    if get_origin(hint) is not Annotated or get_origin(get_args(hint)[0]) is not tuple:
+        return None
+    rules = [m for m in get_args(hint)[1:] if hasattr(m, "ordered")]
+    return rules[0] if rules else None
+
+
 def _in_range(value, base, rng) -> bool:
     if base is int and not (isinstance(value, int) or float(value).is_integer()):
         return False
@@ -208,6 +222,8 @@ def _range_cases():
         for name, hint in get_type_hints(cls, include_extras=True).items():
             arms, _ = _arms(hint)
             for arm in arms:
+                if _items_of(arm) is not None:
+                    arm = get_args(arm)[0]
                 in_tuple = get_origin(arm) is tuple
                 ranged = _range_of(get_args(arm)[0] if in_tuple else arm)
                 if ranged is None:
@@ -243,6 +259,43 @@ def test_each_bound_and_one_step_past_it(cls, name, value, inside):
         cls(**{**BASES[cls], name: value})
     except ValueError as exc:  # refused for a rule that spans fields
         assert not str(exc).startswith(f"{name}: must be"), exc
+
+
+# The constructors, and functions whose tuple rules are broken too -> valid arguments
+CALLS = {**BASES, fit_mle: {"family": qbr_family(), "data": (Observation(GAME, 0, 0),),
+                            "bounds": ((0.0, 1.0),), "search": SearchOptions(3, 0)}}
+
+
+def _items_cases():
+    """(callable, field, value, message) for each way to break a tuple rule
+    declared on a field or on its elements; a pair is never empty."""
+    cases = []
+    for call, base in CALLS.items():
+        for name, hint in get_type_hints(call, include_extras=True).items():
+            for arm in _arms(hint)[0]:
+                rule, nested = _items_of(arm), False
+                if rule is None and get_origin(arm) is tuple:
+                    rule, nested = _items_of(get_args(arm)[0]), True
+                if rule is None:
+                    continue
+                given = base[name][0] if nested else base[name]
+                broken = [] if nested else [((), "must be nonempty")]
+                if rule.total is not None:
+                    broken.append(((given[0] + 2 * rule.slack,) + given[1:], "must sum to"))
+                if rule.ordered:
+                    broken.append((given[::-1], "must be in nondecreasing order"))
+                for value, message in broken:
+                    if nested:
+                        value = (value,) + base[name][1:]
+                    cases.append(pytest.param(call, name, value, message,
+                                              id=f"{call.__name__}.{name}={value!r}"))
+    return cases
+
+
+@pytest.mark.parametrize("call, name, value, message", _items_cases())
+def test_each_tuple_rule_refuses_what_breaks_it(call, name, value, message):
+    with pytest.raises(ValueError, match=f"^{name}: {message}"):
+        call(**{**CALLS[call], name: value})
 
 
 # Records a run returns, not arguments it reads.

@@ -525,7 +525,7 @@ class TestSampleObservations:
         assert abs(freq - 0.5) < 0.08
 
     def test_validation(self, pd_game):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^games: must be nonempty$"):
             sample_observations(LogitQBR(0.0), [], 5)
         with pytest.raises(ValueError):
             sample_observations(LogitQBR(0.0), [pd_game], 0)

@@ -193,6 +193,17 @@ class TestNormalFormGame:
         game = NormalFormGame.from_dict({"action_counts": [2.0, 1], "payoffs": payoffs})
         assert game.action_counts == (2, 1)
 
+    @pytest.mark.parametrize("counts, message", [
+        ([], "action_counts: must be nonempty"),
+        ([2, 0], "action_counts: must be >= 1, got 0"),
+        (2, "action_counts: must be a list, got 2"),
+    ])
+    def test_from_dict_reads_counts_as_the_constructor_does(self, counts, message):
+        for build in (lambda: NormalFormGame.from_dict({"action_counts": counts, "payoffs": {}}),
+                      lambda: NormalFormGame(counts, np.zeros(0))):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+
     @pytest.mark.parametrize(
         "payoffs, message",
         [
