@@ -62,10 +62,11 @@ class FixedPointError(RuntimeError):
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Logit weights of ``z``, shifted by its maximum so they cannot overflow."""
-    w = np.exp(z - np.maximum.reduce(z))
-    w /= np.add.reduce(w)
-    return w
+    """Logit weights over the first axis of ``z``, computed in ``z``'s memory."""
+    z -= np.maximum.reduce(z)  # so the weights cannot overflow
+    np.exp(z, z)
+    z /= np.add.reduce(z)
+    return z
 
 
 def _uniform_profile(game: NormalFormGame) -> list[np.ndarray]:
@@ -77,21 +78,12 @@ def _profile_slices(counts: Sequence[int]) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(edges, edges[1:])]
 
 
-def _project_profile(x: np.ndarray, slices: Sequence[slice]) -> np.ndarray | None:
-    """Clip each player's block to the simplex, in place; None if a block collapses."""
-    np.maximum(x, 0.0, out=x)
-    for block in slices:
-        total = np.add.reduce(x[block])
-        if not math.isfinite(total) or total <= 0.0:
-            return None
-        x[block] /= total
-    return x
-
-
-# The QRE solver's step size, budget of response evaluations and residual target.
+# The QRE solver's step size and floor, response budget, residual target, stalls before a polish.
 _DAMPING = 0.5
+_MIN_STEP = 1e-3
 _MAX_ITERS = 10_000
 _TOL = 1e-10
+_STALL_LIMIT = 30
 
 
 Precision = Annotated[float, Range(ge=0)]
@@ -116,68 +108,99 @@ def qbr_equilibrium(game: NormalFormGame, precision: float) -> list[MixedStrateg
     profile always satisfies ``max |sigma - response(sigma)| < _TOL``;
     :class:`FixedPointError` carries the best iterate and its residual when
     no such point is found within ``_MAX_ITERS`` response evaluations.
-    Deterministic throughout.
+    Deterministic throughout.  This is :func:`_qbr_stack` on a stack of one
+    game; a stack solves games of one shape in lockstep, bit for bit alike.
+    """
+    (answer,) = _qbr_stack([game], precision)
+    if isinstance(answer, FixedPointError):
+        raise answer
+    return answer
+
+
+def _qbr_stack(
+    games: Sequence[NormalFormGame], precision: float
+) -> list[list[MixedStrategy] | FixedPointError]:
+    """Each game's :func:`qbr_equilibrium` profile, or the error it raises.
+
+    Games of one shape step in lockstep, one per column, each with its own step
+    size, best point, best residual and stall count; each leaves once it
+    converges, and the last one left runs on a plain vector.  Every answer is
+    bit for bit the one the game gets alone.
     """
     lam = read_value(precision, Precision, "precision")
-    max_iters, tol = _MAX_ITERS, _TOL
+    slices = _profile_slices(games[0].action_counts)
+    n = len(games)
+    answers: list = [None] * n
+    # Per game: step size, best residual, stall count, best point (views: no iterate is rewritten).
+    step, best_residual, stall = [_DAMPING] * n, [math.inf] * n, [0] * n
+    best = [np.concatenate(_uniform_profile(games[0]))] * n
+    live = kept = list(range(n))  # the game in each column of x; the columns to keep
+    x = np.array(best).T
+    for _ in range(_MAX_ITERS):
+        if kept is not None:  # the stack changed: rebuild it from the kept columns
+            live, kept = [live[col] for col in kept], kept if len(kept) > 1 else kept[0]
+            x, payoffs = x.T[kept].T, np.stack([games[g].payoffs for g in live])
+            eu = _eu_kernel(payoffs if x.ndim > 1 else payoffs[0], x.ndim > 1)
+            cols = [np.s_[:, col] for col in range(len(live))] if x.ndim > 1 else [...]
+            steps = np.array([step[g] for g in live]) if x.ndim > 1 else step[live[0]]
+            f = np.empty_like(x)
+            excess, kept = [f[b] for b in slices], None
+        xs = [x[b] for b in slices]
+        for p, block in enumerate(excess):  # each player's logit response, less x
+            np.subtract(_softmax(lam * eu[p](xs)), xs[p], block)
+        residuals = np.maximum.reduce(np.abs(f)).tolist()
+        # x + steps * f mixes two points of the simplex with a weight of at
+        # most 1/2, so no entry is negative and only the sums need restoring.
+        nxt = x + steps * f
+        for block in map(nxt.__getitem__, slices):
+            block /= np.add.reduce(block)
+        finished = []
+        for col, residual in enumerate(residuals if x.ndim > 1 else [residuals]):
+            g, at = live[col], cols[col]
+            if residual < best_residual[g]:
+                if residual < _TOL:
+                    answers[g] = [MixedStrategy(x[at][b]) for b in slices]
+                    finished.append(col)
+                else:
+                    best_residual[g], best[g], stall[g] = residual, x[at], 0
+                continue
+            stall[g] += 1
+            blown = residual > 4.0 * best_residual[g]
+            if not blown and stall[g] < _STALL_LIMIT:
+                continue
+            stall[g] = 0
+            polished = None if blown else _polish(games[g], best[g], best_residual[g], slices, lam)
+            if polished is None:  # blown well past the best point, or no better polish:
+                step[g] = max(step[g] * 0.5, _MIN_STEP)  # retreat there, smaller step
+                steps = np.array([step[i] for i in live]) if x.ndim > 1 else step[g]
+            nxt[at] = best[g] if polished is None else polished
+        if len(finished) == len(live):
+            return answers
+        kept = [col for col in range(len(live)) if col not in finished] if finished else None
+        x = nxt
+    for g in live:
+        residual, profile = best_residual[g], [MixedStrategy(best[g][b]) for b in slices]
+        message = f"no fixed point within {_MAX_ITERS} iterations (residual {residual:.3e})"
+        answers[g] = FixedPointError(message, profile, residual)
+    return answers
 
-    slices = _profile_slices(game.action_counts)
+
+def _polish(game, start, best_residual, slices, lam) -> np.ndarray | None:
+    """The root-finder's point from ``start``, if it beats ``best_residual``."""
+    from scipy.optimize import root  # loaded here, so runs that never polish skip it
+
     eu = _eu_kernel(game.payoffs)
 
-    def response(x: np.ndarray) -> np.ndarray:
-        return np.concatenate(_respond_all(eu, [x[b] for b in slices], "qbr", lam))
+    def excess(y: np.ndarray) -> np.ndarray:
+        return np.concatenate(_respond_all(eu, [y[b] for b in slices], "qbr", lam)) - y
 
-    def as_profile(x: np.ndarray) -> list[MixedStrategy]:
-        return [MixedStrategy(x[b]) for b in slices]
-
-    x = np.concatenate(_uniform_profile(game))
-    step = _DAMPING
-    min_step = 1e-3
-    stall_limit = 30
-    best_x = x
-    best_residual = math.inf
-    stall = 0
-    residual = math.inf
-    for _ in range(max_iters):
-        f = response(x) - x
-        residual = float(np.maximum.reduce(np.abs(f)))
-        if residual < tol:
-            return as_profile(x)
-        if residual < best_residual:
-            best_residual = residual
-            best_x = x
-            stall = 0
-        else:
-            stall += 1
-
-        if residual > 4.0 * best_residual:
-            # Blown well past the best point: retreat there, smaller step.
-            step = max(step * 0.5, min_step)
-            x = best_x
-            stall = 0
-            continue
-        if stall >= stall_limit:
-            # SciPy loads only here, so runs that never polish never import it.
-            from scipy.optimize import root
-            polished = _project_profile(
-                root(lambda y: response(y) - y, best_x, method="hybr").x, slices
-            )
-            if polished is not None:
-                f_p = response(polished) - polished
-                if float(np.maximum.reduce(np.abs(f_p))) < best_residual:
-                    x = polished
-                    stall = 0
-                    continue
-            step = max(step * 0.5, min_step)
-            x = best_x
-            stall = 0
-            continue
-        x = _project_profile(x + step * f, slices)
-    raise FixedPointError(
-        f"no fixed point within {max_iters} iterations (residual {best_residual:.3e})",
-        as_profile(best_x),
-        best_residual,
-    )
+    polished = np.maximum(root(excess, start, method="hybr").x, 0.0)
+    for b in slices:  # back onto the simplex, unless a block collapses
+        total = np.add.reduce(polished[b])
+        if not math.isfinite(total) or total <= 0.0:
+            return None
+        polished[b] /= total
+    return polished if np.maximum.reduce(np.abs(excess(polished))) < best_residual else None
 
 
 Level0 = Union[tuple[MixedStrategy, ...], None]

@@ -26,6 +26,7 @@ from typing import Annotated, Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import behavior
 from .behavior import (
     EpsilonNash,
     FixedPointError,
@@ -36,7 +37,7 @@ from .behavior import (
     ResponseKind,
     _check_response,
 )
-from .games import MixedStrategy, NormalFormGame
+from .games import NormalFormGame
 from .schema import Finite, Items, Range, as_int, check_fields, read_value
 
 PROB_FLOOR = 1e-12
@@ -216,25 +217,32 @@ def log_likelihood(
     """Sum of log predicted probabilities of the chosen actions.
 
     Probabilities are floored at ``PROB_FLOOR``, so the result is always
-    finite.  Each distinct game's profile is predicted once.  A
-    :class:`FixedPointError` is re-raised naming ``theta`` and the index in
-    ``data`` of the failing game's first observation.
+    finite.  Each distinct game is predicted once (by a :class:`LogitQBR`, in one
+    stack per shape).  A :class:`FixedPointError` is re-raised naming ``theta``
+    and the index in ``data`` of the earliest failing game's first observation.
     """
     theta = tuple(float(x) for x in theta)
     model = family.build(theta)
-    cache: dict[NormalFormGame, tuple[MixedStrategy, ...]] = {}
-    total = 0.0
+    first: dict[NormalFormGame, int] = {}  # each game's first observation
     for index, obs in enumerate(data):
-        profile = cache.get(obs.game)
-        if profile is None:
-            try:
-                profile = cache[obs.game] = model.predict_profile(obs.game)
-            except FixedPointError as exc:
+        first.setdefault(obs.game, index)
+    if isinstance(model, LogitQBR):
+        shapes: dict[tuple[int, ...], list[NormalFormGame]] = {}
+        for game in first:
+            shapes.setdefault(game.action_counts, []).append(game)
+        profiles = {game: answer for games in shapes.values()
+                    for game, answer in zip(games, behavior._qbr_stack(games, model.precision))}
+        for game, index in first.items():
+            if isinstance(exc := profiles[game], FixedPointError):
                 at = ", ".join(f"{n}={x!r}" for n, x in zip(family.param_names, theta))
                 raise FixedPointError(
                     f"{exc} at {at}, game of observation {index}", exc.profile, exc.residual
                 ) from exc
-        total += math.log(max(profile[obs.player].weights[obs.action], PROB_FLOOR))
+    else:
+        profiles = {game: model.predict_profile(game) for game in first}
+    total = 0.0
+    for obs in data:
+        total += math.log(max(profiles[obs.game][obs.player].weights[obs.action], PROB_FLOOR))
     return total
 
 
@@ -248,8 +256,8 @@ class FitResult:
 
 
 # Caps on SearchOptions.  On a 2-core Xeon, `foggame fit configs/fit_qbr.json`
-# (one parameter, 1000 rows; 11 grid points, 30 steps) takes 4.7 s; with
-# grid_points at its cap 7.2 s, with refine_iters at its cap 9.5 s.  Steps
+# (one parameter, 1000 rows; 11 grid points, 30 steps) takes 4.0 s; with
+# grid_points at its cap 4.4 s, with refine_iters at its cap 7.6 s.  Steps
 # past about 80 probe points the fit has already scored, so refine_iters costs
 # little beyond that; the grid has grid_points ** num_params points.
 GRID_POINTS_LIMIT = 101

@@ -144,37 +144,42 @@ def load_game(path: str | Path) -> NormalFormGame:
     return NormalFormGame.from_dict(json.loads(Path(path).read_text()))
 
 
-def _eu_kernel(payoffs: np.ndarray) -> list[Callable[[Sequence], np.ndarray]]:
+def _eu_kernel(payoffs: np.ndarray, stacked: bool = False) -> list[Callable]:
     """One expected-utility function per player, prepared once per game.
 
-    ``eu[i](arrays)`` is each of player i's actions' expected utility,
-    unchecked: ``arrays[j]`` is player j's weight vector (the owner's entry is
-    not read; root-finding probes may step off the simplex).  Opponent axes
-    are contracted highest-first, each step exactly as ``np.tensordot(t,
-    arrays[j], axes=(j, 0))`` does it, so the bits match; the first step's
-    transposed, flattened payoffs are built here, not per call.
+    ``eu[i](arrays)`` is each of player i's actions' expected utility, unchecked:
+    ``arrays[j]`` is player j's weight vector (the owner's entry is not read; probes
+    may step off the simplex).  ``stacked`` payoffs have a leading axis over games of
+    one shape, one per contiguous column of ``arrays[j]`` and of the result.  Opponent
+    axes are contracted highest-first by ``np.matmul`` on the layout ``np.tensordot(t,
+    arrays[j], axes=(j, 0))`` hands ``np.dot``, so the bits match, stacked or not,
+    except that a one-term sum equal to -0.0 comes out 0.0.
     """
-    return [_player_eu(table, player) for player, table in enumerate(payoffs)]
+    lead, tables = (payoffs.shape[:1], payoffs.swapaxes(0, 1)) if stacked else ((), payoffs)
+    eus = [_player_eu(table, player, lead) for player, table in enumerate(tables)]
+    return [lambda a, eu=eu: eu([v.T[..., None] for v in a]).T for eu in eus] if lead else eus
 
 
-def _player_eu(table: np.ndarray, player: int):
-    steps, shape = [], table.shape  # (opponent axis, axes with it last, shape after)
-    for j in range(table.ndim - 1, -1, -1):
-        if j != player:
-            order = [k for k in range(len(shape)) if k != j] + [j]
+def _player_eu(table: np.ndarray, player: int, lead: tuple[int, ...]):
+    k = len(lead)  # the stack axis, if any, stays first
+    steps, shape = [], table.shape[k:]  # (opponent axis, axes with it last, shape before)
+    for j in range(len(shape) - 1, -1, -1):
+        if j != player:  # an axis above every one left is last already: no transpose
+            order = [a for a in range(k + len(shape)) if a != k + j] + [k + j]
+            steps.append((j, order if j < len(shape) - 1 else None, lead + shape))
             shape = shape[:j] + shape[j + 1 :]
-            steps.append((j, order, shape))
     if not steps:
         return lambda arrays: table
-    (j0, order, shape0), rest = steps[0], steps[1:]
-    first = table.transpose(order).reshape(-1, table.shape[j0])
+    (j0, _, _), rest = steps[0], steps[1:]
+    first = np.moveaxis(table, k + j0, -1).reshape(lead + (-1, table.shape[k + j0]))
 
     def eu(arrays: Sequence[np.ndarray | None]) -> np.ndarray:
-        t = np.dot(first, arrays[j0].reshape(-1, 1)).reshape(shape0)
-        for j, order, shape in rest:
-            t = t.transpose(order)
-            t = np.dot(t.reshape(-1, t.shape[-1]), arrays[j].reshape(-1, 1)).reshape(shape)
-        return t
+        t = np.matmul(first, arrays[j0])
+        for j, order, before in rest:
+            if order is not None:
+                t = t.reshape(before).transpose(order)
+            t = np.matmul(t.reshape(lead + (-1, before[k + j])), arrays[j])
+        return t.reshape(lead + shape) if lead else t
 
     return eu
 

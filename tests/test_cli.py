@@ -745,12 +745,15 @@ class TestFit:
             },
         )
 
-        def failing(game, precision, *args, **kwargs):
-            raise behavior.FixedPointError(
-                "no fixed point within 10000 iterations (residual 2.380e-03)", [], 2.38e-3
-            )
+        def failing(games, precision):
+            return [
+                behavior.FixedPointError(
+                    "no fixed point within 10000 iterations (residual 2.380e-03)", [], 2.38e-3
+                )
+                for _ in games
+            ]
 
-        monkeypatch.setattr(behavior, "qbr_equilibrium", failing)
+        monkeypatch.setattr(behavior, "_qbr_stack", failing)
         assert main(["fit", path]) == 3
         assert capsys.readouterr().err == (
             "runtime error: no fixed point within 10000 iterations (residual 2.380e-03)"

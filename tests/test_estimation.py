@@ -194,13 +194,13 @@ class TestLogLikelihood:
             (game, player) for game in games for player in (0, 1)
         }
         solved = []
-        real = behavior.qbr_equilibrium
+        real = behavior._qbr_stack
 
-        def counting(game, precision, *args, **kwargs):
-            solved.append(game)
-            return real(game, precision, *args, **kwargs)
+        def counting(games, precision):
+            solved.extend(games)
+            return real(games, precision)
 
-        monkeypatch.setattr(behavior, "qbr_equilibrium", counting)
+        monkeypatch.setattr(behavior, "_qbr_stack", counting)
         for theta in (0.5, 2.0):
             solved.clear()
             log_likelihood(qbr_family(), (theta,), data)
@@ -209,14 +209,16 @@ class TestLogLikelihood:
     def test_solver_failure_names_theta_and_observation(self, monkeypatch, pd_game, asym_game):
         data = [Observation(g, p, 0) for g, p in [(pd_game, 0), (asym_game, 1), (asym_game, 0)]]
         stuck = [MixedStrategy((0.5, 0.5))] * 2
-        real = behavior.qbr_equilibrium
+        real = behavior._qbr_stack
 
-        def failing(game, precision, *args, **kwargs):
-            if game == asym_game:
-                raise FixedPointError("no fixed point (residual 1.000e-02)", stuck, 0.01)
-            return real(game, precision, *args, **kwargs)
+        def failing(games, precision):
+            return [
+                FixedPointError("no fixed point (residual 1.000e-02)", stuck, 0.01)
+                if game == asym_game else answer
+                for game, answer in zip(games, real(games, precision))
+            ]
 
-        monkeypatch.setattr(behavior, "qbr_equilibrium", failing)
+        monkeypatch.setattr(behavior, "_qbr_stack", failing)
         with pytest.raises(FixedPointError) as err:
             log_likelihood(qbr_family(), (np.float64(2.5),), data)
         assert str(err.value) == (
@@ -297,13 +299,13 @@ class TestFitMle:
         ]
         data = tuple(Observation(games[i % 2], i // 2 % 2, 1) for i in range(8))
         solved = []
-        real = behavior.qbr_equilibrium
+        real = behavior._qbr_stack
 
-        def counting(game, precision, *args, **kwargs):
-            solved.append((precision, game))
-            return real(game, precision, *args, **kwargs)
+        def counting(games, precision):
+            solved.extend((precision, game) for game in games)
+            return real(games, precision)
 
-        monkeypatch.setattr(behavior, "qbr_equilibrium", counting)
+        monkeypatch.setattr(behavior, "_qbr_stack", counting)
         result = fit_mle(qbr_family(), data, [(0.0, 10.0)], SearchOptions(6, 2))
         assert result.params == (10.0,)
         assert result.evaluations == 18

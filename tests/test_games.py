@@ -464,7 +464,8 @@ def _tensordot_eu(payoffs: np.ndarray, player: int, arrays) -> np.ndarray:
 
 def test_eu_kernel_matches_tensordot_bit_for_bit():
     """Same bytes as tensordot on 1-4 players, 1-action players included, for
-    simplex weights, off-simplex probes and slices of one profile vector."""
+    simplex weights, off-simplex probes and slices of one profile vector, alone
+    and as the first (contiguous) column of a stack beside a game of the same shape."""
     rng = np.random.default_rng(2024)
     checked = 0
     for case in range(300):
@@ -474,6 +475,8 @@ def test_eu_kernel_matches_tensordot_bit_for_bit():
         if case % 4 == 0:
             game = NormalFormGame(counts, np.round(game.payoffs))
         eu = _eu_kernel(game.payoffs)
+        other = random_game(rng, counts=counts).payoffs
+        stacked = _eu_kernel(np.stack([game.payoffs, other]), stacked=True)
         for draw in range(3):
             if draw == 0:
                 arrays = [rng.dirichlet(np.ones(n)) for n in counts]
@@ -488,11 +491,13 @@ def test_eu_kernel_matches_tensordot_bit_for_bit():
                 want = _tensordot_eu(game.payoffs, player, arrays)
                 assert got.shape == want.shape == (counts[player],)
                 assert got.tobytes() == want.tobytes()
+                column = stacked[player]([np.array([a, a[::-1]]).T for a in arrays])[:, 0]
+                assert column.tobytes() == want.tobytes()
                 checked += 1
     assert checked > 1500
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(
     data=st.data(),
     t=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
