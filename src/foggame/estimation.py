@@ -256,8 +256,8 @@ class FitResult:
 
 
 # Caps on SearchOptions.  On a 2-core Xeon, `foggame fit configs/fit_qbr.json`
-# (one parameter, 1000 rows; 11 grid points, 30 steps) takes 4.0 s; with
-# grid_points at its cap 4.4 s, with refine_iters at its cap 7.6 s.  Steps
+# (one parameter, 1000 rows; 11 grid points, 30 steps) takes 2.7 s; with
+# grid_points at its cap 4.6 s, with refine_iters at its cap 6.1 s.  Steps
 # past about 80 probe points the fit has already scored, so refine_iters costs
 # little beyond that; the grid has grid_points ** num_params points.
 GRID_POINTS_LIMIT = 101
