@@ -139,10 +139,12 @@ def _qbr_stack(
     for _ in range(_MAX_ITERS):
         if kept is not None:  # the stack changed: rebuild it from the kept columns
             live, kept = [live[col] for col in kept], kept if len(kept) > 1 else kept[0]
-            x, payoffs = x.T[kept].T, np.stack([games[g].payoffs for g in live])
-            eu = _eu_kernel(payoffs if x.ndim > 1 else payoffs[0], x.ndim > 1)
-            cols = [np.s_[:, col] for col in range(len(live))] if x.ndim > 1 else [...]
-            steps = np.array([step[g] for g in live]) if x.ndim > 1 else step[live[0]]
+            x = x.T[kept].T
+            stacked = x.ndim > 1
+            payoffs = [games[g].payoffs for g in live]
+            eu = _eu_kernel(np.stack(payoffs) if stacked else payoffs[0], stacked)
+            cols = [np.s_[:, col] for col in range(len(live))] if stacked else [...]
+            steps = np.array([step[g] for g in live]) if stacked else step[live[0]]
             f = np.empty_like(x)
             excess, kept = [f[b] for b in slices], None
         xs = [x[b] for b in slices]

@@ -170,8 +170,9 @@ def _player_eu(table: np.ndarray, player: int, lead: tuple[int, ...]):
             shape = shape[:j] + shape[j + 1 :]
     if not steps:
         return lambda arrays: table
-    (j0, _, _), rest = steps[0], steps[1:]
-    first = np.moveaxis(table, k + j0, -1).reshape(lead + (-1, table.shape[k + j0]))
+    (j0, order, _), rest = steps[0], steps[1:]
+    moved = table if order is None else table.transpose(order)
+    first = moved.reshape(lead + (-1, table.shape[k + j0]))
 
     def eu(arrays: Sequence[np.ndarray | None]) -> np.ndarray:
         t = np.matmul(first, arrays[j0])
