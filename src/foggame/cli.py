@@ -39,6 +39,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -374,7 +375,16 @@ def run_predict(spec: PredictSpec | LotterySpec) -> int:
         _level0_profile(game, getattr(model, "level0", None))
     except ValueError as exc:
         raise ConfigError(f"model.params.level0: {exc}") from exc
-    strategies = [list(s.weights) for s in model.predict_profile(game)]
+    # A logit response at an infinite scaled payoff is NaN, which no solver can
+    # recover from; Python float products overflow to inf without a warning.
+    precision = getattr(model, "precision", None)
+    if precision is not None and not math.isfinite(
+        precision * float(abs(game.payoffs).max())
+    ):
+        raise ConfigError(
+            f"model.params.precision: must keep precision × max |payoff| finite, got {precision!r}"
+        )
+    strategies =[list(s.weights) for s in model.predict_profile(game)]
     sys.stdout.write(_json_text({"strategies": strategies}))
     return 0
 

@@ -84,23 +84,33 @@ def load_observations(path: str | Path) -> tuple[Observation, ...]:
 
     Blank lines are ignored.  Malformed lines do not abort the scan; they are
     collected and reported together in a single error naming every offending
-    line number.  Equal games share one :class:`NormalFormGame` object.
+    line number.  Equal games share one :class:`NormalFormGame` object, and a
+    line that repeats an earlier good line character for character is parsed
+    once and yields that line's :class:`Observation` object again.
     """
     observations: list[Observation] = []
     games: dict[NormalFormGame, NormalFormGame] = {}
+    # Keyed on the text, not the parsed record: True == 1 == 1.0 in Python,
+    # but only the text keeps a rejected `true` apart from an accepted `1`.
+    parsed: dict[str, Observation] = {}
     bad: list[tuple[int, str]] = []
     with open(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
             if not text:
                 continue
-            try:
-                record = json.loads(text)
-                game = NormalFormGame.from_dict(record["game"])
-                game = games.setdefault(game, game)
-                observations.append(Observation(game, record["player"], record["action"]))
-            except (ValueError, KeyError, TypeError) as exc:
-                bad.append((line_number, str(exc)))
+            obs = parsed.get(text)
+            if obs is None:
+                try:
+                    record = json.loads(text)
+                    game = NormalFormGame.from_dict(record["game"])
+                    game = games.setdefault(game, game)
+                    obs = Observation(game, record["player"], record["action"])
+                except (ValueError, KeyError, TypeError) as exc:
+                    bad.append((line_number, str(exc)))
+                    continue
+                parsed[text] = obs
+            observations.append(obs)
     if bad:
         numbers = ", ".join(str(n) for n, _ in bad)
         raise ValueError(

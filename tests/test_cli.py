@@ -12,7 +12,7 @@ import pytest
 
 import foggame.cli as cli
 from foggame import behavior, estimation, market
-from foggame.behavior import EpsilonNash, LevelK, model_to_dict
+from foggame.behavior import EpsilonNash, LevelK, model_from_dict, model_to_dict
 from foggame.cli import (
     OUT_DIR_ENV,
     ConfigError,
@@ -26,7 +26,7 @@ from foggame.estimation import (
     sample_observations,
     save_observations,
 )
-from foggame.games import save_game
+from foggame.games import load_game, save_game
 from foggame.preferences import (
     Lottery,
     ProspectParams,
@@ -50,6 +50,15 @@ BAD_PAYOFFS = [
     {"0": _GOOD_ROW, "1": _GOOD_ROW, "7": _GOOD_ROW},
 ]
 BAD_PAYOFF_IDS = ["non-object", "object-entry", "object-payoff", "bool", "string", "extra-key"]
+
+# Predict model blocks with a logit precision, which the run sets.
+PRECISION_MODELS = [
+    {"model": "logit_qbr", "params": {}},
+    {"model": "level_k", "params": {"level_weights": [0.5, 0.5], "response": "qbr"}},
+    {"model": "cognitive_hierarchy",
+     "params": {"poisson_mean": 1.5, "max_level": 2, "response": "qbr"}},
+    {"model": "noisy_introspection", "params": {"decay": 0.5, "max_depth": 3}},
+]
 
 # Configs whose resolved form must parse back to the same spec: the shipped
 # ones plus one of each optional block and every fit option.
@@ -1366,6 +1375,27 @@ class TestPredict:
                   "experiment": {"mode": "predict", "game": str(REPO / "data" / "example_game.json")}}
         assert main(["predict", write_config(tmp_path, config)]) == 2
         assert capsys.readouterr().err == f"error: model.params.level0: {expected}\n"
+
+    @pytest.mark.parametrize("precision", [1e308, 1e300])
+    @pytest.mark.parametrize("model", PRECISION_MODELS, ids=[m["model"] for m in PRECISION_MODELS])
+    def test_precision_that_overflows_the_payoffs_exits_2(
+        self, tmp_path, capsys, monkeypatch, model, precision
+    ):
+        game = REPO / "data" / "example_game.json"
+        config = {"model": {**model, "params": {**model["params"], "precision": precision}},
+                  "experiment": {"mode": "predict", "game": str(game)}}
+        if precision == 1e308:
+            monkeypatch.setattr(behavior, "_respond_all", _never("a response"))
+            monkeypatch.setattr(behavior, "_qbr_stack", _never("a QRE solve"))
+            assert main(["predict", write_config(tmp_path, config)]) == 2
+            assert capsys.readouterr() == ("", "error: model.params.precision: must keep "
+                                           "precision × max |payoff| finite, got 1e+308\n")
+        else:
+            expected = model_from_dict(config["model"]).predict_profile(load_game(game))
+            assert main(["predict", write_config(tmp_path, config)]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert json.loads(out)["strategies"] == [list(s.weights) for s in expected]
 
     def test_no_pure_nash_still_exits_3(self, tmp_path, pennies_game, capsys):
         path = write_config(

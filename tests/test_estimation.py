@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from foggame import behavior
 from foggame.behavior import EpsilonNash, FixedPointError, LevelK, LogitQBR
@@ -26,7 +28,7 @@ from foggame.estimation import (
     sample_observations,
     save_observations,
 )
-from foggame.games import MixedStrategy
+from foggame.games import MixedStrategy, NormalFormGame
 from foggame.schema import as_json
 
 from conftest import random_game, two_player
@@ -56,6 +58,47 @@ class TestObservation:
         obs = Observation(pd_game, 1.0, np.int64(0))
         assert (obs.player, obs.action) == (1, 0)
         assert type(obs.player) is int and type(obs.action) is int
+
+
+def _pool_game(first_payoff) -> dict:
+    return {"action_counts": [2, 2],
+            "payoffs": {"0": [first_payoff, 0, 5, 1], "1": [3, 5, 0, 1]}}
+
+
+# Good and bad observation lines, several of which parse to equal values:
+# `1` and `1.0` give one game, but `true` is rejected.
+_LINE_POOL = (
+    json.dumps({"game": _pool_game(1), "player": 0, "action": 1}),
+    json.dumps({"game": _pool_game(1.0), "player": 0, "action": 1}),
+    json.dumps({"player": 0, "action": 1, "game": _pool_game(1)}),
+    "  " + json.dumps({"game": _pool_game(1), "player": 0, "action": 1}),
+    json.dumps({"game": _pool_game(1), "player": 1, "action": 0}),
+    json.dumps({"game": _pool_game(2), "player": True, "action": 0}),
+    json.dumps({"game": _pool_game(True), "player": 0, "action": 1}),
+    json.dumps({"game": _pool_game(1), "player": 2, "action": 1}),
+    json.dumps({"game": _pool_game(1), "player": 0}),
+    "{oops",
+    "",
+)
+
+
+def _parse_each_line(path: Path) -> tuple[Observation, ...] | str:
+    """Every non-blank line parsed on its own: the observations, or the text of
+    the error that ``load_observations`` should raise."""
+    observations, bad = [], []
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            game = NormalFormGame.from_dict(record["game"])
+            observations.append(Observation(game, record["player"], record["action"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            bad.append((number, str(exc)))
+    if bad:
+        numbers = ", ".join(str(n) for n, _ in bad)
+        return f"malformed observation lines: {numbers} (first error: {bad[0][1]})"
+    return tuple(observations)
 
 
 class TestObservationIO:
@@ -130,6 +173,78 @@ class TestObservationIO:
         path.write_text(json.dumps({"game": pd_game.to_dict(), "player": 1.0, "action": 0}))
         [obs] = load_observations(path)
         assert (obs.player, obs.action) == (1, 0)
+
+    def test_repeated_line_loads_as_one_shared_observation(self, tmp_path, pd_game):
+        good = json.dumps({"game": pd_game.to_dict(), "player": 0, "action": 1})
+        other = json.dumps({"game": pd_game.to_dict(), "player": 1, "action": 1})
+        path = tmp_path / "obs.jsonl"
+        path.write_text(f"{good}\n{other}\n  {good}\n{good}\n")
+        loaded = load_observations(path)
+        assert loaded == (Observation(pd_game, 0, 1), Observation(pd_game, 1, 1),
+                          Observation(pd_game, 0, 1), Observation(pd_game, 0, 1))
+        assert loaded[0] is loaded[2] is loaded[3]
+        assert loaded[1] is not loaded[0]
+
+    def test_true_payoff_rejected_after_the_same_line_with_one(self, tmp_path):
+        record = {"game": {"action_counts": [2, 2],
+                           "payoffs": {"0": [1, 0, 5, 1], "1": [3, 5, 0, 1]}},
+                  "player": 0, "action": 0}
+        one = json.dumps(record)
+        true = one.replace("[1, 0, 5, 1]", "[true, 0, 5, 1]")
+        assert true != one
+        path = tmp_path / "obs.jsonl"
+        path.write_text(f"{one}\n{true}\n{one}\n")
+        with pytest.raises(ValueError) as err:
+            load_observations(path)
+        assert str(err.value) == (
+            "malformed observation lines: 2 (first error: payoffs.0: must be a number, got True)"
+        )
+
+    def test_repeated_bad_line_reported_at_every_line_number(self, tmp_path, pd_game):
+        good = json.dumps({"game": pd_game.to_dict(), "player": 0, "action": 1})
+        bad = json.dumps({"game": pd_game.to_dict(), "player": 2, "action": 1})
+        path = tmp_path / "obs.jsonl"
+        path.write_text(f"{bad}\n{good}\n{bad}\n\n{bad}\n")
+        with pytest.raises(ValueError) as err:
+            load_observations(path)
+        assert str(err.value) == (
+            "malformed observation lines: 1, 3, 5 (first error: player 2 out of range)"
+        )
+
+    def test_one_game_in_two_key_orders_shares_one_object(self, tmp_path, pd_game):
+        data = pd_game.to_dict()
+        forward = {"game": data, "player": 0, "action": 1}
+        backward = {"action": 1, "player": 0,
+                    "game": {"payoffs": dict(reversed(data["payoffs"].items())),
+                             "action_counts": data["action_counts"]}}
+        path = tmp_path / "obs.jsonl"
+        path.write_text(f"{json.dumps(forward)}\n{json.dumps(backward)}\n")
+        first, second = load_observations(path)
+        assert first == second == Observation(pd_game, 0, 1)
+        assert first is not second
+        assert first.game is second.game
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(picks=st.lists(st.integers(0, len(_LINE_POOL) - 1), max_size=12))
+    def test_load_matches_a_line_by_line_parse(self, tmp_path, picks):
+        path = tmp_path / "obs.jsonl"
+        path.write_text("".join(_LINE_POOL[i] + "\n" for i in picks))
+        expected = _parse_each_line(path)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as err:
+                load_observations(path)
+            assert str(err.value) == expected
+        else:
+            loaded = load_observations(path)
+            assert loaded == expected
+            # Equal games share one object, and so do equal lines' observations.
+            assert len({id(obs.game) for obs in loaded}) == len({obs.game for obs in loaded})
+            texts = [_LINE_POOL[i].strip() for i in picks if _LINE_POOL[i].strip()]
+            first = {}
+            for text, obs in zip(texts, loaded, strict=True):
+                assert first.setdefault(text, obs) is obs
+
 
 class TestLogLikelihood:
     def test_half_probability_single_observation(self, pennies_game):
