@@ -378,13 +378,11 @@ def run_predict(spec: PredictSpec | LotterySpec) -> int:
     # A logit response at an infinite scaled payoff is NaN, which no solver can
     # recover from; Python float products overflow to inf without a warning.
     precision = getattr(model, "precision", None)
-    if precision is not None and not math.isfinite(
-        precision * float(abs(game.payoffs).max())
-    ):
+    if precision is not None and not math.isfinite(precision * float(abs(game.payoffs).max())):
         raise ConfigError(
             f"model.params.precision: must keep precision × max |payoff| finite, got {precision!r}"
         )
-    strategies =[list(s.weights) for s in model.predict_profile(game)]
+    strategies = [list(s.weights) for s in model.predict_profile(game)]
     sys.stdout.write(_json_text({"strategies": strategies}))
     return 0
 

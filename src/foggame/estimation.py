@@ -85,8 +85,8 @@ def load_observations(path: str | Path) -> tuple[Observation, ...]:
     Blank lines are ignored.  Malformed lines do not abort the scan; they are
     collected and reported together in a single error naming every offending
     line number.  Equal games share one :class:`NormalFormGame` object, and a
-    line that repeats an earlier good line character for character is parsed
-    once and yields that line's :class:`Observation` object again.
+    line that, stripped, repeats an earlier good line character for character
+    is parsed once and yields that line's :class:`Observation` object again.
     """
     observations: list[Observation] = []
     games: dict[NormalFormGame, NormalFormGame] = {}

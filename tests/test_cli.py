@@ -51,7 +51,7 @@ BAD_PAYOFFS = [
 ]
 BAD_PAYOFF_IDS = ["non-object", "object-entry", "object-payoff", "bool", "string", "extra-key"]
 
-# Predict model blocks with a logit precision, which the run sets.
+# Predict model blocks that take a logit `precision`; each test adds it.
 PRECISION_MODELS = [
     {"model": "logit_qbr", "params": {}},
     {"model": "level_k", "params": {"level_weights": [0.5, 0.5], "response": "qbr"}},
@@ -1378,7 +1378,7 @@ class TestPredict:
 
     @pytest.mark.parametrize("precision", [1e308, 1e300])
     @pytest.mark.parametrize("model", PRECISION_MODELS, ids=[m["model"] for m in PRECISION_MODELS])
-    def test_precision_that_overflows_the_payoffs_exits_2(
+    def test_precision_overflow_is_refused_before_any_solve(
         self, tmp_path, capsys, monkeypatch, model, precision
     ):
         game = REPO / "data" / "example_game.json"
