@@ -1,114 +1,18 @@
 """Strategic-behavior toolkit: games, bounded-rational prediction, risk and
 social preference transforms, a fog-computing price negotiation market, and
-maximum-likelihood model fitting, with a command-line front end."""
+maximum-likelihood model fitting, with a command-line front end.
 
-from __future__ import annotations
+Each module declares its public names in its own ``__all__``; the package
+re-exports them in module order."""
 
-from .games import (
-    TIE_TOL,
-    MixedStrategy,
-    NormalFormGame,
-    load_game,
-    pure_nash,
-    save_game,
-)
-from .behavior import (
-    BestResponse,
-    CognitiveHierarchy,
-    EpsilonNash,
-    FixedPointError,
-    LevelK,
-    LogitQBR,
-    NoEquilibriumError,
-    NoisyIntrospection,
-    model_from_dict,
-    model_to_dict,
-    qbr_equilibrium,
-)
-from .preferences import (
-    Lottery,
-    ProspectParams,
-    SocialPrefParams,
-    pt_evaluate,
-    pt_value,
-    pt_weight,
-    transform_game_social,
-)
-from .market import (
-    DEMAND_FLOOR,
-    FogScenario,
-    NegotiationTrace,
-    compute_metrics,
-    default_scenario,
-    fog_gain,
-    optimal_demand,
-    run_negotiation,
-    user_utility,
-    write_trace_csv,
-)
-from .estimation import (
-    FitResult,
-    ModelFamily,
-    Observation,
-    cross_validate,
-    epsilon_nash_family,
-    fit_mle,
-    level_k_family,
-    load_observations,
-    log_likelihood,
-    qbr_family,
-    sample_observations,
-    save_observations,
-)
+from . import behavior, estimation, games, market, preferences
+from .games import *  # noqa: F403
+from .behavior import *  # noqa: F403
+from .preferences import *  # noqa: F403
+from .market import *  # noqa: F403
+from .estimation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TIE_TOL",
-    "MixedStrategy",
-    "NormalFormGame",
-    "load_game",
-    "pure_nash",
-    "save_game",
-    "BestResponse",
-    "CognitiveHierarchy",
-    "EpsilonNash",
-    "FixedPointError",
-    "LevelK",
-    "LogitQBR",
-    "NoEquilibriumError",
-    "NoisyIntrospection",
-    "model_from_dict",
-    "model_to_dict",
-    "qbr_equilibrium",
-    "Lottery",
-    "ProspectParams",
-    "SocialPrefParams",
-    "pt_evaluate",
-    "pt_value",
-    "pt_weight",
-    "transform_game_social",
-    "DEMAND_FLOOR",
-    "FogScenario",
-    "NegotiationTrace",
-    "compute_metrics",
-    "default_scenario",
-    "fog_gain",
-    "optimal_demand",
-    "run_negotiation",
-    "user_utility",
-    "write_trace_csv",
-    "FitResult",
-    "ModelFamily",
-    "Observation",
-    "cross_validate",
-    "epsilon_nash_family",
-    "fit_mle",
-    "level_k_family",
-    "load_observations",
-    "log_likelihood",
-    "qbr_family",
-    "sample_observations",
-    "save_observations",
-    "__version__",
-]
+__all__ = [*games.__all__, *behavior.__all__, *preferences.__all__, *market.__all__,
+           *estimation.__all__, "__version__"]

@@ -28,7 +28,7 @@ All predictions are deterministic; sampling lives in :mod:`foggame.estimation`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Annotated, Callable, Literal, Sequence, Union
 
 import numpy as np
@@ -42,6 +42,12 @@ from .games import (
     pure_nash,
 )
 from .schema import Range, as_json, check_fields, read, read_value
+
+__all__ = [
+    "BestResponse", "CognitiveHierarchy", "EpsilonNash", "FixedPointError", "LevelK",
+    "LogitQBR", "NoEquilibriumError", "NoisyIntrospection", "model_from_dict", "model_to_dict",
+    "qbr_equilibrium",
+]
 
 
 class NoEquilibriumError(ValueError):
@@ -466,19 +472,32 @@ def model_to_dict(model: BehavioralModel) -> dict:
     return {"model": tag, "params": params}
 
 
+@dataclass(frozen=True)
+class ModelBlock:
+    """A tagged model record, ``{"model": tag, "params": {...}}``: the input of
+    :func:`model_from_dict` and a config's ``model`` block."""
+
+    model: str
+    params: dict = field(default_factory=dict)
+
+
+def _model_from_block(block: ModelBlock) -> BehavioralModel:
+    """The model ``block`` names, its ``params`` read through the model class's fields."""
+    cls = _TAG_MODELS.get(block.model)
+    if cls is None:
+        raise ValueError(f"model: unknown model tag {block.model!r}")
+    return read(cls, block.params, "params", {"level0": _level0_from_json})
+
+
 def model_from_dict(data: dict) -> BehavioralModel:
     """Inverse of :func:`model_to_dict`; raises ``ValueError`` on bad input.
 
-    Each message starts with the part of the record at fault: ``model``,
-    ``params`` or ``params.<name>``.  ``params`` is read through the model
-    class's fields (see :mod:`foggame.schema`), so an unknown parameter, a
-    value of the wrong type or one outside its field's range is rejected
-    before the constructor runs; only ``level0`` has a JSON form of its own.
+    The record is read as a :class:`ModelBlock` (see :mod:`foggame.schema`), so
+    an unknown key, a missing or non-string tag and a non-object ``params`` are
+    rejected, and each message starts with the part of the record at fault:
+    ``model``, ``params`` or ``params.<name>``.  ``params`` is read through the
+    model class's fields, so an unknown parameter, a value of the wrong type or
+    one outside its field's range is rejected before the constructor runs; only
+    ``level0`` has a JSON form of its own.
     """
-    if not isinstance(data, dict) or "model" not in data:
-        raise ValueError("model: the record needs a model tag")
-    tag = data["model"]
-    cls = _TAG_MODELS.get(tag) if isinstance(tag, str) else None
-    if cls is None:
-        raise ValueError(f"model: unknown model tag {tag!r}")
-    return read(cls, data.get("params", {}), "params", {"level0": _level0_from_json})
+    return _model_from_block(read(ModelBlock, data, ""))

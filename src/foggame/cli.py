@@ -13,11 +13,12 @@ request shape, which holds only the keys its run reads:
   ``SocialPrefParams`` or a list); or, given a ``prospect`` or ``lottery``
   block (:class:`LotterySpec`), just those two.
 
-A ``model`` block is ``{"model": "<tag>", "params": {...}}``, whose ``params``
-are the model class's fields in predict and the family factory's (e.g.
-``num_levels``) in fit.  Every block is read through the dataclass that
-defines it (:mod:`foggame.schema`): each value must have its field's type,
-and a key the request does not read, even one another mode reads, is unknown.
+A ``model`` block is a :class:`~foggame.behavior.ModelBlock`, ``{"model":
+"<tag>", "params": {...}}``, whose ``params`` are the model class's fields in
+predict and the family factory's (e.g. ``num_levels``) in fit.  Every block
+is read through the dataclass that defines it (:mod:`foggame.schema`): each
+value must have its field's type, and a key the request does not read, even
+one another mode reads, is unknown.
 Messages name the key: ``model.params.max_level: must be an integer, got
 2.7``, ``experiment.game: missing``, ``scenario: missing``.
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Annotated, ClassVar, Literal, Sequence, get_args
 
-from .behavior import _level0_profile, model_from_dict
+from .behavior import ModelBlock, _level0_profile, _model_from_block
 from .estimation import (
     PROB_FLOOR,
     Bounds,
@@ -94,14 +95,6 @@ _FIT_FAMILIES = {
 
 # Marks a spec field that is a top-level block; the rest are experiment keys.
 _BLOCK = {"block": True}
-
-
-@dataclass(frozen=True)
-class ModelBlock:
-    """A tagged model block: the model's tag and its ``params``."""
-
-    model: str
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,7 @@ class PredictSpec:
         if not Path(self.game).exists():
             raise ConfigError(f"experiment.game: path {self.game!r} does not exist")
         try:
-            behavior = model_from_dict(as_json(self.model))
+            behavior = _model_from_block(self.model)
         except ValueError as exc:
             raise ConfigError(f"model.{exc}") from exc
         object.__setattr__(self, "behavior", behavior)

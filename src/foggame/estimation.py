@@ -40,6 +40,12 @@ from .behavior import (
 from .games import NormalFormGame
 from .schema import Finite, Items, Range, as_int, check_fields, read_value
 
+__all__ = [
+    "FitResult", "ModelFamily", "Observation", "cross_validate", "epsilon_nash_family",
+    "fit_mle", "level_k_family", "load_observations", "log_likelihood", "qbr_family",
+    "sample_observations", "save_observations",
+]
+
 PROB_FLOOR = 1e-12
 
 # Default search ranges of the family parameters.

@@ -13,6 +13,10 @@ import numpy as np
 
 from .schema import Items, Range, as_number, as_object, check_fields, read_value
 
+__all__ = [
+    "TIE_TOL", "MixedStrategy", "NormalFormGame", "load_game", "pure_nash", "save_game",
+]
+
 # Actions whose expected utility is within TIE_TOL of the maximum count as
 # best responses; pure_nash applies the same slack to deviation checks.
 TIE_TOL = 1e-9

@@ -37,6 +37,11 @@ import numpy as np
 
 from .schema import Finite, Range, check_fields
 
+__all__ = [
+    "DEMAND_FLOOR", "FogScenario", "NegotiationTrace", "compute_metrics", "default_scenario",
+    "fog_gain", "optimal_demand", "run_negotiation", "user_utility", "write_trace_csv",
+]
+
 # Noisy demands are floored here so log-utility stays defined.
 DEMAND_FLOOR = 1e-9
 # The cap on max_rounds: a cell that never converges stops within about 30 s.

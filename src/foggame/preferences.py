@@ -14,6 +14,11 @@ import numpy as np
 from .games import SUMS_TO_ONE, NormalFormGame
 from .schema import Finite, Items, Range, check_fields
 
+__all__ = [
+    "Lottery", "ProspectParams", "SocialPrefParams", "pt_evaluate", "pt_value", "pt_weight",
+    "transform_game_social",
+]
+
 # Below ~0.28 the single-parameter weighting curve stops being monotone, so
 # the constructor rejects that region.
 WEIGHT_CURVE_MIN = 0.28

@@ -223,7 +223,7 @@ def read_fields(
     """
     params = _parameters(factory)
     kwargs = {}
-    for name, value in as_object(block, key).items():
+    for name, value in as_object(block, key or "record").items():
         path = f"{key}.{name}" if key else name
         if name not in params or (names is not None and name not in names):
             raise ConfigError(f"{path}: unknown key")

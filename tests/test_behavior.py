@@ -599,6 +599,23 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_dict({"params": {}})
 
+    @pytest.mark.parametrize("record, message", [
+        ({"params": {}}, "model: missing"),
+        ({"model": "psychic"}, "model: unknown model tag 'psychic'"),
+        ({"model": 5}, "model: must be a string, got 5"),
+        ({"model": "best_response", "params": {}, "note": 1}, "note: unknown key"),
+        ({"model": "logit_qbr", "params": 3}, "params: must be a JSON object, got 3"),
+        ({"model": "logit_qbr", "params": {"precision": -1.0}},
+         "params.precision: must be >= 0, got -1.0"),
+        ([], "record: must be a JSON object, got []"),
+    ], ids=["no-tag", "unknown-tag", "tag-type", "unknown-key", "params-type", "param-range",
+            "not-an-object"])
+    def test_record_is_read_as_a_model_block(self, record, message):
+        # the same reader as a config's model block, which prefixes "model."
+        with pytest.raises(ValueError) as err:
+            model_from_dict(record)
+        assert str(err.value) == message
+
     def test_every_prediction_is_distribution(self, corpus):
         models = [
             BestResponse(),
