@@ -130,8 +130,11 @@ def _qbr_stack(
 
     Games of one shape step in lockstep, one per column, each with its own step
     size, best point, best residual and stall count; each leaves once it
-    converges, and the last one left runs on a plain vector.  Every answer is
-    bit for bit the one the game gets alone.
+    converges, and the last one left runs on a plain vector: a stack of one
+    would pay the stacked kernel's per-call reshaping with nothing to batch
+    (on a 2×2 game 2.6 against 1.2 µs per expected-utility call, and 6.2–6.7
+    against 5.7–5.9 ms per λ = 2 likelihood of the shipped data).  Every
+    answer is bit for bit the one the game gets alone.
     """
     lam = read_value(precision, Precision, "precision")
     slices = _profile_slices(games[0].action_counts)

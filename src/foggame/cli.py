@@ -265,6 +265,17 @@ def _family_from_model_block(model: ModelBlock) -> ModelFamily:
     return read(factory, model.params, "model.params")
 
 
+def _check_precision(precision: float | None, max_payoff: float, key: str) -> None:
+    """Refuse a precision at which a logit response overflows.  Its shift
+    ``z - max(z)`` spans up to 2 × precision × max |payoff|; past the largest
+    float the weights are NaN, which no solver recovers from.  Python float
+    products overflow to inf without a warning."""
+    if precision is not None and not math.isfinite(2.0 * precision * max_payoff):
+        raise ConfigError(
+            f"{key}: must keep 2 × precision × max |payoff| finite, got {precision!r}"
+        )
+
+
 def run_simulate(spec: SimulateSpec) -> int:
     """Run every (noise, averaging, seed) cell together; write traces +
     summary.  A cell that fails is recorded in the manifest and the rest
@@ -333,6 +344,13 @@ def run_fit(spec: FitSpec) -> int:
             f"{spec.folds} observations, dataset has {len(data)}"
         )
     bounds = spec.bounds if spec.bounds is not None else family.bounds
+    # Checked here, not in fit_mle, whose search scores a failed point as -inf.
+    max_payoff = max(float(abs(game.payoffs).max()) for game in {obs.game for obs in data})
+    if "precision" in family.param_names:
+        top = bounds[family.param_names.index("precision")][1]
+        _check_precision(top, max_payoff, "experiment.bounds")
+    else:
+        _check_precision(spec.model.params.get("precision"), max_payoff, "model.params.precision")
     result = fit_mle(family, data, bounds, spec.search)
     if spec.folds is not None:
         cv = cross_validate(family, data, spec.folds, bounds, spec.search, spec.cv_seed)
@@ -368,13 +386,8 @@ def run_predict(spec: PredictSpec | LotterySpec) -> int:
         _level0_profile(game, getattr(model, "level0", None))
     except ValueError as exc:
         raise ConfigError(f"model.params.level0: {exc}") from exc
-    # A logit response at an infinite scaled payoff is NaN, which no solver can
-    # recover from; Python float products overflow to inf without a warning.
-    precision = getattr(model, "precision", None)
-    if precision is not None and not math.isfinite(precision * float(abs(game.payoffs).max())):
-        raise ConfigError(
-            f"model.params.precision: must keep precision × max |payoff| finite, got {precision!r}"
-        )
+    _check_precision(getattr(model, "precision", None), float(abs(game.payoffs).max()),
+                     "model.params.precision")
     strategies = [list(s.weights) for s in model.predict_profile(game)]
     sys.stdout.write(_json_text({"strategies": strategies}))
     return 0

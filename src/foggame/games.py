@@ -157,7 +157,9 @@ def _eu_kernel(payoffs: np.ndarray, stacked: bool = False) -> list[Callable]:
     one shape, one per contiguous column of ``arrays[j]`` and of the result.  Opponent
     axes are contracted highest-first by ``np.matmul`` on the layout ``np.tensordot(t,
     arrays[j], axes=(j, 0))`` hands ``np.dot``, so the bits match, stacked or not,
-    except that a one-term sum equal to -0.0 comes out 0.0.
+    except that a one-term sum equal to -0.0 comes out 0.0.  A single game stays
+    unstacked: the stacked form transposes and reshapes every array on each call,
+    which makes a stack of one about twice as slow (2.6 against 1.2 µs, 2×2 game).
     """
     lead, tables = (payoffs.shape[:1], payoffs.swapaxes(0, 1)) if stacked else ((), payoffs)
     eus = [_player_eu(table, player, lead) for player, table in enumerate(tables)]

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -913,6 +915,30 @@ class TestFitConfigValues:
                            "num_levels": 2, "response": "exact_br", "precision": 5.0}},
                        "model.params.precision")
 
+    @pytest.mark.parametrize("model, bounds, message", [
+        ({"model": "logit_qbr"}, [[1e308, 1.7e308]], "experiment.bounds: must keep "
+         "2 × precision × max |payoff| finite, got 1.7e+308"),
+        ({"model": "level_k", "params": {"num_levels": 2, "response": "qbr"}},
+         [[0.0, 1.0], [0.0, 1.0], [0.0, 1e308]], "experiment.bounds: must keep "
+         "2 × precision × max |payoff| finite, got 1e+308"),
+        ({"model": "level_k", "params": {"num_levels": 2, "response": "qbr", "precision": 1e308}},
+         None, "model.params.precision: must keep "
+         "2 × precision × max |payoff| finite, got 1e+308"),
+    ], ids=["qbr-bounds", "level_k-bounds", "level_k-fixed"])
+    def test_precision_overflow_exits_2_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, model, bounds, message):
+        monkeypatch.setattr(behavior, "_qbr_stack", _never("a QRE solve"))
+        monkeypatch.setattr(behavior, "_respond_all", _never("a response"))
+        config = fit_config(out_dir=str(tmp_path / "out"))
+        config["model"] = model
+        if bounds is not None:
+            config["experiment"]["bounds"] = bounds
+        started = time.perf_counter()
+        assert main(["fit", write_config(tmp_path, config)]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["grid_points", "refine_iters"])
     def test_search_beyond_its_cap_exits_2_before_fitting(
             self, tmp_path, capsys, monkeypatch, observation_file, key):
@@ -1118,6 +1144,8 @@ class TestShippedArtifacts:
         result = json.loads(capsys.readouterr().out)
         lo, hi = meta["expected_recovery_band"]
         assert lo <= result["params"][0] <= hi
+        digest = hashlib.sha256((tmp_path / "fit_result.json").read_bytes()).hexdigest()
+        assert digest == "f59be22687816658be3bbcc66fa40c91213e4ded957d011add3f0af0fba89b09"
 
     def test_predict_config_matches_library(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(self.repo_root)
@@ -1376,7 +1404,9 @@ class TestPredict:
         assert main(["predict", write_config(tmp_path, config)]) == 2
         assert capsys.readouterr().err == f"error: model.params.level0: {expected}\n"
 
-    @pytest.mark.parametrize("precision", [1e308, 1e300])
+    # At 5e307, precision × max |payoff| (3.13) is finite but the softmax shift,
+    # up to twice that, is not.
+    @pytest.mark.parametrize("precision", [1e308, 5e307, 1e300])
     @pytest.mark.parametrize("model", PRECISION_MODELS, ids=[m["model"] for m in PRECISION_MODELS])
     def test_precision_overflow_is_refused_before_any_solve(
         self, tmp_path, capsys, monkeypatch, model, precision
@@ -1384,12 +1414,12 @@ class TestPredict:
         game = REPO / "data" / "example_game.json"
         config = {"model": {**model, "params": {**model["params"], "precision": precision}},
                   "experiment": {"mode": "predict", "game": str(game)}}
-        if precision == 1e308:
+        if precision > 1e300:
             monkeypatch.setattr(behavior, "_respond_all", _never("a response"))
             monkeypatch.setattr(behavior, "_qbr_stack", _never("a QRE solve"))
             assert main(["predict", write_config(tmp_path, config)]) == 2
             assert capsys.readouterr() == ("", "error: model.params.precision: must keep "
-                                           "precision × max |payoff| finite, got 1e+308\n")
+                                           f"2 × precision × max |payoff| finite, got {precision!r}\n")
         else:
             expected = model_from_dict(config["model"]).predict_profile(load_game(game))
             assert main(["predict", write_config(tmp_path, config)]) == 0

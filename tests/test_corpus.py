@@ -15,6 +15,10 @@ since a solve that fails spends its whole iteration budget.  Two more pins
 cover ``sample_observations`` and ``log_likelihood`` at three precisions on
 a dataset drawn from corpus games.
 
+Beside the pins, every non-QRE configuration is compared with the
+benchmark's independent oracle (``perfbench/oracle.py``) to 1e-12, and every
+solved QRE must be a fixed point of the oracle's logit response to 1e-9.
+
 To re-record after a deliberate change, print ``_digest(...)`` for each
 configuration and say in CHANGES.md which games moved and why.
 """
@@ -22,6 +26,8 @@ configuration and say in CHANGES.md which games moved and why.
 from __future__ import annotations
 
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +39,14 @@ from foggame.behavior import (
     LevelK,
     LogitQBR,
     NoisyIntrospection,
+    model_to_dict,
 )
 from foggame.estimation import log_likelihood, qbr_family, sample_observations
 from foggame.games import NormalFormGame
+
+# The benchmark's independent re-derivations, which import nothing from foggame.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import oracle  # noqa: E402
 
 CORPUS_SEED = 2026
 CORPUS_GAMES = 400
@@ -103,8 +114,40 @@ PREDICTIONS = {
 def test_predictions_are_pinned(name):
     games = CORPUS[:QRE_GAMES] if name == "logit_qbr" else CORPUS
     model = MODELS[name]
-    lines = [_outcome(lambda: model(lam).predict_profile(game)) for game, lam in games]
+    solved = []
+
+    def predict(game, lam):
+        profile = model(lam).predict_profile(game)
+        solved.append((game, lam, profile))
+        return profile
+
+    lines = [_outcome(lambda: predict(game, lam)) for game, lam in games]
     assert _digest(lines) == PREDICTIONS[name]
+    if name == "logit_qbr":  # each solved profile is a fixed point of the oracle's response
+        residuals = [oracle.qre_residual(oracle.game_tensor(game.to_dict()),
+                                         [s.weights for s in profile], lam)
+                     for game, lam, profile in solved]
+        assert len(residuals) == 99
+        assert max(residuals) < 1e-9
+
+
+@pytest.mark.parametrize("name", [name for name in MODELS if name != "logit_qbr"])
+def test_predictions_match_the_oracle(name):
+    """Every non-QRE configuration agrees with the benchmark's einsum oracle."""
+    compared, moved = 0, []
+    for index, (game, lam) in enumerate(CORPUS):
+        model = MODELS[name](lam)
+        payoffs = oracle.game_tensor(game.to_dict())
+        if name == "epsilon_nash" and not oracle.pure_nash(payoffs):
+            continue  # the model raises there; the oracle falls back to uniform
+        expected = oracle.predict(payoffs, model_to_dict(model))
+        gap = max(float(np.max(np.abs(s.as_array() - e)))
+                  for s, e in zip(model.predict_profile(game), expected))
+        compared += 1
+        if not gap <= 1e-12:
+            moved.append((index, game.action_counts, gap))
+    assert moved == []
+    assert compared == (360 if name == "epsilon_nash" else CORPUS_GAMES)
 
 
 # Two-player corpus games of at most three actions each, for the dataset.
