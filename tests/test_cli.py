@@ -1418,8 +1418,8 @@ class TestPredict:
             monkeypatch.setattr(behavior, "_respond_all", _never("a response"))
             monkeypatch.setattr(behavior, "_qbr_stack", _never("a QRE solve"))
             assert main(["predict", write_config(tmp_path, config)]) == 2
-            assert capsys.readouterr() == ("", "error: model.params.precision: must keep "
-                                           f"2 × precision × max |payoff| finite, got {precision!r}\n")
+            assert capsys.readouterr() == ("", "error: model.params.precision: must keep 2 × "
+                                           f"precision × max |payoff| finite, got {precision!r}\n")
         else:
             expected = model_from_dict(config["model"]).predict_profile(load_game(game))
             assert main(["predict", write_config(tmp_path, config)]) == 0
