@@ -22,7 +22,9 @@ sees and pays — carries the perturbation and is projected back into
 
 The (noise level, averaging, seed) cells of a simulate run advance together
 in one stacked kernel, and each cell gets the bits it would get alone;
-``run_negotiation`` is a batch of one.
+``run_negotiation`` is a batch of one.  Once a step leaves every intended
+price where it was, the slope is 0 and no price moves again, so from there
+the kernel runs a block of rounds at a time, bit for bit as round by round.
 """
 
 from __future__ import annotations
@@ -44,11 +46,13 @@ __all__ = [
 
 # Noisy demands are floored here so log-utility stays defined.
 DEMAND_FLOOR = 1e-9
-# The cap on max_rounds: a cell that never converges stops within about 30 s.
+# The cap on max_rounds, so a cell that never converges stops.  On a 2-core
+# Xeon 10^6 rounds take 1.5 s once the prices stop moving (the default
+# market at noise 0.1: after 20 rounds), and about 25 s if they never do.
 ROUND_LIMIT = 10**6
 # The cap on num_nodes.  On a 2-core Xeon a noisy 2000-round cell of 1000
-# nodes runs in 0.23 s and writes a 190 MB trace CSV in 6.5 s; the CSV grows
-# linearly with the nodes (0.7 MB at 4).
+# nodes runs in 0.2-0.3 s and writes a 190 MB trace CSV in 6.5 s; the CSV
+# grows linearly with the nodes (0.7 MB at 4).
 NODE_LIMIT = 1000
 
 Positive = Annotated[float, Range(gt=0)]
@@ -294,17 +298,29 @@ def _negotiate(
 ) -> list[NegotiationTrace | ValueError]:
     """Run the (noise_level, averaging, seed) cells of one scenario together.
 
-    The live cells advance round by round on one stacked (actor x cells x
-    nodes) state, and every operation is elementwise per cell, so each cell
-    gets the bits it would get alone.  A cell draws its noise from its own
+    The live cells advance on one stacked (actor x cells x nodes) state, and
+    every operation is elementwise per cell, so each cell gets the bits it
+    would get alone.  A cell draws its noise from its own
     ``default_rng(seed)`` one block of rounds at a time, which consumes the
-    stream like one whole-run draw.  The rows are settled at the end of
-    each block, or at once when a demand is not finite: a cell ends at its
-    first row with a demand that is not finite or at its first converged
-    row, whichever comes first, and leaves the stack with its own rows.  So
-    a cell runs at most one block past its convergence and not one round
-    past an overflow, and memory follows the rounds actually run.  Returns,
-    per cell, its trace or the ``ValueError`` that ended it.
+    stream like one whole-run draw.
+
+    Rounds run one at a time until the stack is frozen: the last step left
+    every live cell's intended (pre-noise) prices exactly where they were,
+    or the rule is ``foc_root``, whose intended prices are the caps.  That
+    is for good: the price change is then 0, so the slope is 0 and
+    ``project(x + step * 0.0)`` returns x.  A frozen block's rows run at
+    once: the price samples and their executed means, then the demands'.
+    These are the per-round operations on more rows, so no bit changes:
+    ``np.add.accumulate`` adds a running sum in the per-round order, and a
+    window or one-node mean is still a per-row slice mean.
+
+    The rows are settled at the end of each block, or at once when a demand
+    is not finite: a cell ends at its first row with a demand that is not
+    finite or at its first converged row, whichever comes first, and leaves
+    the stack with its own rows.  So a cell runs at most one block past its
+    convergence and not one round past an overflow, and memory follows the
+    rounds actually run.  Returns, per cell, its trace or the ``ValueError``
+    that ended it.
     """
     if price_rule not in PRICE_RULES:
         raise ValueError(f"unknown price rule {price_rule!r}")
@@ -332,34 +348,60 @@ def _negotiate(
     samples = np.empty((2, n, 0, m))
 
     def executed(actor: int, sample: np.ndarray, t: int) -> np.ndarray:
-        """What each cell's actor executes in round t + 1: its sample, or a mean."""
+        """What each cell's actor executes in rounds t + 1 .. t + len(sample),
+        given its (rows x cells x nodes) samples of them: a sample, or a mean."""
         if not averaging:
             return sample
+        rows = len(sample)
         if running:
-            total = totals[actor]
-            np.add(total, sample, out=total)
-            mean = total / (t + 1)
+            # accumulate adds the rows one by one, as the rounds would
+            sums = np.add.accumulate(np.concatenate([totals[actor, None], sample]))[1:]
+            totals[actor] = sums[-1]
+            mean = sums / np.arange(t + 1, t + 1 + rows)[:, None, None]
         else:
-            samples[actor, :, t] = sample
-            start = 0 if span is None else max(0, t + 1 - span)
-            mean = np.mean(samples[actor, :, start : t + 1], axis=1)
+            samples[actor, :, t : t + rows] = sample.swapaxes(0, 1)
+            mean = np.empty_like(sample)
+            for s in range(t, t + rows):
+                start = 0 if span is None else max(0, s + 1 - span)
+                mean[s - t] = np.mean(samples[actor, :, start : s + 1], axis=1)
         return np.where(averaged, mean, sample) if mixed else mean
 
-    def next_prices(r: np.ndarray, factor: np.ndarray, t: int, out=None):
-        """The prices each cell executes in round t + 2."""
-        nonlocal intended, previous, intended_gain
-        if not gradient:
-            # foc_root: under r(c) = B w / (c W) the gain's slope
-            # r (1 - kappa (c - f) / c) >= r f / c > 0, so the root is the cap
-            intended = stacked.caps
-        else:
+    def next_prices(r, factors: np.ndarray, t: int, out=None) -> np.ndarray:
+        """The prices each cell executes in rounds t + 2 .. t + 1 +
+        len(factors).  Until the stack is frozen a call is one round, and r
+        holds that round's executed demands."""
+        nonlocal intended, previous, intended_gain, frozen
+        if not frozen:
             gain = stacked.gain(intended, r)
             if intended_gain is None:
                 following = stacked.project(intended + stacked.probe)
             else:
                 following = stacked.gradient_step(intended, previous, gain - intended_gain)
             previous, intended, intended_gain = intended, following, gain
-        return stacked.project(executed(1, intended * factor, t), out=out)
+            # bit for bit, which is == here: live intended prices are finite, > 0
+            frozen = previous.tobytes() == intended.tobytes()
+        return stacked.project(executed(1, intended * factors, t), out=out)
+
+    def demand_rows(i: int, stop: int) -> None:
+        """Execute the demands of block rows i .. stop - 1, whose prices are set."""
+        sample = stacked.demand(block[0, i:stop]) * noise[i:stop, 0]
+        np.maximum(executed(0, sample, first + i), DEMAND_FLOOR, out=block[1, i:stop])
+
+    def frozen_rows(i: int, stop: int) -> int:
+        """Run frozen block rows i .. stop - 1 at once, row i's prices set.
+        Returns the last row run: stop - 1, or the first row whose demand is
+        not finite."""
+        before_rows = totals.copy()
+        if stop > i + 1:
+            next_prices(None, noise[i : stop - 1, 1], first + i, out=block[0, i + 1 : stop])
+        demand_rows(i, stop)
+        bad = ~np.isfinite(block[1, i:stop]).all(axis=(1, 2))
+        if not bad[:-1].any():
+            return stop - 1
+        # the rows after that one never ran: run up to it again from the
+        # running sums it started from
+        totals[:] = before_rows
+        return frozen_rows(i, i + int(bad.argmax()) + 1)
 
     def finished(j: int, parts: list[np.ndarray], row: int, converged: bool):
         state = np.concatenate(parts, axis=1)  # the cell's own (2 x rows x nodes)
@@ -381,8 +423,12 @@ def _negotiate(
     records: list[list[np.ndarray]] = [[] for _ in cells]  # their settled rows
     outcomes: list[NegotiationTrace | ValueError | None] = [None] * n
     upcoming = np.tile(np.asarray(scenario.initial_prices), (n, 1))
-    intended = upcoming.copy()  # node-side pre-noise adaptation state
+    # The node-side pre-noise adaptation state.  foc_root: under r(c) =
+    # B w / (c W) the gain's slope r (1 - kappa (c - f) / c) >= r f / c > 0,
+    # so the root is the cap, from the first step on.
+    intended = upcoming.copy() if gradient else stacked.caps
     previous = intended_gain = None
+    frozen = not gradient  # whether no live cell's intended prices move again
     noise = np.empty((0, 2, n, m))
     # The row before the block.  Row 0 has none, and whether it counts as
     # quiet does not matter: it is each cell's first moved row either way.
@@ -411,13 +457,15 @@ def _negotiate(
         block = np.empty((2, size, len(live), m))
         block[0, 0] = upcoming
         for i in range(size):
-            t = first + i
-            c, r = block[:, i]
-            sample = stacked.demand(c) * noise[i, 0]
-            np.maximum(executed(0, sample, t), DEMAND_FLOOR, out=r)
-            if i + 1 == size or not np.isfinite(r).all():
+            if frozen:
+                i = frozen_rows(i, size)
                 break
-            next_prices(r, noise[i, 1], t, out=block[0, i + 1])
+            demand_rows(i, i + 1)
+            if i + 1 == size or not np.isfinite(block[1, i]).all():
+                break
+            next_prices(block[1, i], noise[i : i + 1, 1], first + i, out=block[0, i + 1 : i + 2])
+        t = first + i
+        c, r = block[:, i]
 
         # Row t is quiet when every price and demand moved by less than the
         # tolerance since row t - 1; the cell has converged at row t once
@@ -462,7 +510,7 @@ def _negotiate(
             noise, r, intended = noise[:, :, keep], r[keep], intended[keep]
             if intended_gain is not None:
                 previous, intended_gain = previous[keep], intended_gain[keep]
-        upcoming = next_prices(r, noise[i, 1], t)
+        upcoming = next_prices(r, noise[i : i + 1, 1], t)[0]
         noise, first = noise[i + 1 :], t + 1
 
 

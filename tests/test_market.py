@@ -719,6 +719,85 @@ def _same_outcome(a, b) -> bool:
     return _same_trace(a, b) and a.scenario == b.scenario and a.seed == b.seed
 
 
+def _oracle(scenario: FogScenario, cell, price_rule: str):
+    """One cell, one round at a time, from the rules ``run_negotiation``
+    documents: its trace, or the error that ended it.
+
+    Each round draws u then v, uniform on ±noise_level per node.  The user's
+    sample is the closed-form demand times ``1 + u``; each node's sample is
+    its intended price times ``1 + v``.  An actor executes its latest
+    sample, or with averaging ``np.mean`` over all its samples or its last
+    ``averaging_window``.  Prices are projected onto [floor, cap] and demands
+    floored at DEMAND_FLOOR.  A node's intended price first probes upward by
+    ``step_size * floor``, then climbs the finite-difference slope of its
+    gain over its last two intended prices; under ``foc_root`` it is the
+    cap.
+    """
+    rho, averaging, seed = cell
+    s = dataclasses.replace(scenario, noise_level=rho, averaging=averaging)
+    rng = np.random.default_rng(seed)
+    floors, caps = np.array(s.price_floors), np.array(s.price_caps)
+    alpha, beta = np.array(s.utility_weights), np.array(s.quality_factors)
+    kappa = np.array(s.margin_factors)
+    span = s.averaging_window
+
+    def execute(history: list, sample: np.ndarray) -> np.ndarray:
+        history.append(sample)
+        if not averaging:
+            return sample
+        return np.mean(np.array(history if span is None else history[-span:]), axis=0)
+
+    c = np.array(s.initial_prices)  # the prices in force
+    intended, node_gains = [c], []
+    demand_samples, price_samples, prices, demands = [], [], [], []
+    quiet_run = 0
+    for t in range(s.max_rounds):
+        u, v = (1.0 + rng.uniform(-rho, rho, size=s.num_nodes) for _ in range(2))
+        if not np.isfinite(c).all():
+            return ValueError("prices must be finite and >= price_floors")
+        sample = s.budget * alpha / (c * sum(s.utility_weights)) * u
+        r = np.maximum(execute(demand_samples, sample), DEMAND_FLOOR)
+        if not np.isfinite(r).all():
+            return ValueError("demands must be finite")
+        prices.append(c)
+        demands.append(r)
+        if t:
+            last = np.concatenate([prices[-1], demands[-1]])
+            prior = np.concatenate([prices[-2], demands[-2]])
+            change = np.abs(last - prior) / np.maximum(np.abs(prior), 1e-12)
+            quiet_run = quiet_run + 1 if change.max() < s.convergence_tol else 0
+        converged = t + 1 >= s.convergence_window and quiet_run >= s.convergence_window - 1
+        if converged or t + 1 == s.max_rounds:
+            break
+        node_gains.append(kappa * (intended[-1] - floors) * r)
+        if price_rule == "foc_root":
+            following = caps
+        elif t == 0:
+            following = np.clip(intended[-1] + s.step_size * floors, floors, caps)
+        else:
+            delta = intended[-1] - intended[-2]
+            moved = np.abs(delta) > 1e-12 * np.maximum(1.0, np.abs(intended[-1]))
+            rise = node_gains[-1] - node_gains[-2]
+            slope = np.where(moved, rise / np.where(moved, delta, 1.0), 0.0)
+            following = np.clip(intended[-1] + s.step_size * slope, floors, caps)
+        intended.append(following)
+        c = np.clip(execute(price_samples, following * v), floors, caps)
+
+    p, r = np.array(prices), np.array(demands)
+    return NegotiationTrace(
+        scenario=s,
+        price_rule=price_rule,
+        seed=seed,
+        prices=p,
+        demands=r,
+        gains=kappa * (p - floors) * r,
+        utilities=s.utility_scale * np.sum(alpha * np.log(r * beta), axis=-1)
+        - np.sum(p * r, axis=-1),
+        converged=converged,
+        convergence_round=len(prices) if converged else None,
+    )
+
+
 MIXED_CELLS = [
     (rho, averaging, seed)
     for rho in (0.0, 0.05, 0.1)
@@ -838,6 +917,99 @@ class TestStackedKernel:
                     assert isinstance(outcome, ValueError)
                     assert str(outcome) == "demands must be finite"
         assert {str(w.message) for w in caught} == {"overflow encountered in divide"}
+
+    def test_overflow_inside_a_frozen_block(self):
+        # Prices start at their caps, so the stack is frozen after round 1.
+        # Demands sit near the largest float / 28, so a cumulative cell's
+        # running demand sum overflows after about 20 rounds.  Cells (0.5,
+        # True, 5) and (0.5, True, 0) fail in rows 21 and 22, inside the
+        # block of rows 16-31.  The other cells run on beside them: they
+        # include averaged ones, whose running sums must be rewound to the
+        # failing row.
+        base = FogScenario(num_nodes=2, budget=1.26e307,
+                           price_floors=0.5, price_caps=1.0, initial_prices=1.0,
+                           max_rounds=27, convergence_tol=1e-3, convergence_window=40)
+        cells = [(0.0, True, 0), (0.1, False, 1), (0.5, True, 5), (0.5, True, 0),
+                 (0.5, True, 8)]
+        # max_rounds: the cells that fail, so rows 21 and 22 and no other
+        fails = {21: [], 22: [2], 23: [2, 3], 27: [2, 3]}
+        for rounds, failing in fails.items():
+            scn = dataclasses.replace(base, max_rounds=rounds)
+            with warnings.catch_warnings(record=True) as stacked:
+                warnings.simplefilter("always")
+                outcomes = _negotiate(scn, cells, "gradient_ascent")
+            with warnings.catch_warnings(record=True) as one_by_one:
+                warnings.simplefilter("always")
+                alone = [_alone(scn, cell, "gradient_ascent") for cell in cells]
+            messages = {str(w.message) for w in stacked}
+            assert messages == {str(w.message) for w in one_by_one}
+            assert messages == ({"overflow encountered in accumulate"} if failing else set())
+            with np.errstate(over="ignore"):
+                expected = [_oracle(scn, cell, "gradient_ascent") for cell in cells]
+            for p, (cell, a, b, c) in enumerate(zip(cells, outcomes, alone, expected)):
+                assert _same_outcome(a, b) and _same_outcome(a, c), (rounds, cell)
+                if p in failing:
+                    assert str(a) == "demands must be finite"
+                else:
+                    assert len(a.rounds) == rounds
+
+
+class TestKernelOracle:
+    """``_negotiate`` against a plain round-by-round reference, ``_oracle``."""
+
+    CELLS = [(0.0, False, 0), (0.0, True, 0), (0.05, True, 1), (0.1, False, 2),
+             (0.1, True, 3)]
+
+    @pytest.mark.parametrize("price_rule", ["gradient_ascent", "foc_root"])
+    @pytest.mark.parametrize("window", [None, 1, 5, 50])
+    @pytest.mark.parametrize("num_nodes", [1, 4])
+    def test_kernel_matches_the_oracle(self, num_nodes, window, price_rule, monkeypatch):
+        # A small step makes the prices climb slowly.  Alone, an averaged
+        # gradient cell's intended prices stop moving between rounds 78 and
+        # 122, inside the fourth block; the clean raw cell's still move
+        # when the run ends, and so the whole stack never freezes.
+        loop = dict(step_size=0.5, max_rounds=150, convergence_tol=1e-3,
+                    convergence_window=10, averaging_window=window)
+        scn = _one_node(**loop) if num_nodes == 1 else default_scenario(**loop)
+        steps = [0]  # gradient steps of the stacked run, then of each cell alone
+        step = _Market.gradient_step
+
+        def counted(self, *args):
+            steps[-1] += 1
+            return step(self, *args)
+
+        monkeypatch.setattr(_Market, "gradient_step", counted)
+        expected = [_oracle(scn, cell, price_rule) for cell in self.CELLS]
+        for cell, got, want in zip(self.CELLS, _negotiate(scn, self.CELLS, price_rule),
+                                   expected):
+            assert _same_outcome(got, want), ("stacked", cell)
+        for cell, want in zip(self.CELLS, expected):
+            steps.append(0)
+            (got,) = _negotiate(scn, [cell], price_rule)
+            assert _same_outcome(got, want), ("alone", cell)
+        if price_rule == "gradient_ascent":
+            # a batch of one steps its prices once a round until they freeze
+            frozen_after = [n + 1 for n in steps[1:]]
+            assert any(market._FIRST_BLOCK_ROUNDS < n < 140 for n in frozen_after)
+            assert max(frozen_after) == scn.max_rounds - 1
+        else:
+            assert steps == [0] * (1 + len(self.CELLS))
+
+    def test_overflow_matches_the_oracle(self):
+        # the raw noisy cells overflow in the first rounds; averaged cells
+        # with a window survive longer
+        scn = FogScenario(num_nodes=2, budget=1e300, price_floors=1e-10,
+                          price_caps=3.34e-9, initial_prices=3.34e-9, averaging_window=5,
+                          max_rounds=100, convergence_tol=1e-3, convergence_window=10)
+        cells = [(rho, averaging, seed) for rho in (0.0, 0.1) for averaging in (False, True)
+                 for seed in range(4)]
+        for rule in ("gradient_ascent", "foc_root"):
+            with np.errstate(over="ignore"):
+                outcomes = _negotiate(scn, cells, rule)
+                expected = [_oracle(scn, cell, rule) for cell in cells]
+            assert any(isinstance(o, ValueError) for o in outcomes)
+            for cell, got, want in zip(cells, outcomes, expected):
+                assert _same_outcome(got, want), (rule, cell)
 
 
 class TestNegotiationTrace:
