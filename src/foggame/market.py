@@ -391,7 +391,7 @@ def _negotiate(
         """Run frozen block rows i .. stop - 1 at once, row i's prices set.
         Returns the last row run: stop - 1, or the first row whose demand is
         not finite."""
-        before_rows = totals.copy()
+        sums_before = totals.copy()
         if stop > i + 1:
             next_prices(None, noise[i : stop - 1, 1], first + i, out=block[0, i + 1 : stop])
         demand_rows(i, stop)
@@ -400,7 +400,7 @@ def _negotiate(
             return stop - 1
         # the rows after that one never ran: run up to it again from the
         # running sums it started from
-        totals[:] = before_rows
+        totals[:] = sums_before
         return frozen_rows(i, i + int(bad.argmax()) + 1)
 
     def finished(j: int, parts: list[np.ndarray], row: int, converged: bool):

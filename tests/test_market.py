@@ -964,10 +964,11 @@ class TestKernelOracle:
     @pytest.mark.parametrize("window", [None, 1, 5, 50])
     @pytest.mark.parametrize("num_nodes", [1, 4])
     def test_kernel_matches_the_oracle(self, num_nodes, window, price_rule, monkeypatch):
-        # A small step makes the prices climb slowly.  Alone, an averaged
-        # gradient cell's intended prices stop moving between rounds 78 and
-        # 122, inside the fourth block; the clean raw cell's still move
-        # when the run ends, and so the whole stack never freezes.
+        # A small step makes the prices climb slowly.  Alone, the averaged
+        # gradient cells' intended prices stop moving after 16 to 129
+        # rounds, on a block edge or inside the second to fifth block; the
+        # clean raw cell's still move when the run ends, so the whole stack
+        # never freezes.
         loop = dict(step_size=0.5, max_rounds=150, convergence_tol=1e-3,
                     convergence_window=10, averaging_window=window)
         scn = _one_node(**loop) if num_nodes == 1 else default_scenario(**loop)
