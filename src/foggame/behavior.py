@@ -93,6 +93,8 @@ _STALL_LIMIT = 30
 
 
 Precision = Annotated[float, Range(ge=0)]
+Epsilon = Annotated[float, Range(ge=0, le=1)]
+LevelWeight = Annotated[float, Range(ge=0)]
 
 # Caps on the recursion depths.  On a 2-core Xeon a 3-player game with 5
 # actions each takes 2.5 s at max_level LEVEL_LIMIT (the cost grows with its
@@ -216,7 +218,6 @@ def _polish(game, start, best_residual, slices, lam) -> np.ndarray | None:
 
 Level0 = Union[tuple[MixedStrategy, ...], None]
 ResponseKind = Literal["exact_br", "qbr"]
-NoNashFallback = Literal["error", "uniform"]
 
 
 def _level0_profile(game: NormalFormGame, level0: Level0) -> list[np.ndarray]:
@@ -296,8 +297,8 @@ class EpsilonNash:
     ``no_nash_fallback``.
     """
 
-    epsilon: Annotated[float, Range(ge=0, le=1)]
-    no_nash_fallback: NoNashFallback = "error"
+    epsilon: Epsilon
+    no_nash_fallback: Literal["error", "uniform"] = "error"
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -342,7 +343,7 @@ class LevelK:
     opponents playing their level k-1 strategies.
     """
 
-    level_weights: Annotated[tuple[Annotated[float, Range(ge=0)], ...], SUMS_TO_ONE]
+    level_weights: Annotated[tuple[LevelWeight, ...], SUMS_TO_ONE]
     level0: Level0 = None
     response: ResponseKind = "exact_br"
     precision: Precision | None = None

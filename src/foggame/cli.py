@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Annotated, ClassVar, Literal, Sequence, get_args
 
-from .behavior import ModelBlock, _level0_profile, _model_from_block
+from .behavior import ModelBlock, Precision, _level0_profile, _model_from_block
 from .estimation import (
     PROB_FLOOR,
     Bounds,
@@ -134,11 +134,8 @@ class FitSpec:
         if not Path(self.dataset).exists():
             raise ConfigError(f"experiment.dataset: path {self.dataset!r} does not exist")
         family = _family_from_model_block(self.model)
-        if self.bounds is not None and len(self.bounds) != family.num_params:
-            raise ConfigError(
-                f"experiment.bounds: family {family.name!r} has "
-                f"{family.num_params} parameters, got {len(self.bounds)} bounds"
-            )
+        if self.bounds is not None:
+            family._read_bounds(self.bounds, "experiment.bounds")
         object.__setattr__(self, "family", family)
 
 
@@ -344,11 +341,10 @@ def run_fit(spec: FitSpec) -> int:
             f"{spec.folds} observations, dataset has {len(data)}"
         )
     bounds = spec.bounds if spec.bounds is not None else family.bounds
-    # Checked here, not in fit_mle, whose search scores a failed point as -inf.
     max_payoff = max(float(abs(game.payoffs).max()) for game in {obs.game for obs in data})
-    if "precision" in family.param_names:
-        top = bounds[family.param_names.index("precision")][1]
-        _check_precision(top, max_payoff, "experiment.bounds")
+    fitted = [high for (_, hint, _), (_, high) in zip(family.params, bounds) if hint is Precision]
+    if fitted:
+        _check_precision(fitted[0], max_payoff, "experiment.bounds")
     else:
         _check_precision(spec.model.params.get("precision"), max_payoff, "model.params.precision")
     result = fit_mle(family, data, bounds, spec.search)

@@ -3,11 +3,13 @@
 An observation is one discrete choice: a game, the player who moved, and the
 action they picked; a dataset is a plain sequence of observations (the
 loaders return a tuple).  A model family maps a parameter vector to a
-behavioral model; the log-likelihood of the vector sums the log predicted
+behavioral model and declares each parameter's range once, by the model
+field it sets; the log-likelihood of the vector sums the log predicted
 probability of each chosen action.  Fitting is derivative-free — a coarse
-grid over the parameter box followed by golden-section coordinate refinement,
-sized by a :class:`SearchOptions` — because the likelihood surfaces of
-mixture models are piecewise-smooth with plateaus where gradient methods stall.
+grid over a box read against those ranges, followed by golden-section
+coordinate refinement, sized by a :class:`SearchOptions` — because the
+likelihood surfaces of mixture models are piecewise-smooth with plateaus
+where gradient methods stall.
 
 Predicted probabilities are floored at ``PROB_FLOOR`` before the log so a
 single zero-probability observation (possible under degenerate models such
@@ -28,17 +30,18 @@ import numpy as np
 
 from . import behavior
 from .behavior import (
+    Epsilon,
     EpsilonNash,
     FixedPointError,
     LevelK,
+    LevelWeight,
     LogitQBR,
-    NoNashFallback,
     Precision,
     ResponseKind,
     _check_response,
 )
 from .games import NormalFormGame
-from .schema import Finite, Items, Range, as_int, check_fields, read_value
+from .schema import ConfigError, Finite, Items, Range, as_int, check_fields, read_value
 
 __all__ = [
     "FitResult", "ModelFamily", "Observation", "cross_validate", "epsilon_nash_family",
@@ -47,10 +50,6 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-12
-
-# Default search ranges of the family parameters.
-_PRECISION_BOUNDS = (0.0, 10.0)
-_UNIT_BOUNDS = (0.0, 1.0)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -125,27 +124,56 @@ def load_observations(path: str | Path) -> tuple[Observation, ...]:
     return tuple(observations)
 
 
+Bounds = tuple[Annotated[tuple[Finite, Finite], Items(ordered=True)], ...]
+
+
 @dataclass(frozen=True)
 class ModelFamily:
     """A named, parameterized slice of model space.
 
-    ``build`` maps a parameter vector to a behavioral model and raises
-    ``ValueError`` for invalid parameters.  ``bounds`` is the default search
-    box, one ``(low, high)`` pair per parameter.  ``simplex_groups`` lists
-    index groups (e.g. mixture weights) that are normalized to sum to one
-    inside ``build``, which makes the likelihood scale-invariant within each
-    group.
+    ``params`` declares each parameter once, as ``(name, type, default)``: the
+    annotated type of the model field it sets, whose ``Range`` is its rule,
+    and its ``(low, high)`` in the default search box ``bounds``.  ``build``
+    maps a parameter vector to a behavioral model.  ``simplex_groups`` lists
+    index groups (mixture weights) that ``build`` normalizes to sum to one, so
+    the likelihood is scale-invariant within each; a group of zeros is no model.
     """
 
     name: str
-    param_names: tuple[str, ...]
+    params: tuple[tuple[str, object, tuple[float, float]], ...]
     build: Callable[[tuple[float, ...]], object]
-    bounds: tuple[tuple[float, float], ...]
     simplex_groups: tuple[tuple[int, ...], ...] = ()
 
     @property
+    def param_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _, _ in self.params)
+
+    @property
+    def bounds(self) -> tuple[tuple[float, float], ...]:
+        return tuple(default for _, _, default in self.params)
+
+    @property
     def num_params(self) -> int:
-        return len(self.param_names)
+        return len(self.params)
+
+    def _read_bounds(self, bounds: Bounds, key: str) -> Bounds:
+        """``bounds`` as a box of this family: an ordered pair per parameter, read by its
+        type under ``<key>.<name>``, and no simplex group whose highs are all 0."""
+        box = read_value(bounds, Bounds, key)
+        if len(box) != self.num_params:
+            raise ConfigError(f"{key}: family {self.name!r} has {self.num_params} "
+                              f"parameters, got {len(box)} bounds")
+        for (name, hint, _), pair in zip(self.params, box):
+            read_value(pair, tuple[hint, hint], f"{key}.{name}")
+        for group in self.simplex_groups:
+            if not any(box[i][1] for i in group):
+                names = [self.params[i][0] for i in group]
+                raise ConfigError(f"{key}.{names[0]}: the highs of {', '.join(names)} "
+                                  "must not all be 0")
+        return box
+
+
+_FITTED_PRECISION = ("precision", Precision, (0.0, 10.0))
 
 
 def qbr_family() -> ModelFamily:
@@ -154,10 +182,10 @@ def qbr_family() -> ModelFamily:
     def build(theta: tuple[float, ...]) -> LogitQBR:
         return LogitQBR(precision=theta[0])
 
-    return ModelFamily("logit_qbr", ("precision",), build, bounds=(_PRECISION_BOUNDS,))
+    return ModelFamily("logit_qbr", (_FITTED_PRECISION,), build)
 
 
-def epsilon_nash_family(no_nash_fallback: NoNashFallback = "uniform") -> ModelFamily:
+def epsilon_nash_family() -> ModelFamily:
     """Nash-with-trembles family; one error-rate parameter.
 
     The uniform fallback keeps the likelihood defined on games without a
@@ -166,9 +194,9 @@ def epsilon_nash_family(no_nash_fallback: NoNashFallback = "uniform") -> ModelFa
     """
 
     def build(theta: tuple[float, ...]) -> EpsilonNash:
-        return EpsilonNash(epsilon=theta[0], no_nash_fallback=no_nash_fallback)
+        return EpsilonNash(epsilon=theta[0], no_nash_fallback="uniform")
 
-    return ModelFamily("epsilon_nash", ("epsilon",), build, bounds=(_UNIT_BOUNDS,))
+    return ModelFamily("epsilon_nash", (("epsilon", Epsilon, (0.0, 1.0)),), build)
 
 
 # The cap on level_k_family's num_levels.  The fit grid has grid_points **
@@ -196,16 +224,12 @@ def level_k_family(
     fit_precision = response == "qbr" and precision is None
     if not fit_precision:
         _check_response(response, precision)
-    names = tuple(f"weight_{k}" for k in range(num_levels))
-    bounds = (_UNIT_BOUNDS,) * num_levels
+    params = tuple((f"weight_{k}", LevelWeight, (0.0, 1.0)) for k in range(num_levels))
     if fit_precision:
-        names = names + ("precision",)
-        bounds = bounds + (_PRECISION_BOUNDS,)
+        params += (_FITTED_PRECISION,)
 
     def build(theta: tuple[float, ...]) -> LevelK:
         weights = np.asarray(theta[:num_levels], dtype=float)
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise ValueError("level weights must be finite and nonnegative")
         total = float(weights.sum())
         if total <= 0:
             raise ValueError("level weights must not all be zero")
@@ -216,13 +240,7 @@ def level_k_family(
             precision=theta[num_levels] if fit_precision else precision,
         )
 
-    return ModelFamily(
-        name=f"level_k_{num_levels}",
-        param_names=names,
-        build=build,
-        bounds=bounds,
-        simplex_groups=(tuple(range(num_levels)),),
-    )
+    return ModelFamily(f"level_k_{num_levels}", params, build, (tuple(range(num_levels)),))
 
 
 def log_likelihood(
@@ -292,15 +310,13 @@ class SearchOptions:
         check_fields(self)
 
 
-Bounds = tuple[Annotated[tuple[Finite, Finite], Items(ordered=True)], ...]
-
-
 class _Tracker:
-    """Counts objective evaluations, computes each distinct θ once, and
-    remembers the best point ever seen."""
+    """Counts objective evaluations, computes each distinct θ once (−∞, with no
+    model, if a simplex group sums to 0), and remembers the best point ever seen."""
 
-    def __init__(self, objective: Callable[[Sequence[float]], float]):
+    def __init__(self, objective: Callable[[Sequence[float]], float], groups: tuple):
         self.objective = objective
+        self.groups = groups
         self.evaluations = 0
         self.values: dict[tuple[float, ...], float] = {}
         self.best_theta: tuple[float, ...] | None = None
@@ -311,13 +327,8 @@ class _Tracker:
         key = tuple(float(x) for x in theta)
         value = self.values.get(key)
         if value is None:
-            try:
-                value = self.objective(key)
-            except ValueError:
-                # Box-gridding a simplex produces infeasible corners (all-zero
-                # weights); score them as hopeless instead of aborting the fit.
-                value = -math.inf
-            self.values[key] = value
+            empty = any(sum(key[i] for i in group) == 0 for group in self.groups)
+            value = self.values[key] = -math.inf if empty else self.objective(key)
         if value > self.best_value:
             self.best_value = value
             self.best_theta = key
@@ -363,6 +374,9 @@ def fit_mle(
 ) -> FitResult:
     """Maximize the dataset log-likelihood over the family's parameter box.
 
+    ``bounds`` is read before any evaluation, each end by its parameter's
+    type (``bounds.precision: must be >= 0, got -5.0``).  A point whose
+    simplex group sums to 0 scores −∞; any other model error is raised.
     Stage one evaluates a full Cartesian grid (``search.grid_points`` per
     axis); stage two runs two cycles of per-coordinate golden-section
     refinement (``search.refine_iters`` shrink steps each) inside the grid
@@ -373,23 +387,16 @@ def fit_mle(
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    box = read_value(bounds, Bounds, "bounds")
-    if len(box) != family.num_params:
-        raise ValueError(f"expected {family.num_params} bounds, got {len(box)}")
-
-    evaluate = _Tracker(lambda theta: log_likelihood(family, theta, data))
+    box = family._read_bounds(bounds, "bounds")
+    evaluate = _Tracker(lambda theta: log_likelihood(family, theta, data), family.simplex_groups)
 
     axes = [np.linspace(lo, hi, search.grid_points) for lo, hi in box]
     for point in product(*axes):
         evaluate(point)
-    if evaluate.best_theta is None:
-        raise ValueError("no feasible parameter vector on the search grid")
 
     theta = list(evaluate.best_theta)
     cells = [(hi - lo) / (search.grid_points - 1) for lo, hi in box]
-    in_group = {
-        i: group for group in family.simplex_groups for i in group
-    }
+    in_group = {i: group for group in family.simplex_groups for i in group}
     if search.refine_iters > 0:
         for _cycle in range(2):
             for i in range(family.num_params):
@@ -407,22 +414,18 @@ def fit_mle(
                 if math.isfinite(v_best) and v_best >= evaluate.best_value:
                     theta[i] = x_best
                 group = in_group.get(i)
-                if group is not None:
+                if group is not None:  # theta's groups never sum to 0: such points score -inf
                     total = sum(theta[j] for j in group)
-                    if total > 0:
-                        scaled = {j: theta[j] / total for j in group}
-                        if all(
-                            box[j][0] <= scaled[j] <= box[j][1] for j in group
-                        ):
-                            for j in group:
-                                theta[j] = scaled[j]
+                    scaled = {j: theta[j] / total for j in group}
+                    if all(box[j][0] <= scaled[j] <= box[j][1] for j in group):
+                        for j in group:
+                            theta[j] = scaled[j]
 
     best_theta = list(evaluate.best_theta)
     for group in family.simplex_groups:
         total = sum(best_theta[j] for j in group)
-        if total > 0:
-            for j in group:
-                best_theta[j] /= total
+        for j in group:
+            best_theta[j] /= total
     return FitResult(
         params=tuple(best_theta),
         log_likelihood=evaluate.best_value,

@@ -862,6 +862,31 @@ class TestFit:
         assert "experiment.dataset: malformed observation lines: 2 " in capsys.readouterr().err
 
 
+# Fit configs no model can take: (model block, experiment.bounds or None,
+# message).  A bound is read by the type of the model field its parameter
+# sets, and an epsilon_nash fit always falls back to uniform play.
+BAD_FIT_SPACES = [
+    ({"model": "logit_qbr"}, [[-5.0, -1.0]],
+     "experiment.bounds.precision: must be >= 0, got -5.0"),
+    ({"model": "epsilon_nash", "params": {"no_nash_fallback": "error"}}, None,
+     "model.params.no_nash_fallback: unknown key"),
+    ({"model": "level_k", "params": {"num_levels": 1}}, [[0.0, 0.0]],
+     "experiment.bounds.weight_0: the highs of weight_0 must not all be 0"),
+    ({"model": "logit_qbr"}, [[-1.0, 10.0]],
+     "experiment.bounds.precision: must be >= 0, got -1.0"),
+    ({"model": "epsilon_nash"}, [[0.0, 2.0]],
+     "experiment.bounds.epsilon: must be <= 1, got 2.0"),
+    ({"model": "level_k", "params": {"num_levels": 2}}, [[0.0, 1.0], [-1.0, 1.0]],
+     "experiment.bounds.weight_1: must be >= 0, got -1.0"),
+    ({"model": "level_k", "params": {"num_levels": 2, "response": "qbr"}},
+     [[0.0, 1.0], [0.0, 1.0], [-1.0, 3.0]],
+     "experiment.bounds.precision: must be >= 0, got -1.0"),
+]
+BAD_FIT_SPACE_IDS = ["qbr-negative", "epsilon-error-fallback", "level_k-zero-highs",
+                     "qbr-below-0", "epsilon-above-1", "level_k-negative-weight",
+                     "level_k-negative-precision"]
+
+
 class TestFitConfigValues:
     """A bad fit-mode value exits 2 and names its key before any fitting."""
 
@@ -939,6 +964,16 @@ class TestFitConfigValues:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model, bounds, message", BAD_FIT_SPACES, ids=BAD_FIT_SPACE_IDS)
+    def test_space_no_model_takes_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, observation_file, model, bounds, message):
+        monkeypatch.setattr(estimation, "log_likelihood", _never("the likelihood"))
+        experiment = {} if bounds is None else {"bounds": bounds}
+        started = time.perf_counter()
+        self._rejected(tmp_path, capsys, observation_file, model, f"error: {message}\n",
+                       **experiment)
+        assert time.perf_counter() - started < 1.0
+
     @pytest.mark.parametrize("key", ["grid_points", "refine_iters"])
     def test_search_beyond_its_cap_exits_2_before_fitting(
             self, tmp_path, capsys, monkeypatch, observation_file, key):
@@ -962,8 +997,7 @@ BAD_MODEL_PARAMS = {
                   {"model": "level_k", "params": {"num_levels": 2, "response": "qbr"}}),
     "response": ("bogus", {"model": "level_k", "params": {"level_weights": [1.0]}},
                  {"model": "level_k", "params": {"num_levels": 2}}),
-    "no_nash_fallback": (7, {"model": "epsilon_nash", "params": {"epsilon": 0.1}},
-                         {"model": "epsilon_nash", "params": {}}),
+    "no_nash_fallback": (7, {"model": "epsilon_nash", "params": {"epsilon": 0.1}}, None),
 }
 
 
@@ -1039,14 +1073,17 @@ class TestWorkCaps:
      "model.params.levels: unknown key"),
     ("fit", {"model": "level_k", "params": {"num_levels": 2}}, [[0.0, 1.0]],
      "experiment.bounds: family 'level_k_2' has 2 parameters, got 1 bounds"),
-])
-def test_dump_checks_the_model_block(tmp_path, capsys, mode, model, bounds, message):
+] + [("fit", *space) for space in BAD_FIT_SPACES])
+def test_dump_checks_the_model_block(tmp_path, capsys, monkeypatch, mode, model, bounds, message):
+    monkeypatch.setattr(estimation, "log_likelihood", _never("the likelihood"))
     experiment = ({"game": str(REPO / "data" / "example_game.json")} if mode == "predict"
                   else {"dataset": str(REPO / "data" / "qbr_lambda2.jsonl")})
     if bounds is not None:
         experiment["bounds"] = bounds
     config = {"model": model, "experiment": {"mode": mode, **experiment}}
+    started = time.perf_counter()
     assert main([mode, write_config(tmp_path, config), "--dump-resolved-config"]) == 2
+    assert time.perf_counter() - started < 1.0
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

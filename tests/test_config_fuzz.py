@@ -1,9 +1,10 @@
 """Generated bad configs through ``cli.main``, in one process.
 
 Each example takes one shipped config (``configs/predict_levelk.json``,
-``configs/simulate_default.json`` or ``configs/fit_qbr.json``), or the
+``configs/simulate_default.json`` or ``configs/fit_qbr.json``), the
 resolved form of the simulate config, which spells out every scenario
-field, and makes one change: one value becomes a wrong JSON type, a boolean
+field, or the fit config turned into a one-level ``level_k`` fit, whose
+weight is a simplex group, and makes one change: one value becomes a wrong JSON type, a boolean
 or a string, NaN or ±inf, a negative, zero or non-integral number, an empty
 or one-element list, an empty object, or a number scaled by 10, 1/10 or -1;
 or one key is dropped; or an unknown key is added to one object.  The run
@@ -73,9 +74,13 @@ def bases(tmp_path_factory) -> dict[str, dict]:
     fit = _shipped("fit_qbr.json")
     fit["experiment"]["dataset"] = str(dataset)
     fit["experiment"]["search"] = {"grid_points": 3, "refine_iters": 2}
+    fit_level_k = copy.deepcopy(fit)
+    fit_level_k["model"] = {"model": "level_k", "params": {"num_levels": 1}}
+    fit_level_k["experiment"]["bounds"] = [[0.0, 1.0]]
     return {
         "predict": predict,
         "fit": fit,
+        "fit_level_k": fit_level_k,
         "simulate": _shipped("simulate_default.json"),
         "simulate_resolved": resolved_config(
             parse_config(REPO / "configs" / "simulate_default.json")),

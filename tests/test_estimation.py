@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from foggame import behavior
-from foggame.behavior import EpsilonNash, FixedPointError, LevelK, LogitQBR
+from foggame import behavior, estimation
+from foggame.behavior import EpsilonNash, FixedPointError, LevelK, LogitQBR, NoEquilibriumError
 from foggame.cli import main
 from foggame.estimation import (
     PROB_FLOOR,
@@ -519,6 +521,42 @@ class TestFitMle:
         data = (Observation(pennies_game, 0, 0),)
         with pytest.raises(ValueError):
             fit_mle(qbr_family(), data, bounds=[(0.0, 1.0), (0.0, 1.0)])
+
+    @pytest.mark.parametrize("family, bounds, message", [
+        (qbr_family(), [(-5.0, -1.0)], "bounds.precision: must be >= 0, got -5.0"),
+        (qbr_family(), [(-1.0, 10.0)], "bounds.precision: must be >= 0, got -1.0"),
+        (epsilon_nash_family(), [(0.0, 2.0)], "bounds.epsilon: must be <= 1, got 2.0"),
+        (level_k_family(1), [(0.0, 0.0)],
+         "bounds.weight_0: the highs of weight_0 must not all be 0"),
+        (level_k_family(2), [(0.0, 1.0), (-1.0, 1.0)], "bounds.weight_1: must be >= 0, got -1.0"),
+        (level_k_family(2, response="qbr"), [(0.0, 1.0), (0.0, 1.0), (-1.0, 3.0)],
+         "bounds.precision: must be >= 0, got -1.0"),
+    ], ids=["qbr-negative", "qbr-below-0", "epsilon-above-1", "level_k-zero-highs",
+            "level_k-negative-weight", "level_k-negative-precision"])
+    def test_box_outside_the_declared_ranges_refused_before_any_evaluation(
+            self, monkeypatch, pennies_game, family, bounds, message):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("the fit evaluated the likelihood")
+
+        monkeypatch.setattr(estimation, "log_likelihood", evaluated)
+        data = tuple(Observation(pennies_game, 0, a) for a in (0, 1, 0, 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_mle(family, data, bounds)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cross_validate(family, data, 2, bounds)
+
+    def test_model_error_at_a_grid_point_is_raised(self, pd_game, pennies_game):
+        # At epsilon 0.5 the model has no uniform fallback, and pennies_game
+        # has no pure Nash profile: that grid point raises, and so does the fit.
+        family = epsilon_nash_family()
+
+        def build(theta):
+            return EpsilonNash(theta[0]) if theta[0] == 0.5 else family.build(theta)
+
+        data = (Observation(pd_game, 0, 1), Observation(pennies_game, 0, 0))
+        with pytest.raises(NoEquilibriumError, match="no pure Nash equilibrium"):
+            fit_mle(dataclasses.replace(family, build=build), data, [(0.0, 1.0)],
+                    SearchOptions(grid_points=3, refine_iters=0))
 
     @pytest.mark.parametrize(
         "search, bounds",
