@@ -158,18 +158,18 @@ class ModelFamily:
 
     def _read_bounds(self, bounds: Bounds, key: str) -> Bounds:
         """``bounds`` as a box of this family: an ordered pair per parameter, read by its
-        type under ``<key>.<name>``, and no simplex group whose highs are all 0."""
+        type under ``<key>.<name>``, and each simplex group's highs with a finite sum > 0."""
         box = read_value(bounds, Bounds, key)
         if len(box) != self.num_params:
             raise ConfigError(f"{key}: family {self.name!r} has {self.num_params} "
                               f"parameters, got {len(box)} bounds")
         for (name, hint, _), pair in zip(self.params, box):
             read_value(pair, tuple[hint, hint], f"{key}.{name}")
-        for group in self.simplex_groups:
-            if not any(box[i][1] for i in group):
-                names = [self.params[i][0] for i in group]
-                raise ConfigError(f"{key}.{names[0]}: the highs of {', '.join(names)} "
-                                  "must not all be 0")
+        for group in self.simplex_groups:  # build divides by the group's sum
+            names, total = [self.params[i][0] for i in group], sum(box[i][1] for i in group)
+            if not 0 < total < math.inf:
+                raise ConfigError(f"{key}.{names[0]}: the highs of {', '.join(names)} must "
+                                  f"have a positive finite sum, got {total!r}")
         return box
 
 

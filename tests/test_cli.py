@@ -871,7 +871,8 @@ BAD_FIT_SPACES = [
     ({"model": "epsilon_nash", "params": {"no_nash_fallback": "error"}}, None,
      "model.params.no_nash_fallback: unknown key"),
     ({"model": "level_k", "params": {"num_levels": 1}}, [[0.0, 0.0]],
-     "experiment.bounds.weight_0: the highs of weight_0 must not all be 0"),
+     "experiment.bounds.weight_0: the highs of weight_0 must have a positive finite sum, "
+     "got 0.0"),
     ({"model": "logit_qbr"}, [[-1.0, 10.0]],
      "experiment.bounds.precision: must be >= 0, got -1.0"),
     ({"model": "epsilon_nash"}, [[0.0, 2.0]],
@@ -881,10 +882,13 @@ BAD_FIT_SPACES = [
     ({"model": "level_k", "params": {"num_levels": 2, "response": "qbr"}},
      [[0.0, 1.0], [0.0, 1.0], [-1.0, 3.0]],
      "experiment.bounds.precision: must be >= 0, got -1.0"),
+    ({"model": "level_k", "params": {"num_levels": 2}}, [[0.0, 1e308], [0.0, 1e308]],
+     "experiment.bounds.weight_0: the highs of weight_0, weight_1 must have a positive "
+     "finite sum, got inf"),
 ]
 BAD_FIT_SPACE_IDS = ["qbr-negative", "epsilon-error-fallback", "level_k-zero-highs",
                      "qbr-below-0", "epsilon-above-1", "level_k-negative-weight",
-                     "level_k-negative-precision"]
+                     "level_k-negative-precision", "level_k-highs-overflow"]
 
 
 class TestFitConfigValues:

@@ -527,12 +527,15 @@ class TestFitMle:
         (qbr_family(), [(-1.0, 10.0)], "bounds.precision: must be >= 0, got -1.0"),
         (epsilon_nash_family(), [(0.0, 2.0)], "bounds.epsilon: must be <= 1, got 2.0"),
         (level_k_family(1), [(0.0, 0.0)],
-         "bounds.weight_0: the highs of weight_0 must not all be 0"),
+         "bounds.weight_0: the highs of weight_0 must have a positive finite sum, got 0.0"),
+        (level_k_family(2), [(0.0, 1e308), (0.0, 1e308)],
+         "bounds.weight_0: the highs of weight_0, weight_1 must have a positive finite sum, "
+         "got inf"),
         (level_k_family(2), [(0.0, 1.0), (-1.0, 1.0)], "bounds.weight_1: must be >= 0, got -1.0"),
         (level_k_family(2, response="qbr"), [(0.0, 1.0), (0.0, 1.0), (-1.0, 3.0)],
          "bounds.precision: must be >= 0, got -1.0"),
     ], ids=["qbr-negative", "qbr-below-0", "epsilon-above-1", "level_k-zero-highs",
-            "level_k-negative-weight", "level_k-negative-precision"])
+            "level_k-highs-overflow", "level_k-negative-weight", "level_k-negative-precision"])
     def test_box_outside_the_declared_ranges_refused_before_any_evaluation(
             self, monkeypatch, pennies_game, family, bounds, message):
         def evaluated(*args, **kwargs):
