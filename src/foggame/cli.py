@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -134,8 +135,9 @@ class FitSpec:
         if not Path(self.dataset).exists():
             raise ConfigError(f"experiment.dataset: path {self.dataset!r} does not exist")
         family = _family_from_model_block(self.model)
-        if self.bounds is not None:
-            family._read_bounds(self.bounds, "experiment.bounds")
+        if self.bounds is not None:  # level_k's levels set its size, another family's tag
+            sized_by = "params.num_levels" if "num_levels" in self.model.params else "model"
+            family._read_bounds(self.bounds, "experiment.bounds", f"model.{sized_by}")
         object.__setattr__(self, "family", family)
 
 
@@ -274,55 +276,50 @@ def _check_precision(precision: float | None, max_payoff: float, key: str) -> No
 
 
 def run_simulate(spec: SimulateSpec) -> int:
-    """Run every (noise, averaging, seed) cell together; write traces +
-    summary.  A cell that fails is recorded in the manifest and the rest
-    still run."""
+    """Run every (noise, averaging, seed) cell in one pass: as the kernel
+    ends a cell, write its trace and manifest entry and hand the trace to
+    the summary.  A failed cell is recorded in the manifest and the rest
+    still run; a kernel fault fails the cells that had not yet ended."""
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(out / "resolved_config.json", _json_text(resolved_config(spec)))
 
-    cells = sorted({
-        (rho, averaging, seed)
-        for rho in spec.noise_sweep
-        for averaging in spec.averaging_sweep
-        for seed in spec.seeds
-    })
-    try:
-        outcomes = _negotiate(spec.scenario, cells, spec.price_rule)
-    except Exception as exc:  # noqa: BLE001 — the fault of every cell
-        outcomes = [exc] * len(cells)
-    manifest_cells = []
-    traces: list[NegotiationTrace] = []
-    for (rho, averaging, seed), outcome in zip(cells, outcomes):
-        entry = {"noise_level": rho, "averaging": averaging, "seed": seed}
-        name = f"trace_{rho}_{str(averaging).lower()}_{seed}.csv"
-        error = outcome if isinstance(outcome, Exception) else None
-        if error is None:
-            try:
-                _atomic_write_trace(outcome, out / name)
-            except Exception as exc:  # noqa: BLE001 — keep going, record fault
-                error = exc
-        if error is not None:
-            entry.update(status="failed", error=str(error))
-        else:
-            traces.append(outcome)
-            entry.update(
-                status="ok",
-                file=name,
-                rounds=len(outcome.rounds),
-                converged=outcome.converged,
-                convergence_round=outcome.convergence_round,
-            )
-        manifest_cells.append(entry)
-    failures = len(manifest_cells) - len(traces)
+    cells = sorted(set(itertools.product(spec.noise_sweep, spec.averaging_sweep, spec.seeds)))
+    entries = [{"noise_level": rho, "averaging": averaging, "seed": seed}
+               for rho, averaging, seed in cells]
 
-    if traces:
-        summary = {"configs": as_json(compute_metrics(traces))}
+    def written():
+        """The trace of each cell that ends well, once it is on disk."""
+        try:
+            for j, outcome in _negotiate(spec.scenario, cells, spec.price_rule):
+                rho, averaging, seed = cells[j]
+                name = f"trace_{rho}_{str(averaging).lower()}_{seed}.csv"
+                try:
+                    if isinstance(outcome, Exception):
+                        raise outcome
+                    _atomic_write_trace(outcome, out / name)
+                except Exception as exc:  # noqa: BLE001 — keep going, record fault
+                    entries[j].update(status="failed", error=str(exc))
+                    continue
+                entries[j].update(status="ok", file=name, rounds=len(outcome.rounds),
+                                  converged=outcome.converged,
+                                  convergence_round=outcome.convergence_round)
+                yield outcome
+        except Exception as exc:  # noqa: BLE001 — the fault of every cell still running
+            for entry in entries:
+                if "status" not in entry:
+                    entry.update(status="failed", error=str(exc))
+
+    try:
+        summary = {"configs": as_json(compute_metrics(written()))}
+    except ValueError:  # with no cell ok, compute_metrics got no trace
+        if any(entry.get("status") == "ok" for entry in entries):
+            raise
+    else:
         _atomic_write_text(out / "summary.json", _json_text(summary))
-    _atomic_write_text(
-        out / "manifest.json",
-        _json_text({"cells": manifest_cells, "num_failed": failures}),
-    )
+    failures = sum(entry["status"] == "failed" for entry in entries)
+    manifest = {"cells": entries, "num_failed": failures}
+    _atomic_write_text(out / "manifest.json", _json_text(manifest))
     return 0 if failures == 0 else 3
 
 

@@ -156,13 +156,15 @@ class ModelFamily:
     def num_params(self) -> int:
         return len(self.params)
 
-    def _read_bounds(self, bounds: Bounds, key: str) -> Bounds:
+    def _read_bounds(self, bounds: Bounds, key: str, sized_by: str | None = None) -> Bounds:
         """``bounds`` as a box of this family: an ordered pair per parameter, read by its
-        type under ``<key>.<name>``, and each simplex group's highs with a finite sum > 0."""
+        type under ``<key>.<name>``, and each simplex group's highs with a finite sum > 0.
+        ``sized_by``, if given, is the key that set the number of parameters."""
         box = read_value(bounds, Bounds, key)
         if len(box) != self.num_params:
+            source = f" (set by {sized_by})" if sized_by else ""
             raise ConfigError(f"{key}: family {self.name!r} has {self.num_params} "
-                              f"parameters, got {len(box)} bounds")
+                              f"parameters{source}, got {len(box)} bounds")
         for (name, hint, _), pair in zip(self.params, box):
             read_value(pair, tuple[hint, hint], f"{key}.{name}")
         for group in self.simplex_groups:  # build divides by the group's sum

@@ -33,7 +33,7 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
-from typing import Annotated, Iterable, Literal, Sequence, get_args
+from typing import Annotated, Iterable, Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -295,7 +295,7 @@ def _negotiate(
     scenario: FogScenario,
     cells: Sequence[tuple[float, bool, int]],
     price_rule: PriceRule,
-) -> list[NegotiationTrace | ValueError]:
+) -> Iterator[tuple[int, NegotiationTrace | ValueError]]:
     """Run the (noise_level, averaging, seed) cells of one scenario together.
 
     The live cells advance on one stacked (actor x cells x nodes) state, and
@@ -319,8 +319,9 @@ def _negotiate(
     finite or at its first converged row, whichever comes first, and leaves
     the stack with its own rows.  So a cell runs at most one block past its
     convergence and not one round past an overflow, and memory follows the
-    rounds actually run.  Returns, per cell, its trace or the ``ValueError``
-    that ended it.
+    rounds actually run.  As each cell ends, yields its index in ``cells``
+    and its trace or the ``ValueError`` that ended it; the caller may drop
+    the trace before the next cell ends.
     """
     if price_rule not in PRICE_RULES:
         raise ValueError(f"unknown price rule {price_rule!r}")
@@ -403,8 +404,9 @@ def _negotiate(
         totals[:] = sums_before
         return frozen_rows(i, i + int(bad.argmax()) + 1)
 
-    def finished(j: int, parts: list[np.ndarray], row: int, converged: bool):
-        state = np.concatenate(parts, axis=1)  # the cell's own (2 x rows x nodes)
+    def finished(j: int, last: np.ndarray, row: int, converged: bool):
+        state = np.concatenate(records[j] + [last], axis=1)  # its own (2 x rows x nodes)
+        records[j] = []
         state.flags.writeable = False
         prices, demands = state
         return NegotiationTrace(
@@ -421,7 +423,6 @@ def _negotiate(
 
     live = np.arange(n)  # the cells still running, in stacking order
     records: list[list[np.ndarray]] = [[] for _ in cells]  # their settled rows
-    outcomes: list[NegotiationTrace | ValueError | None] = [None] * n
     upcoming = np.tile(np.asarray(scenario.initial_prices), (n, 1))
     # The node-side pre-noise adaptation state.  foc_root: under r(c) =
     # B w / (c W) the gain's slope r (1 - kappa (c - f) / c) >= r f / c > 0,
@@ -483,22 +484,18 @@ def _negotiate(
         ending[-1] |= failed | (t + 1 == rounds)
         ended = ending.any(axis=0)
         for p in np.flatnonzero(ended):
-            j, row = live[p], int(ending[:, p].argmax())
+            j, row = int(live[p]), int(ending[:, p].argmax())
             if row == i and failed[p]:
+                records[j] = []
                 # a price that is not finite makes its demand not finite too
-                outcomes[j] = ValueError(
-                    "demands must be finite"
-                    if np.isfinite(c[p]).all()
-                    else "prices must be finite and >= price_floors"
-                )
+                yield j, ValueError("demands must be finite" if np.isfinite(c[p]).all()
+                                    else "prices must be finite and >= price_floors")
             else:
-                parts = records[j] + [values[:, : row + 1, p]]
-                outcomes[j] = finished(j, parts, first + row, bool(converged[row, p]))
-            records[j] = []
+                yield j, finished(j, values[:, : row + 1, p], first + row, bool(converged[row, p]))
 
         keep = np.flatnonzero(~ended)
         if not keep.size:
-            return outcomes
+            return
         for p in keep:
             records[live[p]].append(values[:, :, p].copy())
         before, moved = values[:, -1], moved_rows[-1]
@@ -540,7 +537,7 @@ def run_negotiation(
     ``(scenario, price_rule, seed)``.
     """
     cell = (scenario.noise_level, scenario.averaging, seed)
-    (outcome,) = _negotiate(scenario, [cell], price_rule)
+    ((_, outcome),) = _negotiate(scenario, [cell], price_rule)
     if isinstance(outcome, ValueError):
         raise outcome
     return outcome
@@ -569,35 +566,33 @@ def instability_index(trace: NegotiationTrace) -> float:
 
 def compute_metrics(traces: Iterable[NegotiationTrace]) -> tuple[ConfigMetrics, ...]:
     """Group traces by (noise_level, averaging) and aggregate final behavior,
-    one :class:`ConfigMetrics` per group in sorted order."""
-    batch = list(traces)
-    if not batch:
+    one :class:`ConfigMetrics` per group in sorted order.  Each trace is read
+    once, as it arrives, down to the five numbers aggregated; ``fmean`` sums
+    exactly, so the order of the traces changes no bit."""
+    groups: dict[tuple[float, bool], list[tuple]] = {}
+    for t in traces:
+        key = (t.scenario.noise_level, t.scenario.averaging)
+        groups.setdefault(key, []).append((
+            t.converged, t.convergence_round, float(t.utilities[-1]),
+            sum(t.gains[-1].tolist()), instability_index(t),
+        ))
+    if not groups:
         raise ValueError("compute_metrics needs at least one trace")
-    groups: dict[tuple[float, bool], list[NegotiationTrace]] = {}
-    for trace in batch:
-        key = (trace.scenario.noise_level, trace.scenario.averaging)
-        groups.setdefault(key, []).append(trace)
 
     configs = []
-    for (rho, averaging) in sorted(groups, key=lambda k: (k[0], k[1])):
-        members = groups[(rho, averaging)]
-        rounds_converged = [t.convergence_round for t in members if t.converged]
+    for (rho, averaging) in sorted(groups):
+        converged, rounds, utilities, gains, instability = zip(*groups[(rho, averaging)])
+        rounds_converged = [r for c, r in zip(converged, rounds) if c]
         configs.append(
             ConfigMetrics(
                 noise_level=rho,
                 averaging=averaging,
-                num_traces=len(members),
-                convergence_rate=sum(t.converged for t in members) / len(members),
-                mean_convergence_round=(
-                    fmean(rounds_converged) if rounds_converged else None
-                ),
-                mean_final_user_utility=fmean(
-                    float(t.utilities[-1]) for t in members
-                ),
-                mean_final_fog_gain_total=fmean(
-                    sum(t.gains[-1].tolist()) for t in members
-                ),
-                mean_instability_index=fmean(instability_index(t) for t in members),
+                num_traces=len(converged),
+                convergence_rate=sum(converged) / len(converged),
+                mean_convergence_round=fmean(rounds_converged) if rounds_converged else None,
+                mean_final_user_utility=fmean(utilities),
+                mean_final_fog_gain_total=fmean(gains),
+                mean_instability_index=fmean(instability),
             )
         )
     return tuple(configs)

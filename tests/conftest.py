@@ -11,6 +11,7 @@ import pytest
 
 from foggame.behavior import LevelK
 from foggame.games import NormalFormGame
+from foggame.market import _negotiate
 
 
 def two_player(row, col) -> NormalFormGame:
@@ -89,3 +90,14 @@ def logit_choice(utilities, precision: float) -> tuple[float, ...]:
     u = np.asarray(utilities, dtype=float)
     model = LevelK(level_weights=(0.0, 1.0), response="qbr", precision=precision)
     return model.predict_profile(NormalFormGame((u.size,), u[None, :]))[0].weights
+
+
+def negotiate_all(scenario, cells, price_rule) -> list:
+    """``_negotiate``'s outcomes in the order of ``cells``, each cell's
+    trace or ``ValueError``; every cell must end exactly once."""
+    outcomes: dict = {}
+    for j, outcome in _negotiate(scenario, cells, price_rule):
+        assert j not in outcomes, f"cell {j} ended twice"
+        outcomes[j] = outcome
+    assert sorted(outcomes) == list(range(len(cells)))
+    return [outcomes[j] for j in range(len(cells))]

@@ -34,7 +34,6 @@ from foggame.games import pure_nash
 from foggame.market import (
     FogScenario,
     NegotiationTrace,
-    _negotiate,
     default_scenario,
     instability_index,
     optimal_demand,
@@ -49,7 +48,7 @@ from foggame.preferences import (
     transform_game_social,
 )
 
-from conftest import logit_choice, random_game
+from conftest import logit_choice, negotiate_all, random_game
 
 SEEDS = tuple(range(100))
 
@@ -66,7 +65,7 @@ def _seed_batch(noise_level: float, averaging: bool):
     """One stacked kernel run over ``SEEDS``: the traces ``run_negotiation``
     gives seed by seed, bit for bit (see ``tests/test_market.py``)."""
     cells = [(noise_level, averaging, seed) for seed in SEEDS]
-    traces = _negotiate(default_scenario(), cells, "gradient_ascent")
+    traces = negotiate_all(default_scenario(), cells, "gradient_ascent")
     assert all(isinstance(trace, NegotiationTrace) for trace in traces)
     return traces
 

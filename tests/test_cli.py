@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,10 @@ BAD_PAYOFFS = [
     {"0": [True, 0.0, 0.0, 1.0], "1": _GOOD_ROW},
     {"0": _GOOD_ROW, "1": ["1.5", 0.0, 0.0, 1.0]},
     {"0": _GOOD_ROW, "1": _GOOD_ROW, "7": _GOOD_ROW},
+    {"0": _GOOD_ROW},
 ]
-BAD_PAYOFF_IDS = ["non-object", "object-entry", "object-payoff", "bool", "string", "extra-key"]
+BAD_PAYOFF_IDS = ["non-object", "object-entry", "object-payoff", "bool", "string", "extra-key",
+                  "missing-player"]
 
 # Predict model blocks that take a logit `precision`; each test adds it.
 PRECISION_MODELS = [
@@ -487,11 +490,8 @@ class TestSimulate:
         real = cli._negotiate
 
         def flaky(scenario, cells, price_rule):
-            outcomes = real(scenario, cells, price_rule)
-            return [
-                RuntimeError("synthetic fault") if seed == 1 else outcome
-                for (_, _, seed), outcome in zip(cells, outcomes)
-            ]
+            for j, outcome in real(scenario, cells, price_rule):
+                yield j, RuntimeError("synthetic fault") if cells[j][2] == 1 else outcome
 
         monkeypatch.setattr(cli, "_negotiate", flaky)
         out = tmp_path / "out"
@@ -525,6 +525,78 @@ class TestSimulate:
             assert cell["error"] == "synthetic allocation failure"
         assert not list(out.glob("*.csv"))
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("ended", [1, 3])
+    def test_kernel_fault_fails_only_the_cells_still_running(self, tmp_path, monkeypatch, ended):
+        # the clean cells converge long before the noisy ones, which run on
+        # to max_rounds; the kernel fails after ``ended`` cells have ended
+        real, done = cli._negotiate, []
+
+        def faulty(scenario, cells, price_rule):
+            for j, outcome in real(scenario, cells, price_rule):
+                if len(done) == ended:
+                    raise MemoryError("synthetic allocation failure")
+                done.append(cells[j])
+                yield j, outcome
+
+        monkeypatch.setattr(cli, "_negotiate", faulty)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, simulate_config(out, seeds=[0, 1, 2],
+                                                      noise_sweep=[0.0, 0.1]))
+        assert main(["simulate", path]) == 3
+
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["num_failed"] == 6 - ended
+        for cell in manifest["cells"]:
+            key = (cell["noise_level"], cell["averaging"], cell["seed"])
+            if key in done:
+                assert cell["status"] == "ok"
+                assert (out / cell["file"]).exists()
+            else:
+                assert cell["status"] == "failed"
+                assert cell["error"] == "synthetic allocation failure"
+        assert len(list(out.glob("*.csv"))) == ended
+        summary = json.loads((out / "summary.json").read_text())
+        assert sum(config["num_traces"] for config in summary["configs"]) == ended
+
+    def test_cell_written_before_the_next_cell_ends(self, tmp_path, monkeypatch):
+        real, on_disk = cli._negotiate, []
+        out = tmp_path / "out"
+
+        def watched(scenario, cells, price_rule):
+            for j, outcome in real(scenario, cells, price_rule):
+                yield j, outcome
+                # the run asks for the next cell only once this one is written
+                rho, averaging, seed = cells[j]
+                on_disk.append((out / f"trace_{rho}_{str(averaging).lower()}_{seed}.csv").exists())
+
+        monkeypatch.setattr(cli, "_negotiate", watched)
+        path = write_config(tmp_path, simulate_config(out, seeds=[0, 1], noise_sweep=[0.0, 0.1]))
+        assert main(["simulate", path]) == 0
+        assert on_disk == [True] * 4
+
+    def test_run_keeps_no_trace_beside_the_one_it_writes(self, tmp_path, monkeypatch):
+        # 40 raw noisy cells run all 2000 rounds; a run that kept every
+        # trace until the last cell ended would peak above their summed size
+        written, write = [], cli.write_trace_csv
+
+        def sized(trace, path):
+            written.append(sum(a.nbytes for a in (trace.prices, trace.demands,
+                                                   trace.gains, trace.utilities)))
+            write(trace, path)
+
+        monkeypatch.setattr(cli, "write_trace_csv", sized)
+        config = simulate_config(tmp_path / "out", seeds=list(range(40)), noise_sweep=[0.05])
+        config["scenario"] = {"preset": "default"}
+        spec = parse_config(write_config(tmp_path, config))
+        tracemalloc.start()
+        try:
+            assert cli.run_simulate(spec) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(written) == 40
+        assert peak < sum(written)
 
     def test_negative_zero_noise_exits_0(self, tmp_path):
         out_zero, out_neg = tmp_path / "zero", tmp_path / "neg"
@@ -1076,8 +1148,13 @@ class TestWorkCaps:
     ("fit", {"model": "level_k", "params": {"num_levels": 2, "levels": 9}}, None,
      "model.params.levels: unknown key"),
     ("fit", {"model": "level_k", "params": {"num_levels": 2}}, [[0.0, 1.0]],
-     "experiment.bounds: family 'level_k_2' has 2 parameters, got 1 bounds"),
-] + [("fit", *space) for space in BAD_FIT_SPACES])
+     "experiment.bounds: family 'level_k_2' has 2 parameters (set by "
+     "model.params.num_levels), got 1 bounds"),
+] + [("fit", *space) for space in BAD_FIT_SPACES] + [
+    ("fit", {"model": "logit_qbr"}, [[0.0, 1.0], [0.0, 1.0]],
+     "experiment.bounds: family 'logit_qbr' has 1 parameters (set by model.model), "
+     "got 2 bounds"),
+])
 def test_dump_checks_the_model_block(tmp_path, capsys, monkeypatch, mode, model, bounds, message):
     monkeypatch.setattr(estimation, "log_likelihood", _never("the likelihood"))
     experiment = ({"game": str(REPO / "data" / "example_game.json")} if mode == "predict"
@@ -1409,21 +1486,27 @@ class TestPredict:
         out = json.loads(capsys.readouterr().out)
         assert out["strategies"] == [list(s.weights) for s in real(game, 1.5)]
 
+    # A block that does not fit the 2-player game: (blocks, start of the message).
+    # The last is the social block, which the run checks against the game too.
     @pytest.mark.parametrize(
-        "model",
+        "blocks, message",
         [
-            {"model": "level_k",
-             "params": {"level_weights": [0.5, 0.5], "level0": [[0.5, 0.5], [0.2, 0.3, 0.5]]}},
-            {"model": "cognitive_hierarchy",
-             "params": {"poisson_mean": 1.5, "max_level": 2, "level0": [[0.5, 0.5]]}},
+            ({"model": {"model": "level_k", "params": {
+                "level_weights": [0.5, 0.5], "level0": [[0.5, 0.5], [0.2, 0.3, 0.5]]}}},
+             "model.params.level0: "),
+            ({"model": {"model": "cognitive_hierarchy", "params": {
+                "poisson_mean": 1.5, "max_level": 2, "level0": [[0.5, 0.5]]}}},
+             "model.params.level0: "),
+            ({"model": {"model": "best_response", "params": {}}, "social": [{}, {}, {}]},
+             "social: need one SocialPrefParams per player (2), got 3\n"),
         ],
-        ids=["level_k-wrong-length", "cognitive_hierarchy-one-strategy"],
+        ids=["level_k-wrong-length", "cognitive_hierarchy-one-strategy", "social-one-too-many"],
     )
-    def test_level0_that_does_not_fit_the_game_exits_2(self, tmp_path, capsys, model):
-        config = {"model": model,
+    def test_level0_that_does_not_fit_the_game_exits_2(self, tmp_path, capsys, blocks, message):
+        config = {**blocks,
                   "experiment": {"mode": "predict", "game": str(REPO / "data" / "example_game.json")}}
         assert main(["predict", write_config(tmp_path, config)]) == 2
-        assert capsys.readouterr().err.startswith("error: model.params.level0: ")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("tag", ["level_k", "cognitive_hierarchy"])
     @pytest.mark.parametrize(

@@ -3,8 +3,8 @@
 Each example takes one shipped config (``configs/predict_levelk.json``,
 ``configs/simulate_default.json`` or ``configs/fit_qbr.json``), the
 resolved form of the simulate config, which spells out every scenario
-field, or the fit config turned into a one-level ``level_k`` fit, whose
-weight is a simplex group, and makes one change: one value becomes a wrong JSON type, a boolean
+field, or the fit config turned into a two-level ``level_k`` fit, whose
+weights are a simplex group, and makes one change: one value becomes a wrong JSON type, a boolean
 or a string, NaN or ±inf, a negative, zero or non-integral number, an empty
 or one-element list, an empty object, or a number scaled by 10, 1/10 or -1;
 or one key is dropped; or an unknown key is added to one object.  The run
@@ -19,6 +19,16 @@ keep the exit-code contract:
 A second test adds to one of these configs a key that only another mode's
 spec class reads, drawn from those classes' fields, with any value; the run
 must exit 2 with ``error: <key path>: unknown key``.
+
+A third test changes, instead of the config, a file it points to: a copy of
+the game record ``data/example_game.json``, read by the predict config under
+one of five models, with or without a ``social`` block, or one line of the
+fit configs' dataset, under one of three fit families.  The change is one
+of the value changes above, or a payoff list one entry short or long, a
+missing or an extra player key, or a line cut in half.  The same exit-code
+contract holds, and an error names ``experiment.game`` or
+``experiment.dataset``, or, from the overflow check, ``model.params.precision``
+or ``experiment.bounds``.
 
 So that many examples fit in a few seconds, the fit reads 40 rows of the
 shipped dataset (two of its games) and searches a 3-point grid with 2
@@ -75,8 +85,8 @@ def bases(tmp_path_factory) -> dict[str, dict]:
     fit["experiment"]["dataset"] = str(dataset)
     fit["experiment"]["search"] = {"grid_points": 3, "refine_iters": 2}
     fit_level_k = copy.deepcopy(fit)
-    fit_level_k["model"] = {"model": "level_k", "params": {"num_levels": 1}}
-    fit_level_k["experiment"]["bounds"] = [[0.0, 1.0]]
+    fit_level_k["model"] = {"model": "level_k", "params": {"num_levels": 2}}
+    fit_level_k["experiment"]["bounds"] = [[0.0, 1.0], [0.0, 1.0]]
     return {
         "predict": predict,
         "fit": fit,
@@ -183,3 +193,81 @@ def test_key_another_mode_reads_exits_2(data, bases, tmp_path):
     path = key.name if key.metadata else f"experiment.{key.name}"
     assert (code, stdout, stderr) == (2, "", f"error: {path}: unknown key\n")
     assert not (directory / "out").exists()
+
+
+# Predict model blocks and fit model blocks with their bounds, for the third test.
+PREDICT_MODELS = [
+    None,  # the predict config's own level_k block
+    {"model": "best_response", "params": {}},
+    {"model": "logit_qbr", "params": {"precision": 2.0}},
+    {"model": "cognitive_hierarchy", "params": {"poisson_mean": 1.5, "max_level": 2}},
+    {"model": "noisy_introspection", "params": {"precision": 1.0, "decay": 0.5, "max_depth": 3}},
+]
+FIT_MODELS = [
+    None,  # the fit config's own logit_qbr block
+    ({"model": "level_k", "params": {"num_levels": 2}}, [[0.0, 1.0], [0.0, 1.0]]),
+    ({"model": "epsilon_nash", "params": {}}, [[0.0, 1.0]]),
+]
+RECORD_KEYS = re.compile(
+    r"error: (experiment\.game|experiment\.dataset|model\.params\.precision|experiment\.bounds)"
+    r"\b")
+
+
+def _record_mutations(record, path: tuple) -> list:
+    """What may replace the value at ``path`` in a game record or dataset
+    line: a config change, or, for a payoff list, one entry fewer or more,
+    and for the payoffs object, one more player key (``drop`` removes one)."""
+    value = _parent(record, path)[path[-1]]
+    changes = _mutations(value, isinstance(_parent(record, path), dict))
+    if path[-1] == "payoffs" and isinstance(value, dict):
+        changes.append(("set", {**value, str(len(value)): next(iter(value.values()))}))
+    if len(path) > 1 and path[-2] == "payoffs" and isinstance(value, list):
+        changes += [("set", value[:-1]), ("set", value + value[-1:])]
+    return changes
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_changed_record_value_exits_0_or_2(data, bases, tmp_path):
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    if data.draw(st.booleans(), label="game record"):
+        config = copy.deepcopy(bases["predict"])
+        model = data.draw(st.sampled_from(PREDICT_MODELS), label="model")
+        if model is not None:
+            config["model"] = model
+        if data.draw(st.booleans(), label="social"):
+            config["social"] = {"altruism_weight": 0.5, "inequity_weight": 0.2}
+        lines = [json.loads(Path(config["experiment"]["game"]).read_text())]
+        config["experiment"]["game"] = str(directory / "game.json")
+    else:
+        config = copy.deepcopy(bases["fit"])
+        family = data.draw(st.sampled_from(FIT_MODELS), label="family")
+        if family is not None:
+            config["model"], config["experiment"]["bounds"] = family
+        text = Path(config["experiment"]["dataset"]).read_text()
+        lines = [json.loads(line) for line in text.splitlines()]
+        config["experiment"]["dataset"] = str(directory / "data.jsonl")
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    path = data.draw(st.sampled_from(list(_paths(lines[index])) + [()]), label="path")
+    if path:
+        change = data.draw(st.sampled_from(_record_mutations(lines[index], path)),
+                           label="change")
+        texts = [json.dumps(_mutated(line, path, change) if i == index else line)
+                 for i, line in enumerate(lines)]
+    else:  # the line cut in half
+        texts = [json.dumps(line) for line in lines]
+        texts[index] = texts[index][: len(texts[index]) // 2]
+    target = config["experiment"].get("game") or config["experiment"]["dataset"]
+    Path(target).write_text("\n".join(texts) + "\n")
+
+    code, stdout, stderr = _run(config, config["experiment"]["mode"], directory)
+
+    assert code in (0, 2), stderr
+    if code == 2:
+        assert ERROR_LINE.fullmatch(stderr), stderr
+        assert RECORD_KEYS.match(stderr), stderr
+    else:
+        outputs = [stdout] + [f.read_text() for f in (directory / "out").rglob("*")
+                              if f.is_file()]
+        assert not any(NON_FINITE.search(text) for text in outputs)

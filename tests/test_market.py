@@ -27,7 +27,9 @@ from foggame.market import (
     write_trace_csv,
 )
 from foggame import market
-from foggame.market import _Market, _negotiate
+from foggame.market import _Market
+
+from conftest import negotiate_all
 
 
 def _one_node(**overrides) -> FogScenario:
@@ -819,7 +821,7 @@ class TestStackedKernel:
             scn = _one_node(**loop)
         else:
             scn = default_scenario(**loop)
-        outcomes = _negotiate(scn, MIXED_CELLS, price_rule)
+        outcomes = negotiate_all(scn, MIXED_CELLS, price_rule)
         assert len(outcomes) == len(MIXED_CELLS)
         for cell, trace in zip(MIXED_CELLS, outcomes):
             assert _same_outcome(trace, _alone(scn, cell, price_rule)), cell
@@ -838,9 +840,9 @@ class TestStackedKernel:
     def test_block_size_changes_no_bit(self, block, monkeypatch):
         scn = default_scenario(max_rounds=200, convergence_tol=1e-3,
                                convergence_window=10)
-        expected = _negotiate(scn, MIXED_CELLS, "gradient_ascent")
+        expected = negotiate_all(scn, MIXED_CELLS, "gradient_ascent")
         monkeypatch.setattr(market, "_BLOCK_ROUNDS", block)
-        for a, b in zip(_negotiate(scn, MIXED_CELLS, "gradient_ascent"), expected):
+        for a, b in zip(negotiate_all(scn, MIXED_CELLS, "gradient_ascent"), expected):
             assert _same_outcome(a, b)
 
     @pytest.mark.parametrize("offset", [0, 1])
@@ -853,7 +855,7 @@ class TestStackedKernel:
         scn = _pinned_price_node(convergence_tol=1e-4, convergence_window=window,
                                  max_rounds=3 * market._BLOCK_ROUNDS)
         cells = [(0.0, False, 0), (0.0, True, 0), (0.1, False, 3), (0.1, True, 3)]
-        outcomes = _negotiate(scn, cells, "gradient_ascent")
+        outcomes = negotiate_all(scn, cells, "gradient_ascent")
         for cell, trace in zip(cells, outcomes):
             assert _same_outcome(trace, _alone(scn, cell, "gradient_ascent"))
         assert [t.convergence_round for t in outcomes[:2]] == [window, window]
@@ -871,7 +873,7 @@ class TestStackedKernel:
         cells = [(rho, False, seed) for rho in (0.0, 0.1) for seed in range(8)]
         with warnings.catch_warnings(record=True) as stacked:
             warnings.simplefilter("always")
-            outcomes = _negotiate(scn, cells, "gradient_ascent")
+            outcomes = negotiate_all(scn, cells, "gradient_ascent")
         with warnings.catch_warnings(record=True) as one_by_one:
             warnings.simplefilter("always")
             alone = [_alone(scn, cell, "gradient_ascent") for cell in cells]
@@ -897,7 +899,7 @@ class TestStackedKernel:
                     _one_node(max_rounds=ROUND_LIMIT)):
             tracemalloc.start()
             try:
-                outcomes = _negotiate(scn, cells, "gradient_ascent")
+                outcomes = negotiate_all(scn, cells, "gradient_ascent")
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -913,7 +915,7 @@ class TestStackedKernel:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for rule in ("gradient_ascent", "foc_root"):
-                for outcome in _negotiate(scn, MIXED_CELLS, rule):
+                for outcome in negotiate_all(scn, MIXED_CELLS, rule):
                     assert isinstance(outcome, ValueError)
                     assert str(outcome) == "demands must be finite"
         assert {str(w.message) for w in caught} == {"overflow encountered in divide"}
@@ -937,7 +939,7 @@ class TestStackedKernel:
             scn = dataclasses.replace(base, max_rounds=rounds)
             with warnings.catch_warnings(record=True) as stacked:
                 warnings.simplefilter("always")
-                outcomes = _negotiate(scn, cells, "gradient_ascent")
+                outcomes = negotiate_all(scn, cells, "gradient_ascent")
             with warnings.catch_warnings(record=True) as one_by_one:
                 warnings.simplefilter("always")
                 alone = [_alone(scn, cell, "gradient_ascent") for cell in cells]
@@ -981,12 +983,12 @@ class TestKernelOracle:
 
         monkeypatch.setattr(_Market, "gradient_step", counted)
         expected = [_oracle(scn, cell, price_rule) for cell in self.CELLS]
-        for cell, got, want in zip(self.CELLS, _negotiate(scn, self.CELLS, price_rule),
+        for cell, got, want in zip(self.CELLS, negotiate_all(scn, self.CELLS, price_rule),
                                    expected):
             assert _same_outcome(got, want), ("stacked", cell)
         for cell, want in zip(self.CELLS, expected):
             steps.append(0)
-            (got,) = _negotiate(scn, [cell], price_rule)
+            (got,) = negotiate_all(scn, [cell], price_rule)
             assert _same_outcome(got, want), ("alone", cell)
         if price_rule == "gradient_ascent":
             # a batch of one steps its prices once a round until they freeze
@@ -1006,7 +1008,7 @@ class TestKernelOracle:
                  for seed in range(4)]
         for rule in ("gradient_ascent", "foc_root"):
             with np.errstate(over="ignore"):
-                outcomes = _negotiate(scn, cells, rule)
+                outcomes = negotiate_all(scn, cells, rule)
                 expected = [_oracle(scn, cell, rule) for cell in cells]
             assert any(isinstance(o, ValueError) for o in outcomes)
             for cell, got, want in zip(cells, outcomes, expected):
